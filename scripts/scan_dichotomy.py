@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Scan the dichotomy constant prime by prime.
+"""Tabulate the dichotomy constant prime by prime.
 
-For each prime p up to the bound, grid-scan the seed eigenvalue over
-[-p(p+1), p(p+1)] and report the worst normalized eigenvalue
-max(|lam| / sqrt(p(p+1)), |lam2| / sqrt(p^3 (p+1))), the minimizing
-seed, and whether every grid cell is interval-certified above the
-threshold.  The minimum drifts down toward sqrt(2) - 1 ~ 0.4142 as p
-grows, crossing below 1/2 at p = 5.
+For each prime p up to the bound, print the closed-form minimax
+c_p of max(|lam| / sqrt(p(p+1)), |lam2| / sqrt(p^3 (p+1))) over seed
+eigenvalues lam, the minimising seed lam* = -c_p sqrt(p(p+1)), and
+whether c_p >= threshold, decided by one exact rational comparison.
+c_p decreases toward sqrt(2) - 1 ~ 0.4142 as p grows, crossing below
+1/2 at p = 5.
 """
 
 import argparse
+import math
 from fractions import Fraction
 
-from treeamp.amplifier import dichotomy_scan
+from treeamp.amplifier import dichotomy_constant, dichotomy_constant_at_least
 from treeamp.splitting import primes_in
 
 
@@ -21,16 +22,15 @@ def main() -> int:
     parser.add_argument("--max-prime", type=int, default=97)
     parser.add_argument("--threshold", default="1/2",
                         help="certification threshold as a fraction")
-    parser.add_argument("--step-denominator", type=int, default=1000)
     args = parser.parse_args()
     threshold = Fraction(args.threshold)
 
-    print(f"{'p':>4}  {'min ratio':>10}  {'at lambda':>12}  certified@{threshold}")
+    print(f"{'p':>4}  {'c_p':>10}  {'lambda*':>12}  certified@{threshold}")
     for p in primes_in(2, args.max_prime):
-        r = dichotomy_scan(p, threshold=threshold,
-                           step_denominator=args.step_denominator)
-        print(f"{p:>4}  {r.grid_min_ratio:>10.4f}  {r.grid_min_lambda:>12.3f}  "
-              f"{'yes' if r.certified else 'NO'}")
+        c = dichotomy_constant(p)
+        certified = dichotomy_constant_at_least(p, threshold)
+        print(f"{p:>4}  {c:>10.6f}  {-c * math.sqrt(p * (p + 1)):>12.6f}  "
+              f"{'yes' if certified else 'NO'}")
     return 0
 
 

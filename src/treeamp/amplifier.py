@@ -31,8 +31,8 @@ __all__ = [
     "build_amplifier",
     "verify_spectral_floor",
     "scaling_sweep",
-    "dichotomy_scan",
-    "DichotomyScanResult",
+    "dichotomy_constant",
+    "dichotomy_constant_at_least",
 ]
 
 # Dichotomy constant: |lambda| >= threshold * sqrt(support size) for the
@@ -63,7 +63,6 @@ class SpectrumModel:
     kind: SpectrumKind
     seed: int = 0
     values: tuple[tuple[int, Fraction], ...] = ()
-    max_j: int = 4
 
     @staticmethod
     def trivial() -> "SpectrumModel":
@@ -113,6 +112,35 @@ def _at_least_threshold(lam, bound: int, threshold: Fraction) -> bool:
     return abs(float(lam)) >= float(threshold) * math.sqrt(bound)
 
 
+def dichotomy_constant(p: int) -> float:
+    """Minimax c_p over seeds lam of max(|lam|/sqrt(p(p+1)), |lam2|/sqrt(p^3(p+1))).
+
+    lam2 = lam^2 - (p-1) lam - p(p+1) is the radius-4 eigenvalue.  The
+    supports differ by a factor p^2, so the minimum sits where
+    p |lam| = |lam2|, at the negative root lam* of
+    lam^2 - (2p-1) lam - p(p+1) = 0.  That gives
+    c_p = (sqrt(8p^2+1) - (2p-1)) / (2 sqrt(p(p+1))), which decreases to
+    sqrt(2) - 1; the minimiser is lam* = -c_p sqrt(p(p+1)).
+    """
+    s1 = tree.sphere_size(p, 2)  # p(p+1); rejects a non-prime p
+    return (math.sqrt(8 * p * p + 1) - (2 * p - 1)) / (2 * math.sqrt(s1))
+
+
+def dichotomy_constant_at_least(p: int, t: Rational) -> bool:
+    """c_p >= t, by one exact comparison.
+
+    For 0 <= t < 1, c_p >= t iff (2p-1)^2 t^2 <= p(p+1) (1-t^2)^2, since
+    c_p sqrt(p(p+1)) is the positive root of u^2 + (2p-1) u - p(p+1).
+    """
+    s1 = tree.sphere_size(p, 2)  # p(p+1); rejects a non-prime p
+    t = Fraction(t)
+    if t <= 0:
+        return True
+    if t >= 1:
+        return False
+    return (2 * p - 1) ** 2 * t * t <= s1 * (1 - t * t) ** 2
+
+
 def pick_local(p: int, lambda_p, threshold: Fraction = DEFAULT_PICK_THRESHOLD) -> LocalChoice:
     """Choose between the radius-2 and radius-4 operators.
 
@@ -120,10 +148,9 @@ def pick_local(p: int, lambda_p, threshold: Fraction = DEFAULT_PICK_THRESHOLD) -
     with the eigenvalue from the degree-2 recursion.  The j=2 guarantee
     is recorded rather than asserted: there is a narrow band of seed
     eigenvalues just under the j=1 cutoff where neither normalized
-    eigenvalue reaches 1/2.  The per-prime minimax constant is
-    c_p = (sqrt(8p^2+1) - (2p-1)) / (2 sqrt(p(p+1))), which clears 1/2
-    only for p in {2, 3}; it decreases to sqrt(2) - 1, the sharp
-    uniform constant (c_p >= sqrt(2) - 1 for every p).
+    eigenvalue reaches 1/2.  The per-prime minimax constant
+    c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
+    decreases to sqrt(2) - 1, the sharp uniform constant.
     """
     supp1 = tree.sphere_size(p, 2)
     if _at_least_threshold(lambda_p, supp1, threshold):
@@ -279,92 +306,3 @@ def scaling_sweep(
         report.positivity_scaled = report.ratio_positivity * Q ** (1 + ell / 2) / logq
         reports.append(report)
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Exact minimax scan for the dichotomy constant
-
-
-@dataclass(frozen=True)
-class DichotomyScanResult:
-    prime: int
-    threshold: Fraction
-    grid_min_ratio: float
-    grid_min_lambda: float
-    certified: bool  # every grid cell clears the threshold (interval bound)
-    failing_cell: tuple[float, float] | None
-
-
-def dichotomy_scan(
-    p: int,
-    threshold: Fraction = DEFAULT_PICK_THRESHOLD,
-    step_denominator: int = 1000,
-) -> DichotomyScanResult:
-    """Scan lambda over [-p(p+1), p(p+1)] in steps of p/step_denominator.
-
-    At each grid point computes max(|lambda| / sqrt(p(p+1)),
-    |lambda2| / sqrt(p^3(p+1))) with lambda2 from the degree-2 recursion,
-    entirely in integer arithmetic.  Each grid cell is additionally
-    certified by interval bounds: |lambda| is minimized at an endpoint or
-    at 0, and the quadratic lambda2 is monotone away from its vertex, so
-    exact range bounds are available.
-    """
-    D = step_denominator
-    kmax = D * (p + 1)  # lambda = k p / D, |lambda| <= p(p+1)
-    t_num, t_den = threshold.numerator, threshold.denominator
-    s1 = p * (p + 1)  # support of the radius-2 operator
-    s2 = p ** 3 * (p + 1)
-
-    def h_scaled(k: int) -> int:
-        # 4 D^2 * lambda2(k p / D): integer
-        return 4 * k * k * p * p - 4 * D * (p - 1) * k * p - 4 * D * D * p * (p + 1)
-
-    def f1_sq_scaled(k: int) -> Fraction:
-        # (lambda / sqrt(s1))^2
-        return Fraction(k * k * p * p, D * D * s1)
-
-    def f2_sq_scaled(hk: int) -> Fraction:
-        # (lambda2 / sqrt(s2))^2 with hk = 4 D^2 lambda2
-        return Fraction(hk * hk, 16 * D ** 4 * s2)
-
-    thr_sq = Fraction(t_num * t_num, t_den * t_den)
-    grid_min: Fraction | None = None
-    grid_min_k = 0
-    h_prev = h_scaled(-kmax)
-    certified = True
-    failing_cell = None
-    h_vertex = -D * D * ((p - 1) ** 2 + 4 * p * (p + 1))
-    for k in range(-kmax, kmax + 1):
-        hk = h_prev if k == -kmax else h_scaled(k)
-        ratio_sq = max(f1_sq_scaled(k), f2_sq_scaled(hk))
-        if grid_min is None or ratio_sq < grid_min:
-            grid_min = ratio_sq
-            grid_min_k = k
-        if k < kmax:
-            h_next = h_scaled(k + 1)
-            # cell [k, k+1]
-            min_abs_k = 0 if k <= 0 <= k + 1 else min(abs(k), abs(k + 1))
-            f1_ok = 4 * min_abs_k * min_abs_k * p * p * t_den * t_den >= \
-                4 * D * D * s1 * t_num * t_num
-            # quadratic range over the cell
-            vertex_inside = 2 * p * k <= D * (p - 1) <= 2 * p * (k + 1)
-            h_min = h_vertex if vertex_inside else min(hk, h_next)
-            h_max = max(hk, h_next)
-            if h_min <= 0 <= h_max:
-                min_abs_h = 0
-            else:
-                min_abs_h = min(abs(h_min), abs(h_max))
-            f2_ok = min_abs_h * min_abs_h * t_den * t_den >= \
-                16 * D ** 4 * s2 * t_num * t_num
-            if not (f1_ok or f2_ok) and certified:
-                certified = False
-                failing_cell = (k * p / D, (k + 1) * p / D)
-            h_prev = h_next
-    return DichotomyScanResult(
-        prime=p,
-        threshold=threshold,
-        grid_min_ratio=math.sqrt(float(grid_min)),
-        grid_min_lambda=grid_min_k * p / D,
-        certified=certified,
-        failing_cell=failing_cell,
-    )

@@ -4,7 +4,8 @@ Every subcommand emits a single JSON report whose bytes are a pure
 function of the flags and seed: exact integers are serialized as
 strings (never floats), rationals as "num/den", reals as %.12g strings,
 and wall time goes to stderr only.  Exit code is 0 exactly when every
-verdict in the report passes.
+verdict in the report passes, 1 when one fails, and 2 on bad input,
+which is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from . import __version__, amplifier, gaussian, hecke, orbits, splitting, tree
 
 MAX_PRIME = 13
-MAX_RADIUS = 8
 
 
 def _encode(obj):
@@ -60,8 +60,26 @@ def finish(report: dict, out_path: str | None, started: float) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(text: str) -> list[int]:
+    values = [int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fraction_text(text: str) -> str:
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +87,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_verify_hecke(args) -> int:
     started = time.monotonic()
-    primes = _parse_int_list(args.primes)
+    primes = args.primes
     max_radius = args.max_radius
     for p in primes:
         if p > MAX_PRIME:
-            raise SystemExit(f"prime {p} exceeds the cap {MAX_PRIME}")
-    if max_radius > MAX_RADIUS:
-        raise SystemExit(f"max radius {max_radius} exceeds the cap {MAX_RADIUS}")
+            raise ValueError(f"prime {p} exceeds the cap {MAX_PRIME}")
+    if max_radius > hecke.MAX_RADIUS:
+        raise ValueError(f"max radius {max_radius} exceeds the cap {hecke.MAX_RADIUS}")
     verdicts: dict[str, bool] = {}
     results: dict[str, dict] = {}
     for p in primes:
@@ -198,7 +216,7 @@ def cmd_orbit_check(args) -> int:
     started = time.monotonic()
     kind = orbits.OrbitKind.SL2 if args.orbit == "sl2" else orbits.OrbitKind.MULTIPLICATIVE
     model = orbits.OrbitModel(kind, args.index)
-    primes = _parse_int_list(args.primes)
+    primes = args.primes
     results = {}
     verdicts = {}
     for p in primes:
@@ -220,7 +238,7 @@ def cmd_orbit_check(args) -> int:
 
 def cmd_amplifier(args) -> int:
     started = time.monotonic()
-    Qs = _parse_int_list(args.Q)
+    Qs = args.Q
     poly = splitting.parse_poly(args.poly)
     if args.spectrum == "trivial":
         spectrum = amplifier.SpectrumModel.trivial()
@@ -272,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     vh = sub.add_parser("verify-hecke", help="convolution identity and algebra checks")
-    vh.add_argument("--primes", default="2,3,5,7,11")
+    vh.add_argument("--primes", type=_int_list, default="2,3,5,7,11")
     vh.add_argument("--max-radius", type=int, default=8)
     vh.add_argument("--out", default=None)
     vh.set_defaults(func=cmd_verify_hecke)
@@ -280,40 +298,44 @@ def build_parser() -> argparse.ArgumentParser:
     sd = sub.add_parser("split-density", help="empirical complete-splitting density")
     sd.add_argument("--poly", required=True)
     sd.add_argument("--limit", type=int, default=10 ** 5)
-    sd.add_argument("--expected", default=None,
+    sd.add_argument("--expected", type=_fraction_text, default=None,
                     help="expected density as a fraction, e.g. 1/2")
     sd.add_argument("--out", default=None)
     sd.set_defaults(func=cmd_split_density)
 
     dc = sub.add_parser("denom-check", help="denominator and product-formula sweeps")
-    dc.add_argument("--samples", type=int, default=1000)
+    dc.add_argument("--samples", type=_positive_int, default=1000)
     dc.add_argument("--seed", type=int, default=0)
     dc.add_argument("--out", default=None)
     dc.set_defaults(func=cmd_denom_check)
 
     oc = sub.add_parser("orbit-check", help="orbit intersection closed form vs enumeration")
     oc.add_argument("--orbit", choices=["sl2", "torus"], default="torus")
-    oc.add_argument("--index", type=int, default=1)
-    oc.add_argument("--primes", default="2,3,5")
-    oc.add_argument("--max-j", type=int, default=3)
+    oc.add_argument("--index", type=_positive_int, default=1)
+    oc.add_argument("--primes", type=_int_list, default="2,3,5")
+    oc.add_argument("--max-j", type=_positive_int, default=3)
     oc.add_argument("--out", default=None)
     oc.set_defaults(func=cmd_orbit_check)
 
     am = sub.add_parser("amplifier", help="build amplifiers over a Q sweep and report ratios")
-    am.add_argument("--Q", default="50,100,200,400")
+    am.add_argument("--Q", type=_int_list, default="50,100,200,400")
     am.add_argument("--poly", default="x^2+1")
     am.add_argument("--spectrum", choices=["trivial", "tempered"], default="trivial")
     am.add_argument("--seed", type=int, default=42)
     am.add_argument("--orbit", choices=["sl2", "torus"], default="sl2")
-    am.add_argument("--index", type=int, default=1)
+    am.add_argument("--index", type=_positive_int, default=1)
     am.add_argument("--out", default=None)
     am.set_defaults(func=cmd_amplifier)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # includes AmplifierError
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

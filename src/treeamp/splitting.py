@@ -1,9 +1,9 @@
 """Complete-splitting filter for rational primes.
 
 A monic integer polynomial f splits completely mod p exactly when
-x^p = x in Z[x]/(f, p) (equivalently gcd(x^p - x, f) = f mod p, since
-x^p - x is squarefree).  Primes dividing disc(f) are treated as bad and
-never reported as split.
+x^p = x in Z[x]/(f, p), that is, when f divides x^p - x mod p.  Since
+x^p - x is squarefree, this already fails at every prime dividing
+disc(f), so no separate discriminant test is needed.
 """
 
 from __future__ import annotations
@@ -183,19 +183,21 @@ def _polmulmod(u: list[int], v: list[int], f: list[int], p: int, deg: int) -> li
     return prod[:deg]
 
 
+def _require_monic(f: IntPoly) -> None:
+    if not f.is_monic():
+        raise ValueError(f"splitting test requires a monic polynomial, got {f}")
+
+
 def splits_completely(f: IntPoly, p: int) -> bool:
     """True iff f factors into deg(f) distinct linear factors mod p.
 
-    Bad primes (dividing disc(f)) and non-primes are rejected as False.
+    Primes dividing disc(f) give False; non-primes raise ValueError.
     """
-    if not f.is_monic():
-        raise ValueError("splitting test requires a monic polynomial")
+    _require_monic(f)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f.degree() == 1:
         return True
-    if f.discriminant() % p == 0:
-        return False
     return _frobenius_fixes_x(f.coeffs, p)
 
 
@@ -203,24 +205,23 @@ def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi] where f splits completely, ascending."""
     if lo > hi:
         raise ValueError("empty range")
-    disc = f.discriminant()
+    _require_monic(f)
     if f.degree() == 1:
         return primes_in(lo, hi)
-    return [p for p in primes_in(lo, hi)
-            if disc % p != 0 and _frobenius_fixes_x(f.coeffs, p)]
+    return [p for p in primes_in(lo, hi) if _frobenius_fixes_x(f.coeffs, p)]
 
 
 def empirical_density(f: IntPoly, limit: int) -> Fraction:
     """Fraction of primes up to limit where f splits completely."""
     if limit < 100:
         raise ValueError("limit must be >= 100")
+    _require_monic(f)
     if f.degree() == 1:
         return Fraction(1)
-    disc = f.discriminant()
     total = 0
     split = 0
     for p in primes_in(2, limit):
         total += 1
-        if disc % p != 0 and _frobenius_fixes_x(f.coeffs, p):
+        if _frobenius_fixes_x(f.coeffs, p):
             split += 1
     return Fraction(split, total)

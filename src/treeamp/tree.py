@@ -84,12 +84,6 @@ class TreeVertex:
     def child(self, digit: int) -> "TreeVertex":
         return TreeVertex(self.prime, self.word + (digit,))
 
-    def neighbors(self) -> list["TreeVertex"]:
-        out = [] if self.is_root() else [self.parent()]
-        hi = self.prime if self.is_root() else self.prime - 1
-        out.extend(self.child(d) for d in range(hi + 1))
-        return out
-
 
 def root(p: int) -> TreeVertex:
     return TreeVertex(p, ())

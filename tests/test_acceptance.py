@@ -16,7 +16,8 @@ from treeamp import gaussian, hecke, orbits, splitting, tree
 from treeamp.amplifier import (
     SpectrumModel,
     build_amplifier,
-    dichotomy_scan,
+    dichotomy_constant,
+    dichotomy_constant_at_least,
     scaling_sweep,
     verify_spectral_floor,
 )
@@ -73,20 +74,20 @@ def test_criterion_02_sphere_and_mass_laws():
     record("criterion 2: sphere sizes and mass multiplicativity, exact", ok)
 
 
-def dichotomy_constant(p: int) -> float:
-    """Closed-form minimax c_p of max(|lam|/sqrt(s1), |lam2|/sqrt(s2)).
+def grid_minimum(p: int) -> float:
+    """Float oracle for c_p: the minimum of max(|lam|/sqrt(s1), |lam2|/sqrt(s2))
+    over lam = k p / 1000 in [-p(p+1), p(p+1)], with s1 = p(p+1) and
+    s2 = p^3 (p+1) the radius-2 and radius-4 support sizes.
 
-    The binding crossing is the negative root of
-    lam^2 - (2p-1) lam - p(p+1) = 0, which gives
-    c_p = (sqrt(8p^2+1) - (2p-1)) / (2 sqrt(p(p+1))), decreasing to
-    sqrt(2) - 1.
+    Grid points with |lam| > sqrt(s1) score above 1 on the first term
+    alone, so they are skipped once the minimum over the rest is <= 1.
     """
-    return (math.sqrt(8 * p * p + 1) - (2 * p - 1)) / (2 * math.sqrt(p * (p + 1)))
-
-
-def dichotomy_constant_at_least(p: int, t: Fraction) -> bool:
-    """c_p >= t for rational t, by one exact comparison."""
-    return t < 1 and (2 * p - 1) ** 2 * t * t <= p * (p + 1) * (1 - t * t) ** 2
+    r1, r2 = math.sqrt(p * (p + 1)), math.sqrt(p ** 3 * (p + 1))
+    kmax = math.ceil(1000 * r1 / p)
+    best = min(max(abs(lam) / r1, abs(lam * lam - (p - 1) * lam - p * (p + 1)) / r2)
+               for lam in (k * p / 1000 for k in range(-kmax, kmax + 1)))
+    assert best <= 1
+    return best
 
 
 def test_criterion_03_dichotomy_constant():
@@ -94,18 +95,17 @@ def test_criterion_03_dichotomy_constant():
     spot_ok = lam2 == -30 and abs(30 / math.sqrt(750) - 1.095) < 5e-4
     # 2/5 sits below the sharp uniform constant sqrt(2) - 1 (c_p >= it iff 1 <= 8p)
     primes = primes_in(2, 97)
-    scans = {p: dichotomy_scan(p, threshold=Fraction(2, 5)) for p in primes}
-    uncertified = [p for p, s in scans.items() if not s.certified]
-    off_closed_form = {p: s.grid_min_ratio for p, s in scans.items()
-                       if not dichotomy_constant(p) <= s.grid_min_ratio
-                       <= dichotomy_constant(p) + 1e-3}
+    uncertified = [p for p in primes if not dichotomy_constant_at_least(p, Fraction(2, 5))]
+    grid = {p: grid_minimum(p) for p in primes}
+    off_closed_form = {p: g for p, g in grid.items()
+                       if not dichotomy_constant(p) <= g <= dichotomy_constant(p) + 1e-3}
     half = Fraction(1, 2)
     exact_at_half = [p for p in primes if dichotomy_constant_at_least(p, half)]
-    grid_at_half = [p for p, s in scans.items() if s.grid_min_ratio >= half]
+    grid_at_half = [p for p, g in grid.items() if g >= half]
     ok = (spot_ok and not uncertified and not off_closed_form
           and exact_at_half == grid_at_half == [2, 3])
-    record("criterion 3: dichotomy minimax >= 2/5 certified for all p <= 97, "
-           "within 1e-3 of c_p, >= 1/2 exactly for p in {2, 3}", ok,
+    record("criterion 3: c_p >= 2/5 certified exactly for all p <= 97, "
+           "grid minima within 1e-3 of c_p, >= 1/2 exactly for p in {2, 3}", ok,
            f"spot check {spot_ok}; uncertified at 2/5: {uncertified}; "
            f"grid minima off c_p: {off_closed_form}; "
            f"c_p >= 1/2 at {exact_at_half}; grid minimum >= 1/2 at {grid_at_half}")

@@ -8,13 +8,14 @@ from treeamp.amplifier import (
     AmplifierError,
     SpectrumModel,
     build_amplifier,
-    dichotomy_scan,
+    dichotomy_constant,
+    dichotomy_constant_at_least,
     pick_local,
     scaling_sweep,
     verify_spectral_floor,
 )
 from treeamp.orbits import OrbitKind, OrbitModel
-from treeamp.splitting import parse_poly
+from treeamp.splitting import parse_poly, primes_in
 
 GAUSS = parse_poly("x^2+1")
 SL2 = OrbitModel(OrbitKind.SL2)
@@ -42,29 +43,46 @@ class TestPickLocal:
         assert pick_local(5, Fraction(150)).support_size() == 30
 
 
-class TestDichotomyScan:
+class TestDichotomyConstant:
     @pytest.mark.parametrize("p", [2, 3])
     def test_small_primes_certified_at_half(self, p):
-        result = dichotomy_scan(p)
-        assert result.certified
-        assert result.grid_min_ratio >= 0.5
+        assert dichotomy_constant_at_least(p, Fraction(1, 2))
+        assert dichotomy_constant(p) >= 0.5
 
     def test_sharp_constant_certifies_everywhere(self):
         # sqrt(2) - 1 is the asymptotic optimum; 2/5 is safely below it
         for p in (2, 3, 5, 7, 13):
-            result = dichotomy_scan(p, threshold=Fraction(2, 5))
-            assert result.certified, p
+            assert dichotomy_constant_at_least(p, Fraction(2, 5)), p
 
     def test_grid_minimum_matches_direct_evaluation(self):
-        p = 3
-        result = dichotomy_scan(p, step_denominator=100)
+        p, step = 3, 3 / 100
         best = min(
-            max(abs(k * p / 100) / math.sqrt(p * (p + 1)),
-                abs((k * p / 100) ** 2 - (p - 1) * (k * p / 100) - p * (p + 1))
+            max(abs(k * step) / math.sqrt(p * (p + 1)),
+                abs((k * step) ** 2 - (p - 1) * (k * step) - p * (p + 1))
                 / math.sqrt(p ** 3 * (p + 1)))
             for k in range(-100 * (p + 1), 100 * (p + 1) + 1)
         )
-        assert result.grid_min_ratio == pytest.approx(best, rel=1e-9)
+        # both terms have slope < 1 near the minimiser, so the nearest
+        # grid point is within step / 2 of c_p
+        assert dichotomy_constant(p) <= best <= dichotomy_constant(p) + step / 2
+
+    def test_decreases_to_sqrt2_minus_1(self):
+        values = [dichotomy_constant(p) for p in primes_in(2, 1000)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > math.sqrt(2) - 1 > values[-1] - 1e-3
+
+    def test_exact_comparison_agrees_with_float(self):
+        for p in primes_in(2, 200):
+            for k in range(-5, 106):
+                t = Fraction(k, 100)
+                assert dichotomy_constant_at_least(p, t) == (dichotomy_constant(p) >= t), (p, t)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 91])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError):
+            dichotomy_constant(p)
+        with pytest.raises(ValueError):
+            dichotomy_constant_at_least(p, Fraction(1, 2))
 
 
 class TestBuildAmplifier:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treeamp.cli import main
 
@@ -117,3 +119,76 @@ class TestDeterminism:
         stdout = capsys.readouterr().out
         _, filed = run(tmp_path, "oc.json", argv)
         assert stdout.encode() == filed
+
+
+BAD_INPUT = {
+    "verify-hecke-non-prime": ["verify-hecke", "--primes", "4"],
+    "verify-hecke-empty-primes": ["verify-hecke", "--primes", ""],
+    "orbit-check-index-0": ["orbit-check", "--index", "0"],
+    "orbit-check-max-j-0": ["orbit-check", "--max-j", "0"],
+    "denom-check-negative-samples": ["denom-check", "--samples", "-5"],
+    "amplifier-q-below-floor": ["amplifier", "--Q", "10"],
+    "amplifier-q-descending": ["amplifier", "--Q", "400,200"],
+    "amplifier-empty-q": ["amplifier", "--Q", ""],
+    "amplifier-malformed-poly": ["amplifier", "--poly", "x^^2"],
+    "amplifier-non-monic": ["amplifier", "--poly", "2x^2+1", "--Q", "50"],
+    "split-density-non-monic": ["split-density", "--poly", "2x^2+1"],
+    "split-density-zero-denominator": ["split-density", "--poly", "x^2+1",
+                                       "--expected", "1/0"],
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+    def test_exits_2_with_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+
+
+# Edge values per flag, valid and invalid; every flag that sets a
+# workload size is always given, so no drawn run exceeds 10^4 primes
+# or a radius-4 ball.
+EDGE_VALUES = {
+    "verify-hecke": {"--primes": ["2", "2,3", "13", "", "4", "17"],
+                     "--max-radius": [None, "0", "2", "4", "8", "10"]},
+    "split-density": {"--poly": ["x^2+1", "x-1", "x^2", "x^3-3x+2", "2x^2+1", "x^^2"],
+                      "--limit": ["100", "101", "10000", "99"],
+                      "--expected": [None, "1/2", "0", "1/0"]},
+    "denom-check": {"--samples": ["1", "2", "20", "0", "-5"],
+                    "--seed": [None, "-1", "0", "7"]},
+    "orbit-check": {"--orbit": [None, "sl2", "torus"],
+                    "--index": [None, "1", "3", "0"],
+                    "--primes": ["2", "3", "2,3", "", "4"],
+                    "--max-j": ["1", "2", "0"]},
+    "amplifier": {"--Q": ["11", "50", "50,100", "10", "400,200", ""],
+                  "--poly": [None, "x^2+1", "x-1", "x^3-3x+2", "2x^2+1", "x^^2"],
+                  "--spectrum": [None, "trivial", "tempered"],
+                  "--orbit": [None, "sl2", "torus"],
+                  "--index": [None, "1", "2", "0"]},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(EDGE_VALUES)))
+    argv = [command]
+    for flag, values in EDGE_VALUES[command].items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_exit_code_is_0_1_or_2(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv

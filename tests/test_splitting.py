@@ -12,7 +12,8 @@ from treeamp.splitting import (
     splits_completely,
 )
 
-CORPUS = ["x^2+1", "x^3-2", "x^2-2", "x^4+1"]
+# x^3-3x+2 = (x-1)^2 (x+2) has discriminant 0 and never splits
+CORPUS = ["x^2+1", "x^3-2", "x^2-2", "x^4+1", "x^3-3x+2"]
 
 
 def root_count(f: IntPoly, p: int) -> int:
@@ -70,6 +71,8 @@ class TestSplitsCompletely:
         for p in primes_in(2, 500):
             expected = disc % p != 0 and root_count(f, p) == f.degree()
             assert splits_completely(f, p) == expected, (text, p)
+        assert split_primes_in(f, 2, 500) == \
+            [p for p in primes_in(2, 500) if splits_completely(f, p)]
 
 
 class TestSplitPrimesIn:
@@ -81,6 +84,10 @@ class TestSplitPrimesIn:
 
     def test_cubic(self):
         assert split_primes_in(parse_poly("x^3-2"), 2, 200) == [31, 43, 109, 127, 157]
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValueError):
+            split_primes_in(parse_poly("2x^2+1"), 2, 100)
 
     def test_strictly_increasing_primes(self):
         out = split_primes_in(parse_poly("x^2-2"), 2, 1000)
@@ -99,6 +106,10 @@ class TestEmpiricalDensity:
     def test_cubic_near_sixth(self):
         d = empirical_density(parse_poly("x^3-2"), 10 ** 4)
         assert abs(d - Fraction(1, 6)) < Fraction(1, 50)
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValueError):
+            empirical_density(parse_poly("2x^2+1"), 1000)
 
     def test_limit_floor(self):
         with pytest.raises(ValueError):
