@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import __version__, amplifier, gaussian, hecke, orbits, splitting, tree
 
 MAX_PRIME = 13
+MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may materialise per (p, j)
 
 
 def _encode(obj):
@@ -67,11 +68,13 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _fraction_text(text: str) -> str:
@@ -98,11 +101,10 @@ def cmd_verify_hecke(args) -> int:
     results: dict[str, dict] = {}
     for p in primes:
         checks: dict[str, bool] = {}
-        if max_radius >= 2:
-            got = hecke.convolve(hecke.basic(p, 1), hecke.basic(p, 1))
-            want = hecke.LocalHeckeElement.from_dict(
-                p, {0: p * (p + 1), 2: p - 1, 4: 1})
-            checks["degree2_identity"] = got == want
+        got = hecke.convolve(hecke.basic(p, 1), hecke.basic(p, 1))
+        want = hecke.LocalHeckeElement.from_dict(
+            p, {0: p * (p + 1), 2: p - 1, 4: 1})
+        checks["degree2_identity"] = got == want
         if max_radius >= 4:
             got = hecke.convolve(hecke.basic(p, 2), hecke.basic(p, 2))
             want = hecke.LocalHeckeElement.from_dict(
@@ -217,6 +219,11 @@ def cmd_orbit_check(args) -> int:
     kind = orbits.OrbitKind.SL2 if args.orbit == "sl2" else orbits.OrbitKind.MULTIPLICATIVE
     model = orbits.OrbitModel(kind, args.index)
     primes = args.primes
+    for p in primes:
+        size = tree.sphere_size(p, 2 * args.max_j)
+        if size > MAX_SPHERE:
+            raise ValueError(f"p={p}, j={args.max_j} walks a sphere of {size} vertices, "
+                             f"above the cap {MAX_SPHERE}")
     results = {}
     verdicts = {}
     for p in primes:
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vh = sub.add_parser("verify-hecke", help="convolution identity and algebra checks")
     vh.add_argument("--primes", type=_int_list, default="2,3,5,7,11")
-    vh.add_argument("--max-radius", type=int, default=8)
+    vh.add_argument("--max-radius", type=_int_at_least(2), default=8)
     vh.add_argument("--out", default=None)
     vh.set_defaults(func=cmd_verify_hecke)
 
@@ -304,16 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     sd.set_defaults(func=cmd_split_density)
 
     dc = sub.add_parser("denom-check", help="denominator and product-formula sweeps")
-    dc.add_argument("--samples", type=_positive_int, default=1000)
+    dc.add_argument("--samples", type=_int_at_least(1), default=1000)
     dc.add_argument("--seed", type=int, default=0)
     dc.add_argument("--out", default=None)
     dc.set_defaults(func=cmd_denom_check)
 
     oc = sub.add_parser("orbit-check", help="orbit intersection closed form vs enumeration")
     oc.add_argument("--orbit", choices=["sl2", "torus"], default="torus")
-    oc.add_argument("--index", type=_positive_int, default=1)
+    oc.add_argument("--index", type=_int_at_least(1), default=1)
     oc.add_argument("--primes", type=_int_list, default="2,3,5")
-    oc.add_argument("--max-j", type=_positive_int, default=3)
+    oc.add_argument("--max-j", type=_int_at_least(1), default=3)
     oc.add_argument("--out", default=None)
     oc.set_defaults(func=cmd_orbit_check)
 
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--spectrum", choices=["trivial", "tempered"], default="trivial")
     am.add_argument("--seed", type=int, default=42)
     am.add_argument("--orbit", choices=["sl2", "torus"], default="sl2")
-    am.add_argument("--index", type=_positive_int, default=1)
+    am.add_argument("--index", type=_int_at_least(1), default=1)
     am.add_argument("--out", default=None)
     am.set_defaults(func=cmd_amplifier)
     return parser

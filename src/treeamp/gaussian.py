@@ -1,11 +1,13 @@
 """Exact arithmetic over Q and Q(i): denominators, the product formula,
 and the commutator-forcing certificate.
 
-Z[i] is Euclidean, so factorization reduces to gcd computations.  The
+Z[i] is Euclidean, so ideals reduce to gcd computations.  The
 absolute value at the single complex place is normalized as the squared
 modulus, which makes the full product formula exactly 1.  Local
 denominators are q_v^max(-ord_v, 0) with q_v the residue size of the
-place (2 for the ramified prime, p for split primes, p^2 for inert).
+place (2 for the ramified prime, p for split primes, p^2 for inert);
+their product is the norm of the denominator ideal, found by one gcd.
+Only the product-formula check factors.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 __all__ = [
     "GaussInt",
@@ -139,8 +138,10 @@ def _prime_above(p: int) -> list[GaussPrime]:
         return [GaussPrime.make(GaussInt(1, 1))]
     if p % 4 == 3:
         return [GaussPrime.make(GaussInt(p, 0))]
-    t = sqrt_mod(p - 1, p)
-    g = gauss_gcd(GaussInt(p, 0), GaussInt(t, 1))
+    # t^2 = -1 mod p for a non-residue a (Euler); min(t, p - t) fixes the pair's order
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    t = pow(a, (p - 1) // 4, p)
+    g = gauss_gcd(GaussInt(p, 0), GaussInt(min(t, p - t), 1))
     pi = GaussPrime.make(g)
     return [pi, GaussPrime.make(pi.generator.conj())]
 
@@ -158,23 +159,33 @@ def ord_at(z: GaussInt, v: GaussPrime) -> int:
         k += 1
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Distinct primes dividing n >= 1, ascending, by trial division in
+    O(sqrt(n)) steps: about 510 for the norms denom-check factors (<= 259,200).
+    """
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
     """Factor z into canonical primes: returns (unit, {prime: exponent})."""
     if z.is_zero():
         raise ValueError("cannot factor zero")
     factors: dict[GaussPrime, int] = {}
     rest = z
-    for p in factorint(z.norm()):
+    for p in _prime_factors(z.norm()):
         for v in _prime_above(p):
-            e = 0
-            while True:
-                q = rest.exact_div(v.generator)
-                if q is None:
-                    break
-                rest = q
-                e += 1
+            e = ord_at(rest, v)
             if e:
                 factors[v] = e
+                rest = rest.exact_div(v.generator ** e)
     if not rest.is_unit():
         raise AssertionError(f"factorization left non-unit remainder {rest}")
     return rest, factors
@@ -230,9 +241,7 @@ class GaussRat:
 
 def ord_rat(x: GaussRat, v: GaussPrime) -> int:
     """Valuation of a nonzero element of Q(i) at v."""
-    if x.is_zero():
-        raise ValueError("valuation of zero is undefined")
-    n, d = x.as_quotient()
+    n, d = x.as_quotient()  # ord_at rejects n = 0
     return ord_at(n, v) - ord_at(GaussInt(d, 0), v)
 
 
@@ -244,24 +253,24 @@ def denom_local(x: GaussRat, v: GaussPrime) -> int:
     return v.residue_size ** (-k) if k < 0 else 1
 
 
-def _denominator_places(xs) -> list[GaussPrime]:
-    """Primes of Z[i] over rational primes dividing some entry denominator."""
-    rational = set()
-    for x in xs:
-        _, d = x.as_quotient()
-        rational.update(factorint(d))
-    places = []
-    for p in sorted(rational):
-        places.extend(_prime_above(p))
-    return places
+def _denominator_norm(xs) -> int:
+    """Norm of the denominator ideal: prod_v q_v^max(-min_k ord_v(x_k), 0).
+
+    For D the lcm of the denominators, g = gcd(D, D x_1, ...) has
+    ord_v(g) = ord_v(D) + min(0, min_k ord_v(x_k)), so this is N(D) / N(g).
+    Zero entries leave g unchanged, so they count as integral.
+    """
+    quotients = [x.as_quotient() for x in xs]
+    d = math.lcm(*(q for _, q in quotients))
+    g = GaussInt(d, 0)
+    for n, q in quotients:
+        g = gauss_gcd(g, n * GaussInt(d // q, 0))
+    return d * d // g.norm()
 
 
 def denom(x: GaussRat) -> int:
     """Product of the local denominators over all finite places."""
-    out = 1
-    for v in _denominator_places([x]):
-        out *= denom_local(x, v)
-    return out
+    return _denominator_norm([x])
 
 
 def product_formula_check(x: GaussRat) -> Fraction:
@@ -273,13 +282,10 @@ def product_formula_check(x: GaussRat) -> Fraction:
         raise ValueError("product formula applies to nonzero elements")
     n, d = x.as_quotient()
     result = x.norm()
-    _, nf = gaussian_factor(n)
-    _, df = gaussian_factor(GaussInt(d, 0)) if d != 1 else (None, {})
-    ords: dict[GaussPrime, int] = dict(nf)
-    for v, e in df.items():
-        ords[v] = ords.get(v, 0) - e
-    for v, k in ords.items():
-        result *= Fraction(1, v.residue_size) ** k
+    for v, e in gaussian_factor(n)[1].items():
+        result /= v.residue_size ** e
+    for v, e in gaussian_factor(GaussInt(d, 0))[1].items():
+        result *= v.residue_size ** e
     return result
 
 
@@ -346,10 +352,7 @@ def denom_mat(m: Mat2) -> int:
     This is the fractional-ideal convention: per place take the worst
     entry, then multiply across places.
     """
-    out = 1
-    for v in _denominator_places(m.entries):
-        out *= max(denom_local(x, v) for x in m.entries)
-    return out
+    return _denominator_norm(m.entries)
 
 
 def commutator(a: Mat2, b: Mat2) -> Mat2:
@@ -399,10 +402,7 @@ def certify_commuting(a: Mat2, b: Mat2, arch_bound: Fraction) -> CommutatorVerdi
 
 
 def rational_denom_local(x: Fraction, p: int) -> int:
-    x = Fraction(x)
-    if x == 0:
-        return 1
-    d = x.denominator
+    d = Fraction(x).denominator  # 1 for zero
     out = 1
     while d % p == 0:
         d //= p

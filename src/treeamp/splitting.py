@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import Poly, Symbol, discriminant
-
 __all__ = [
     "IntPoly",
     "parse_poly",
@@ -112,6 +110,8 @@ class IntPoly:
 
 @lru_cache(maxsize=None)
 def _discriminant(coeffs: tuple[int, ...]) -> int:
+    from sympy import Poly, Symbol, discriminant  # lazy: keeps sympy off the import path
+
     x = Symbol("x")
     expr = sum(c * x ** i for i, c in enumerate(coeffs))
     return int(discriminant(Poly(expr, x)))

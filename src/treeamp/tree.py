@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .splitting import is_prime
+
 __all__ = [
     "TreeVertex",
     "root",
@@ -32,23 +34,9 @@ MATERIALIZE_MAX_RADIUS = 8
 MATERIALIZE_MAX_PRIME = 13
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
+@lru_cache(maxsize=None)  # every vertex checks its prime; only primes are cached
 def _check_prime(p: int) -> None:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -124,8 +128,13 @@ class TestDeterminism:
 BAD_INPUT = {
     "verify-hecke-non-prime": ["verify-hecke", "--primes", "4"],
     "verify-hecke-empty-primes": ["verify-hecke", "--primes", ""],
+    "verify-hecke-max-radius-0": ["verify-hecke", "--max-radius", "0"],
+    "verify-hecke-max-radius-1": ["verify-hecke", "--max-radius", "1"],
+    "verify-hecke-max-radius-negative": ["verify-hecke", "--max-radius", "-4"],
     "orbit-check-index-0": ["orbit-check", "--index", "0"],
     "orbit-check-max-j-0": ["orbit-check", "--max-j", "0"],
+    "orbit-check-sphere-p7-j4": ["orbit-check", "--primes", "7", "--max-j", "4"],
+    "orbit-check-sphere-p13-j3": ["orbit-check", "--primes", "13", "--max-j", "3"],
     "denom-check-negative-samples": ["denom-check", "--samples", "-5"],
     "amplifier-q-below-floor": ["amplifier", "--Q", "10"],
     "amplifier-q-descending": ["amplifier", "--Q", "400,200"],
@@ -148,6 +157,16 @@ class TestBadInput:
         assert captured.out == ""
         assert "error:" in captured.err.splitlines()[-1]
         assert "Traceback" not in captured.err
+
+
+def test_import_loads_no_sympy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, treeamp.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Edge values per flag, valid and invalid; every flag that sets a

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treeamp.gaussian import (
     ArchBoundViolation,
@@ -40,6 +42,23 @@ def rand_rat(rng, span=30, den=12):
                     Fraction(rng.randint(-span, span), rng.randint(1, den)))
 
 
+def rational_prime(v):
+    """The rational prime under v: q_v is p, or p^2 for an inert p."""
+    root = math.isqrt(v.residue_size)
+    return root if root * root == v.residue_size else v.residue_size
+
+
+def places_over(d):
+    """The places of Q(i) that divide the positive integer d."""
+    return list(gaussian_factor(GaussInt(d, 0))[1])
+
+
+big_rat = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
+big_gauss_rat = st.one_of(st.just(GaussRat.make(0)), st.builds(GaussRat, big_rat, big_rat))
+
+
 class TestFactorization:
     def test_two_is_ramified(self):
         unit, factors = gaussian_factor(GaussInt(2, 0))
@@ -73,6 +92,27 @@ class TestFactorization:
             for v in factors:
                 assert v.generator == canonical_associate(v.generator)
                 assert v.residue_size == v.generator.norm()
+
+    def test_split_primes_below_10_4(self):
+        for p in sympy.primerange(5, 10 ** 4):
+            if p % 4 != 1:
+                continue
+            unit, factors = gaussian_factor(GaussInt(p, 0))
+            (v, e), (w, f) = factors.items()
+            assert e == f == 1, p
+            assert v.residue_size == w.residue_size == p
+            assert w.generator == canonical_associate(v.generator.conj()), p
+            assert v.generator != w.generator, p  # canonical, so not associates
+            assert rebuild(unit, factors) == GaussInt(p, 0)
+
+    @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
+    @settings(max_examples=300, deadline=None)
+    def test_rational_primes_match_sympy(self, a, b):
+        z = GaussInt(a, b)
+        assume(not z.is_zero())
+        unit, factors = gaussian_factor(z)
+        assert rebuild(unit, factors) == z
+        assert sorted({rational_prime(v) for v in factors}) == sorted(sympy.factorint(z.norm()))
 
     def test_residue_sizes_are_legal(self):
         rng = random.Random(6)
@@ -146,6 +186,25 @@ class TestDenominators:
                 k = k * shear
             assert k.det() == GaussRat.make(1)
             assert denom_mat(k.inverse()) == denom_mat(k)
+
+
+class TestDenominatorOracle:
+    """denom and denom_mat (one gcd) against the per-place definition."""
+
+    @given(big_gauss_rat)
+    @example(GaussRat.make(0))
+    @settings(max_examples=200, deadline=None)
+    def test_denom_is_product_of_local_denominators(self, x):
+        _, d = x.as_quotient()
+        assert denom(x) == math.prod(denom_local(x, v) for v in places_over(d))
+
+    @given(st.tuples(big_gauss_rat, big_gauss_rat, big_gauss_rat, big_gauss_rat))
+    @example((GaussRat.make(0),) * 4)
+    @settings(max_examples=200, deadline=None)
+    def test_denom_mat_is_product_of_per_place_maxima(self, entries):
+        d = math.lcm(*(x.as_quotient()[1] for x in entries))
+        want = math.prod(max(denom_local(x, v) for x in entries) for v in places_over(d))
+        assert denom_mat(Mat2(entries)) == want
 
 
 class TestProductFormula:
