@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Run every CLI verification suite and collect the JSON reports.
+# Every suite runs; the exit code is 1 when any of them failed.
 set -euo pipefail
 
 outdir="${1:-reports}"
 mkdir -p "$outdir"
+failed=0
 
 run() {
     name="$1"; shift
@@ -12,6 +14,7 @@ run() {
         echo "   ok -> $outdir/$name.json"
     else
         echo "   FAILED (see $outdir/$name.json)"
+        failed=$((failed + 1))
     fi
 }
 
@@ -23,3 +26,8 @@ run orbit-check-sl2    orbit-check --orbit sl2 --primes 2,3,5 --max-j 3
 run orbit-check-torus  orbit-check --orbit torus --primes 2,3,5 --max-j 3
 run amplifier-trivial  amplifier --Q 50,100,200,400 --spectrum trivial --orbit sl2
 run amplifier-tempered amplifier --Q 50,100,200,400 --spectrum tempered --seed 42 --orbit torus
+
+if [ "$failed" -gt 0 ]; then
+    echo "$failed suite(s) failed"
+    exit 1
+fi

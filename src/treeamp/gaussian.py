@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .splitting import is_prime
+
 __all__ = [
     "GaussInt",
     "GaussRat",
@@ -402,6 +404,8 @@ def certify_commuting(a: Mat2, b: Mat2, arch_bound: Fraction) -> CommutatorVerdi
 
 
 def rational_denom_local(x: Fraction, p: int) -> int:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     d = Fraction(x).denominator  # 1 for zero
     out = 1
     while d % p == 0:

@@ -12,10 +12,11 @@ vertices, once per coset translate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from . import tree
-from .hecke import GlobalHeckeElement
+from .hecke import GlobalHeckeElement, LocalHeckeElement
 
 __all__ = [
     "OrbitKind",
@@ -25,6 +26,7 @@ __all__ = [
     "orbit_intersect_one_sided",
     "brute_force_intersect",
     "count_global_intersections",
+    "count_amplifier_intersections",
 ]
 
 
@@ -143,3 +145,16 @@ def count_global_intersections(model: OrbitModel, tau: GlobalHeckeElement) -> in
             prod *= 2  # apartment meets each positive-radius sphere twice
         total += model.index_multiplier * prod
     return total
+
+
+def count_amplifier_intersections(model: OrbitModel, squares: list[LocalHeckeElement]) -> int:
+    """count_global_intersections of the amplifier tau, from its local squares.
+
+    Off the identity, tau lives on the positive radii of each h_p * h_p
+    and on one two-prime point per pair of primes; the torus orbit meets
+    a one-prime point twice and a two-prime point 2 * 2 times.
+    """
+    if model.kind is OrbitKind.SL2:
+        return 0
+    one_prime = sum(1 for s in squares for r, _ in s.coeffs if r > 0)
+    return model.index_multiplier * (2 * one_prime + 4 * math.comb(len(squares), 2))

@@ -193,9 +193,10 @@ def test_criterion_05d_scaling_bands_tempered():
            f"lambda_scaled: {by_q(reports, lam)}; sup-norm: {by_q(reports, ninf)}")
 
 
-def test_criterion_06_spectral_floor():
-    tau, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(),
-                                  OrbitModel(OrbitKind.SL2))
+def test_criterion_06_spectral_floor(materialise):
+    kept, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(),
+                                   OrbitModel(OrbitKind.SL2))
+    _, tau = materialise(kept)
     floor_ok = verify_spectral_floor(tau, report.c_tau, trials=1000, seed=2024)
     zero = {p: hecke.eigenvalue_sequence(p, Fraction(0), 4) for p in tau.primes()}
     equality_ok = hecke.spectral_value(tau, zero) == -report.c_tau

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from treeamp import hecke
+from treeamp import hecke, orbits
 from treeamp.amplifier import (
     AmplifierError,
+    AmplifierReport,
     SpectrumModel,
     build_amplifier,
     dichotomy_constant,
@@ -14,8 +15,9 @@ from treeamp.amplifier import (
     scaling_sweep,
     verify_spectral_floor,
 )
+from treeamp.cli import main as cli_main
 from treeamp.orbits import OrbitKind, OrbitModel
-from treeamp.splitting import parse_poly, primes_in
+from treeamp.splitting import parse_poly, primes_in, split_primes_in
 
 GAUSS = parse_poly("x^2+1")
 SL2 = OrbitModel(OrbitKind.SL2)
@@ -86,8 +88,8 @@ class TestDichotomyConstant:
 
 
 class TestBuildAmplifier:
-    def test_trivial_spectrum_q50(self):
-        tau, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
+    def test_trivial_spectrum_q50(self, materialise):
+        kept, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
         assert report.primes_used == [53, 61, 73, 89, 97]
         s = sum(p * (p + 1) for p in report.primes_used)
         assert report.tau1_at_identity == s
@@ -98,6 +100,7 @@ class TestBuildAmplifier:
         assert report.ratio_intersections == 0
         assert report.norm_inf == max(2, max(p - 1 for p in report.primes_used))
         assert report.all_pass()
+        _, tau = materialise(kept)
         assert tau.identity_value() == 0
 
     def test_single_prime_expansion(self):
@@ -137,25 +140,120 @@ class TestBuildAmplifier:
 
 
 class TestSpectralFloor:
-    def build(self):
-        return build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
+    @pytest.fixture
+    def build(self, materialise):
+        kept, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
+        _, tau = materialise(kept)
+        return tau, report
 
-    def test_floor_holds_on_random_systems(self):
-        tau, report = self.build()
+    def test_floor_holds_on_random_systems(self, build):
+        tau, report = build
         assert verify_spectral_floor(tau, report.c_tau, trials=100, seed=7)
 
-    def test_floor_attained_at_zero_system(self):
-        tau, report = self.build()
+    def test_floor_attained_at_zero_system(self, build):
+        tau, report = build
         spectra = {p: hecke.eigenvalue_sequence(p, Fraction(0), 4)
                    for p in tau.primes()}
         assert hecke.spectral_value(tau, spectra) == -report.c_tau
 
-    def test_amplified_spectrum_gives_lambda(self):
-        tau, report = self.build()
+    def test_amplified_spectrum_gives_lambda(self, build):
+        tau, report = build
         spectra = {p: hecke.eigenvalue_sequence(p, Fraction(p * (p + 1)), 4)
                    for p in tau.primes()}
         assert hecke.spectral_value(tau, spectra) == report.Lambda
         assert report.Lambda > 0 >= -report.c_tau
+
+
+def explicit_half(Q):
+    """Seeds -p/2, just under the radius-2 cutoff: every prime takes j = 2."""
+    return SpectrumModel.explicit({p: Fraction(-p, 2) for p in split_primes_in(GAUSS, Q, 2 * Q)})
+
+
+ORACLE_SPECTRA = {
+    "trivial": lambda Q: SpectrumModel.trivial(),
+    "tempered42": lambda Q: SpectrumModel.tempered(42),
+    "tempered7": lambda Q: SpectrumModel.tempered(7),
+    "explicit-half": explicit_half,
+}
+ORACLE_ORBITS = {
+    "sl2": SL2,
+    "torus": TORUS,
+    "torus-index3": OrbitModel(OrbitKind.MULTIPLICATIVE, 3),
+}
+
+
+def materialised_report(kept, Q, orbit, materialise):
+    """The report as the expanded tau gives it, one support point at a time."""
+    t1, tau = materialise(kept)
+    tau1_at_identity = t1.identity_value()
+    lam_sum = sum(abs(c.lam) for c in kept)
+    Lambda = lam_sum * lam_sum - tau1_at_identity
+    ninf = hecke.norm_inf(tau)
+    intersections = orbits.count_global_intersections(orbit, tau)
+    n = len(kept)
+    per_prime_ninf = max(2 if n >= 2 else 0,
+                         max(hecke.off_origin_max(hecke.convolve(h, h))
+                             for h in (hecke.basic(c.prime, c.j) for c in kept)))
+    if Lambda > 0:
+        ratios = (float(ninf) * intersections / float(Lambda), tau1_at_identity / float(Lambda))
+    else:
+        ratios = (float("inf"), float("inf"))
+    return AmplifierReport(
+        Q=Q,
+        ell=kept[0].ell,
+        primes_used=[c.prime for c in kept],
+        Lambda=Lambda,
+        tau1_at_identity=tau1_at_identity,
+        c_tau=tau1_at_identity,
+        norm_inf=ninf,
+        intersection_count=intersections,
+        ratio_intersections=ratios[0],
+        ratio_positivity=ratios[1],
+        verdicts={
+            "lambda_positive": Lambda > 0,
+            "identity_removed": tau.identity_value() == 0,
+            "norm_inf_decomposition": ninf == per_prime_ninf,
+            "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
+        },
+    )
+
+
+class TestClosedFormAgainstMaterialised:
+    @pytest.mark.parametrize("orbit", ORACLE_ORBITS)
+    @pytest.mark.parametrize("spectrum", ORACLE_SPECTRA)
+    @pytest.mark.parametrize("Q", [50, 200, 800])
+    def test_report_matches_expanded_tau(self, Q, spectrum, orbit, materialise):
+        model = ORACLE_ORBITS[orbit]
+        kept, report = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), model)
+        assert report == materialised_report(kept, Q, model, materialise)
+
+    @pytest.mark.parametrize("orbit", ORACLE_ORBITS)
+    def test_one_prime_window(self, orbit, materialise):
+        # [11, 22] holds the split primes 13 and 17; one picks j = 1 and
+        # the other j = 2, so the tie keeps only p = 13 and tau has no
+        # cross terms
+        spectrum = SpectrumModel.explicit({13: Fraction(13 * 14), 17: Fraction(0)})
+        model = ORACLE_ORBITS[orbit]
+        kept, report = build_amplifier(11, GAUSS, spectrum, model)
+        assert report.primes_used == [13]
+        assert report == materialised_report(kept, 11, model, materialise)
+
+    def test_sweep_never_expands_tau(self, monkeypatch, tmp_path):
+        def expanded(*args):
+            raise AssertionError("the report must not expand tau")
+        for name in ("global_assemble", "subtract_identity", "norm_inf"):
+            monkeypatch.setattr(hecke, name, expanded)
+        monkeypatch.setattr(orbits, "count_global_intersections", expanded)
+        Qs = [400 * 2 ** k for k in range(6)]
+        for spectrum, orbit in ((SpectrumModel.trivial(), SL2),
+                                (SpectrumModel.tempered(42), TORUS)):
+            reports = scaling_sweep(Qs, GAUSS, spectrum, orbit)
+            assert [r.Q for r in reports] == Qs
+            assert all(r.all_pass() for r in reports)
+        out = str(tmp_path / "report.json")
+        for flags in (["--spectrum", "trivial", "--orbit", "sl2"],
+                      ["--spectrum", "tempered", "--seed", "42", "--orbit", "torus"]):
+            assert cli_main(["amplifier", "--Q", "50,100,200,400", *flags, "--out", out]) == 0
 
 
 class TestScalingSweep:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from treeamp.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def run(tmp_path, name, argv):
     out = tmp_path / name
@@ -95,6 +98,19 @@ class TestAmplifier:
         assert int(report["results"][0]["intersection_count"]) > 0
 
 
+def run_all_checks_suites() -> dict[str, list[str]]:
+    """name -> argv (without --out) of each suite in scripts/run_all_checks.sh."""
+    suites = {}
+    for line in (ROOT / "scripts" / "run_all_checks.sh").read_text().splitlines():
+        if line.startswith("run "):
+            _, name, *argv = shlex.split(line)
+            suites[name] = argv
+    return suites
+
+
+ALL_CHECKS = run_all_checks_suites()
+
+
 class TestDeterminism:
     CASES = [
         ("verify-hecke", ["verify-hecke", "--primes", "2,3", "--max-radius", "4"]),
@@ -109,6 +125,15 @@ class TestDeterminism:
         _, first = run(tmp_path, f"{name}-a.json", argv)
         _, second = run(tmp_path, f"{name}-b.json", argv)
         assert first == second
+
+    @pytest.mark.parametrize("argv", ALL_CHECKS.values(), ids=ALL_CHECKS.keys())
+    def test_run_all_checks_report_matches_recorded_digest(self, argv, capsys):
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        want = recorded["cli_suites"][" ".join(argv)]
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        assert (code, hashlib.sha256(stdout.encode()).hexdigest()) == \
+            (want["exit"], want["sha256"])
 
     def test_seed_changes_tempered_report(self, tmp_path):
         base = ["amplifier", "--Q", "50", "--spectrum", "tempered"]
@@ -160,7 +185,7 @@ class TestBadInput:
 
 
 def test_import_loads_no_sympy():
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     probe = ("import sys, treeamp.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

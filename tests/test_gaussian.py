@@ -136,6 +136,11 @@ class TestDenominators:
     def test_three_quarters_over_q(self):
         assert rational_denom_local(Fraction(3, 4), 2) == 4
 
+    @pytest.mark.parametrize("p", [-3, 0, 4, 1])  # 1 last: the unchecked loop never ends there
+    def test_rational_local_rejects_non_prime(self, p):
+        with pytest.raises(ValueError):
+            rational_denom_local(Fraction(1, 2), p)
+
     def test_integral_is_one(self):
         v = GaussPrime(GaussInt(1, 1), 2)
         assert denom_local(GaussRat.make(7, 3), v) == 1

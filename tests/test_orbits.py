@@ -6,6 +6,7 @@ from treeamp.orbits import (
     OrbitModel,
     ProductPoint,
     brute_force_intersect,
+    count_amplifier_intersections,
     count_global_intersections,
     one_sided_support,
     orbit_intersect_one_sided,
@@ -95,3 +96,14 @@ class TestGlobalCounts:
             single = hecke.GlobalHeckeElement.from_dict({point: coeff})
             total += count_global_intersections(TORUS, single)
         assert total == count_global_intersections(TORUS, tau)
+
+    @pytest.mark.parametrize("kind", list(OrbitKind))
+    @pytest.mark.parametrize("index", [1, 3])
+    @pytest.mark.parametrize("js", [{2: 1}, {2: 1, 3: 1}, {2: 2, 3: 1, 5: 2}])
+    def test_amplifier_closed_form_matches_expansion(self, kind, index, js):
+        parts = {p: (hecke.basic(p, j), 1) for p, j in js.items()}
+        tau = hecke.subtract_identity(hecke.global_assemble(parts))
+        squares = [hecke.convolve(h, h) for h, _ in parts.values()]
+        model = OrbitModel(kind, index)
+        assert count_amplifier_intersections(model, squares) == \
+            count_global_intersections(model, tau)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,3 +22,27 @@ def test_scan_dichotomy_certifies_2_and_3_at_half():
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     certified = {int(row[0]): row[-1] for row in rows}
     assert certified == {2: "yes", 3: "yes", 5: "NO", 7: "NO", 11: "NO", 13: "NO"}
+
+
+def test_run_scaling_sweep_tabulates_each_window():
+    proc = run_script("run_scaling_sweep.py", "--Q", "50,100", "--spectrum", "trivial",
+                      "--orbit", "sl2")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["50", "100"]
+    assert all(row.endswith(" ok") for row in rows)
+
+
+@pytest.mark.parametrize("stub_exit,script_fails", [(1, True), (0, False)])
+def test_run_all_checks_runs_every_suite_and_reports_failure(tmp_path, stub_exit, script_fails):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    stub = bin_dir / "treeamp"
+    stub.write_text(f"#!/bin/sh\nexit {stub_exit}\n")
+    stub.chmod(0o755)
+    env = dict(os.environ, PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
+    proc = subprocess.run(["bash", str(ROOT / "scripts" / "run_all_checks.sh"),
+                           str(tmp_path / "reports")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode != 0) == script_fails, proc.stdout + proc.stderr
+    assert sum(line.startswith("==") for line in proc.stdout.splitlines()) == 8
