@@ -300,6 +300,11 @@ def scaling_sweep(
     |lambda_p| ~ sqrt(|support|).  A spectrum with |lambda_p| ~ |support|,
     such as the trivial one, gives Lambda ~ Q^(2+2 ell) / log^2 Q, so its
     lambda_scaled grows with Q.
+
+    positivity_scaled = (c_tau/Lambda) Q^(1+ell/2) / log Q is not flat.
+    With n ~ Q/(2 log Q) primes kept, c_tau ~ n Q^ell, so c_tau/Lambda
+    ~ 1/n on a tempered spectrum and the value grows like Q^(ell/2); on
+    the trivial one it falls like 1/Q.  The flat normaliser is Q/log Q.
     """
     if list(Qs) != sorted(Qs):
         raise AmplifierError("Q values must be ascending")

@@ -22,6 +22,7 @@ from . import __version__, amplifier, gaussian, hecke, orbits, splitting, tree
 
 MAX_PRIME = 13
 MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may materialise per (p, j)
+MAX_SIEVE = 10 ** 6  # largest integer split-density and amplifier may sieve up to
 
 
 def _encode(obj):
@@ -56,7 +57,8 @@ def finish(report: dict, out_path: str | None, started: float) -> int:
     print(f"wall time: {time.monotonic() - started:.3f}s", file=sys.stderr)
     failing = [k for k, v in report["verdicts"].items() if v is False]
     if failing:
-        print(f"FAIL: {failing[0]}", file=sys.stderr)
+        config = json.dumps(_encode(report["config"]), sort_keys=True)
+        print(f"FAIL: {', '.join(failing)} with config {config}", file=sys.stderr)
         return 1
     return 0
 
@@ -139,6 +141,8 @@ def cmd_verify_hecke(args) -> int:
 
 def cmd_split_density(args) -> int:
     started = time.monotonic()
+    if args.limit > MAX_SIEVE:
+        raise ValueError(f"limit {args.limit} exceeds the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
     density = splitting.empirical_density(poly, args.limit)
     sample = splitting.split_primes_in(poly, 2, min(args.limit, 200))
@@ -246,6 +250,9 @@ def cmd_orbit_check(args) -> int:
 def cmd_amplifier(args) -> int:
     started = time.monotonic()
     Qs = args.Q
+    for Q in Qs:
+        if 2 * Q > MAX_SIEVE:
+            raise ValueError(f"Q={Q} sieves up to 2Q = {2 * Q}, above the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
     if args.spectrum == "trivial":
         spectrum = amplifier.SpectrumModel.trivial()

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .splitting import is_prime
 
 __all__ = [
     "GaussInt",
@@ -33,9 +32,6 @@ __all__ = [
     "product_formula_check",
     "commutator",
     "certify_commuting",
-    "rational_denom",
-    "rational_denom_mat",
-    "rational_denom_local",
 ]
 
 
@@ -398,30 +394,3 @@ def certify_commuting(a: Mat2, b: Mat2, arch_bound: Fraction) -> CommutatorVerdi
         return CommutatorVerdict.IS_ZERO
     return CommutatorVerdict.NOT_FORCED
 
-
-# ---------------------------------------------------------------------------
-# The same machinery over Q, used for cross-checks in the simpler field.
-
-
-def rational_denom_local(x: Fraction, p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    d = Fraction(x).denominator  # 1 for zero
-    out = 1
-    while d % p == 0:
-        d //= p
-        out *= p
-    return out
-
-
-def rational_denom(x: Fraction) -> int:
-    """Over Q the product of local denominators is the reduced denominator."""
-    return Fraction(x).denominator
-
-
-def rational_denom_mat(rows) -> int:
-    """Per-prime maximum over entries, multiplied: the lcm of denominators."""
-    flat = [Fraction(x) for row in rows for x in row]
-    if len(flat) != 4:
-        raise ValueError("expected a 2x2 array")
-    return math.lcm(*(x.denominator for x in flat))

@@ -133,9 +133,6 @@ class EigenvalueSequence:
             raise ValueError(f"sequence at p={self.prime} too short for j={j}")
         return self.lambdas[j]
 
-    def max_j(self) -> int:
-        return len(self.lambdas) - 1
-
 
 def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
     """Extend a seed eigenvalue of the radius-2 operator up to j = max_j.

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 
 __all__ = [
     "IntPoly",
@@ -20,7 +22,6 @@ __all__ = [
     "empirical_density",
     "is_prime",
     "primes_in",
-    "sieve",
 ]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -54,20 +55,29 @@ def sieve(limit: int) -> bytearray:
     """Bit-per-byte primality table for 0..limit inclusive."""
     table = bytearray([1]) * (limit + 1)
     table[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
+    for i in range(2, isqrt(limit) + 1):
         if table[i]:
-            table[i * i:: i] = bytearray(len(table[i * i:: i]))
+            table[i * i:: i] = bytes(len(range(i * i, limit + 1, i)))
     return table
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], ascending."""
+    """Primes in [lo, hi], ascending, by one segmented sieve.
+
+    A table of hi - lo + 1 bytes has the multiples of every base prime
+    up to isqrt(hi) crossed off.  Time and memory are
+    O(hi - lo + sqrt(hi)), so a narrow window far above 10^14 pays
+    mostly for the sqrt(hi) base sieve.
+    """
+    lo = max(lo, 2)
     if hi < lo:
         return []
-    if hi <= 10 ** 7:
-        table = sieve(hi)
-        return [n for n in range(max(lo, 2), hi + 1) if table[n]]
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    base = sieve(isqrt(hi))
+    table = bytearray([1]) * (hi - lo + 1)
+    for p in compress(range(len(base)), base):
+        start = max(p * p, -(-lo // p) * p) - lo
+        table[start:: p] = bytes(len(range(start, len(table), p)))
+    return list(compress(range(lo, hi + 1), table))
 
 
 @dataclass(frozen=True)
@@ -183,9 +193,17 @@ def _polmulmod(u: list[int], v: list[int], f: list[int], p: int, deg: int) -> li
     return prod[:deg]
 
 
-def _require_monic(f: IntPoly) -> None:
+def _split_filter(f: IntPoly, primes: list[int]) -> list[int]:
+    """The primes of `primes` at which f splits completely, in order.
+
+    This is the only place that checks f is monic and runs the
+    Frobenius test; every public entry point filters through it.
+    """
     if not f.is_monic():
         raise ValueError(f"splitting test requires a monic polynomial, got {f}")
+    if f.degree() == 1:
+        return list(primes)
+    return [p for p in primes if _frobenius_fixes_x(f.coeffs, p)]
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:
@@ -193,35 +211,21 @@ def splits_completely(f: IntPoly, p: int) -> bool:
 
     Primes dividing disc(f) give False; non-primes raise ValueError.
     """
-    _require_monic(f)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if f.degree() == 1:
-        return True
-    return _frobenius_fixes_x(f.coeffs, p)
+    return bool(_split_filter(f, [p]))
 
 
 def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi] where f splits completely, ascending."""
     if lo > hi:
         raise ValueError("empty range")
-    _require_monic(f)
-    if f.degree() == 1:
-        return primes_in(lo, hi)
-    return [p for p in primes_in(lo, hi) if _frobenius_fixes_x(f.coeffs, p)]
+    return _split_filter(f, primes_in(lo, hi))
 
 
 def empirical_density(f: IntPoly, limit: int) -> Fraction:
     """Fraction of primes up to limit where f splits completely."""
     if limit < 100:
         raise ValueError("limit must be >= 100")
-    _require_monic(f)
-    if f.degree() == 1:
-        return Fraction(1)
-    total = 0
-    split = 0
-    for p in primes_in(2, limit):
-        total += 1
-        if _frobenius_fixes_x(f.coeffs, p):
-            split += 1
-    return Fraction(split, total)
+    ps = primes_in(2, limit)
+    return Fraction(len(_split_filter(f, ps)), len(ps))

@@ -64,14 +64,6 @@ class TreeVertex:
     def is_root(self) -> bool:
         return not self.word
 
-    def parent(self) -> "TreeVertex":
-        if not self.word:
-            raise ValueError("root has no parent")
-        return TreeVertex(self.prime, self.word[:-1])
-
-    def child(self, digit: int) -> "TreeVertex":
-        return TreeVertex(self.prime, self.word + (digit,))
-
 
 def root(p: int) -> TreeVertex:
     return TreeVertex(p, ())

@@ -272,6 +272,18 @@ class TestScalingSweep:
         assert all(r.verdicts["lambda_positive"] for r in reports)
         assert all(r.intersection_count > 0 for r in reports)
 
+    @pytest.mark.parametrize("spectrum,orbit,grows", [
+        (SpectrumModel.tempered(42), TORUS, True),
+        (SpectrumModel.trivial(), SL2, False),
+    ], ids=["tempered-grows", "trivial-falls"])
+    def test_positivity_scaled_is_not_flat(self, spectrum, orbit, grows):
+        # the normaliser Q^(1+ell/2)/log Q over-corrects by Q^(ell/2) on a
+        # tempered spectrum and under-corrects by 1/Q on the trivial one
+        values = [r.positivity_scaled
+                  for r in scaling_sweep([50, 100, 200, 400], GAUSS, spectrum, orbit)]
+        assert values == sorted(values, reverse=not grows)
+        assert len(set(values)) == len(values)
+
     def test_unsorted_rejected(self):
         with pytest.raises(AmplifierError):
             scaling_sweep([100, 50], GAUSS, SpectrumModel.trivial(), SL2)

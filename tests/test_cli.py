@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treeamp import cli
 from treeamp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,6 +170,9 @@ BAD_INPUT = {
     "split-density-non-monic": ["split-density", "--poly", "2x^2+1"],
     "split-density-zero-denominator": ["split-density", "--poly", "x^2+1",
                                        "--expected", "1/0"],
+    "split-density-limit-above-cap": ["split-density", "--poly", "x^2+1",
+                                      "--limit", "1000001"],
+    "amplifier-q-above-cap": ["amplifier", "--Q", "50,500001"],
 }
 
 
@@ -182,6 +186,27 @@ class TestBadInput:
         assert captured.out == ""
         assert "error:" in captured.err.splitlines()[-1]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv,value", [
+        (BAD_INPUT["split-density-limit-above-cap"], "1000001"),
+        (BAD_INPUT["amplifier-q-above-cap"], "500001"),
+    ])
+    def test_sieve_cap_names_value_and_cap(self, argv, value, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("treeamp: error:")
+        assert value in line and str(cli.MAX_SIEVE) in line
+
+
+def test_finish_names_every_failing_verdict(tmp_path, capsys):
+    report = {"config": {"limit": 7, "poly": "x^2 + 1"},
+              "verdicts": {"first_bad": False, "fine": True, "second_bad": False}}
+    assert cli.finish(report, str(tmp_path / "r.json"), 0.0) == 1
+    fail = capsys.readouterr().err.splitlines()[-1]
+    assert fail.startswith("FAIL: first_bad, second_bad ")
+    assert "fine" not in fail
+    assert '{"limit": "7", "poly": "x^2 + 1"}' in fail
 
 
 def test_import_loads_no_sympy():

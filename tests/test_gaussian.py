@@ -21,9 +21,6 @@ from treeamp.gaussian import (
     denom_mat,
     gaussian_factor,
     product_formula_check,
-    rational_denom,
-    rational_denom_local,
-    rational_denom_mat,
 )
 
 
@@ -133,14 +130,6 @@ class TestDenominators:
         v = GaussPrime(GaussInt(1, 1), 2)
         assert denom_local(GaussRat.make(Fraction(1, 2)), v) == 4
 
-    def test_three_quarters_over_q(self):
-        assert rational_denom_local(Fraction(3, 4), 2) == 4
-
-    @pytest.mark.parametrize("p", [-3, 0, 4, 1])  # 1 last: the unchecked loop never ends there
-    def test_rational_local_rejects_non_prime(self, p):
-        with pytest.raises(ValueError):
-            rational_denom_local(Fraction(1, 2), p)
-
     def test_integral_is_one(self):
         v = GaussPrime(GaussInt(1, 1), 2)
         assert denom_local(GaussRat.make(7, 3), v) == 1
@@ -148,13 +137,9 @@ class TestDenominators:
 
     def test_global_half(self):
         assert denom(GaussRat.make(Fraction(1, 2))) == 4
-        assert rational_denom(Fraction(1, 2)) == 2
 
     def test_matrix_identity(self):
         assert denom_mat(Mat2.identity()) == 1
-
-    def test_matrix_over_q(self):
-        assert rational_denom_mat([[Fraction(1, 2), 0], [0, 2]]) == 2
 
     def test_submultiplicative(self):
         rng = random.Random(1)

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeamp.splitting import (
     IntPoly,
@@ -47,6 +50,33 @@ class TestPrimality:
 
     def test_primes_in_matches_sieve(self):
         assert primes_in(90, 110) == [97, 101, 103, 107, 109]
+
+
+def next_prime(n: int) -> int:
+    return next(m for m in count(n) if is_prime(m))
+
+
+# window starts: near the bottom (lo <= 2 included), just below the
+# square of a prime (the window straddles p^2, where crossing off
+# starts), and far out where the sieve's base primes reach 10^5
+WINDOW_LO = st.one_of(
+    st.integers(-5, 3000),
+    st.builds(lambda p, back: p * p - back, st.integers(2, 10 ** 5).map(next_prime),
+              st.integers(0, 1000)),
+    st.integers(10 ** 7, 10 ** 10),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(WINDOW_LO, st.integers(-3, 2000))
+@example(-5, 10)
+@example(2, -1)
+@example(0, 2)
+@example(10 ** 8, 2000)
+@example(2 ** 31 - 1000, 2000)
+def test_segmented_sieve_matches_miller_rabin(lo, width):
+    hi = lo + width
+    assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 class TestSplitsCompletely:
@@ -110,6 +140,12 @@ class TestEmpiricalDensity:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             empirical_density(parse_poly("2x^2+1"), 1000)
+
+    @pytest.mark.parametrize("text", CORPUS + ["x-1"])
+    def test_density_agrees_with_split_primes(self, text):
+        f = parse_poly(text)
+        assert empirical_density(f, 2000) == \
+            Fraction(len(split_primes_in(f, 2, 2000)), len(primes_in(2, 2000)))
 
     def test_limit_floor(self):
         with pytest.raises(ValueError):
