@@ -306,8 +306,8 @@ def scaling_sweep(
     ~ 1/n on a tempered spectrum and the value grows like Q^(ell/2); on
     the trivial one it falls like 1/Q.  The flat normaliser is Q/log Q.
     """
-    if list(Qs) != sorted(Qs):
-        raise AmplifierError("Q values must be ascending")
+    if any(a >= b for a, b in zip(Qs, Qs[1:])):
+        raise AmplifierError(f"Q values must be strictly ascending, got {list(Qs)}")
     reports = []
     for Q in Qs:
         _, report = build_amplifier(Q, f, spectrum, orbit, threshold)

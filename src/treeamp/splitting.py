@@ -4,6 +4,15 @@ A monic integer polynomial f splits completely mod p exactly when
 x^p = x in Z[x]/(f, p), that is, when f divides x^p - x mod p.  Since
 x^p - x is squarefree, this already fails at every prime dividing
 disc(f), so no separate discriminant test is needed.
+
+Quadratics and binomials x^d + c0 skip that polynomial power.  Both
+reduce to y^d = a: x^2 + bx + c to y^2 = b^2 - 4c with y = 2x + b, and
+x^d + c0 to y^d = -c0.  For p not dividing d, F_p^* is cyclic of order
+p - 1, so y^d = a has d distinct roots exactly when p does not divide a,
+d divides p - 1 and a^((p-1)/d) = 1 mod p: one modular power per prime.
+The primes dividing d keep the Frobenius test, because there the
+substitution y = 2x + b is not invertible (x^2 + x splits at 2) and
+y^d - a is inseparable mod p.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from itertools import compress
 from math import isqrt
 
 __all__ = [
+    "MAX_DEGREE",
     "IntPoly",
     "parse_poly",
     "splits_completely",
@@ -23,6 +33,8 @@ __all__ = [
     "is_prime",
     "primes_in",
 ]
+
+MAX_DEGREE = 8  # parse_poly refuses higher degrees before building coefficients
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -156,6 +168,8 @@ def parse_poly(text: str) -> IntPoly:
             power = 0
         coeffs[power] = coeffs.get(power, 0) + (-coef if neg else coef)
     deg = max((k for k, v in coeffs.items() if v != 0), default=0)
+    if deg > MAX_DEGREE:
+        raise ValueError(f"degree {deg} of {text!r} exceeds the cap {MAX_DEGREE}")
     return IntPoly(tuple(coeffs.get(i, 0) for i in range(deg + 1)))
 
 
@@ -196,14 +210,27 @@ def _polmulmod(u: list[int], v: list[int], f: list[int], p: int, deg: int) -> li
 def _split_filter(f: IntPoly, primes: list[int]) -> list[int]:
     """The primes of `primes` at which f splits completely, in order.
 
-    This is the only place that checks f is monic and runs the
-    Frobenius test; every public entry point filters through it.
+    This is the only place that checks f is monic and decides
+    splitting; every public entry point filters through it.  A
+    quadratic or binomial, read as y^d = a, splits at p not dividing d
+    exactly when d | p - 1 and a^((p-1)/d) = 1 mod p (p | a gives 0,
+    the repeated root); see the module docstring.  Primes dividing d
+    and every other f take the Frobenius test x^p = x mod (f, p).
     """
     if not f.is_monic():
         raise ValueError(f"splitting test requires a monic polynomial, got {f}")
-    if f.degree() == 1:
+    coeffs, d = f.coeffs, f.degree()
+    if d == 1:
         return list(primes)
-    return [p for p in primes if _frobenius_fixes_x(f.coeffs, p)]
+    if d == 2:
+        a = coeffs[1] * coeffs[1] - 4 * coeffs[0]
+    elif not any(coeffs[1:-1]):
+        a = -coeffs[0]
+    else:
+        return [p for p in primes if _frobenius_fixes_x(coeffs, p)]
+    return [p for p in primes
+            if (_frobenius_fixes_x(coeffs, p) if d % p == 0
+                else (p - 1) % d == 0 and pow(a, (p - 1) // d, p) == 1)]
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:

@@ -287,3 +287,18 @@ class TestScalingSweep:
     def test_unsorted_rejected(self):
         with pytest.raises(AmplifierError):
             scaling_sweep([100, 50], GAUSS, SpectrumModel.trivial(), SL2)
+
+    def test_duplicate_q_rejected(self):
+        # a repeated Q would give two results but one set of Q-keyed verdicts
+        with pytest.raises(AmplifierError, match="strictly ascending"):
+            scaling_sweep([50, 100, 100], GAUSS, SpectrumModel.trivial(), SL2)
+
+    @pytest.mark.slow
+    def test_tempered_bands_hold_to_q_409600(self):
+        # the criterion-5d factor-4 bands, over Q = 50 ... 50 * 2^13
+        reports = scaling_sweep([50 * 2 ** k for k in range(14)], GAUSS,
+                                SpectrumModel.tempered(42), TORUS)
+        lam = [r.lambda_scaled for r in reports]
+        ninf = [r.norm_inf_scaled for r in reports]
+        assert max(lam) / min(lam) <= 4, lam
+        assert max(ninf) / min(ninf) <= 4, ninf

@@ -173,6 +173,9 @@ BAD_INPUT = {
     "split-density-limit-above-cap": ["split-density", "--poly", "x^2+1",
                                       "--limit", "1000001"],
     "amplifier-q-above-cap": ["amplifier", "--Q", "50,500001"],
+    "amplifier-duplicate-q": ["amplifier", "--Q", "50,50"],
+    "split-density-degree-above-cap": ["split-density", "--poly", "x^9+1"],
+    "amplifier-degree-huge": ["amplifier", "--poly", "x^1000000000+1"],
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeamp.splitting import (
+    MAX_DEGREE,
     IntPoly,
     empirical_density,
     is_prime,
@@ -14,9 +15,13 @@ from treeamp.splitting import (
     split_primes_in,
     splits_completely,
 )
+from treeamp.splitting import _frobenius_fixes_x
 
-# x^3-3x+2 = (x-1)^2 (x+2) has discriminant 0 and never splits
-CORPUS = ["x^2+1", "x^3-2", "x^2-2", "x^4+1", "x^3-3x+2"]
+# x^3-3x+2 = (x-1)^2 (x+2) has discriminant 0 and never splits;
+# x^2+x splits at 2, where y = 2x + 1 is not a change of variable;
+# x^3+x+1 is neither a quadratic nor a binomial, so it takes the
+# Frobenius test
+CORPUS = ["x^2+1", "x^3-2", "x^2-2", "x^4+1", "x^3-3x+2", "x^2+x", "x^6-1", "x^3+x+1"]
 
 
 def root_count(f: IntPoly, p: int) -> int:
@@ -37,6 +42,13 @@ class TestParse:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             parse_poly("7")
+
+    def test_degree_cap(self):
+        assert parse_poly(f"x^{MAX_DEGREE}+x+1").degree() == MAX_DEGREE
+        assert parse_poly("x^9-x^9+x^2").degree() == 2
+        for text, deg in [("x^9+1", "9"), ("x^1000000000+1", "1000000000")]:
+            with pytest.raises(ValueError, match=f"degree {deg} .* cap {MAX_DEGREE}"):
+                parse_poly(text)
 
 
 class TestPrimality:
@@ -103,6 +115,29 @@ class TestSplitsCompletely:
             assert splits_completely(f, p) == expected, (text, p)
         assert split_primes_in(f, 2, 500) == \
             [p for p in primes_in(2, 500) if splits_completely(f, p)]
+
+
+BINOMIAL = st.builds(lambda d, c0: IntPoly((c0,) + (0,) * (d - 1) + (1,)),
+                     st.integers(2, 8),
+                     st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 4, 10 ** 4)))
+QUADRATIC = st.builds(lambda b, c: IntPoly((c, b, 1)),
+                      st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
+PRIMES_20000 = primes_in(2, 20000)
+
+
+# the power-residue criterion against the Frobenius test it replaces;
+# x^2+x splits at 2 = d, x^2+2x+1 and x^3 have repeated roots, and
+# x^6-1 and x^4-4 = (x^2-2)(x^2+2) need both d | p-1 and the d-th power test
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(BINOMIAL, QUADRATIC))
+@example(parse_poly("x^2+x"))
+@example(parse_poly("x^2+2x+1"))
+@example(parse_poly("x^6-1"))
+@example(parse_poly("x^4-4"))
+@example(parse_poly("x^3"))
+def test_power_residue_matches_frobenius(f):
+    assert split_primes_in(f, 2, 20000) == \
+        [p for p in PRIMES_20000 if _frobenius_fixes_x(f.coeffs, p)]
 
 
 class TestSplitPrimesIn:
