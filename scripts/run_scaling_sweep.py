@@ -22,14 +22,15 @@ def main() -> int:
     parser.add_argument("--spectrum", choices=["trivial", "tempered"],
                         default="tempered")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--orbit", choices=["sl2", "torus"], default="torus")
+    parser.add_argument("--orbit", choices=[k.value for k in OrbitKind],
+                        default="torus")
     args = parser.parse_args()
 
     Qs = [int(tok) for tok in args.Q.split(",") if tok]
     spectrum = SpectrumModel.trivial() if args.spectrum == "trivial" \
         else SpectrumModel.tempered(args.seed)
-    kind = OrbitKind.SL2 if args.orbit == "sl2" else OrbitKind.MULTIPLICATIVE
-    reports = scaling_sweep(Qs, parse_poly(args.poly), spectrum, OrbitModel(kind))
+    orbit = OrbitModel(OrbitKind(args.orbit))
+    reports = scaling_sweep(Qs, parse_poly(args.poly), spectrum, orbit)
 
     header = (f"{'Q':>5} {'#p':>3} {'ell':>3} {'Lambda':>16} "
               f"{'Lam*log^2Q/Q^(2+l)':>19} {'nInf/Q^(l-1)':>13} "

@@ -23,7 +23,7 @@ from numbers import Rational
 from . import hecke, orbits, splitting, tree
 
 __all__ = [
-    "DEFAULT_PICK_THRESHOLD",
+    "PICK_THRESHOLD",
     "SpectrumKind",
     "SpectrumModel",
     "LocalChoice",
@@ -37,9 +37,9 @@ __all__ = [
     "dichotomy_constant_at_least",
 ]
 
-# Dichotomy constant: |lambda| >= threshold * sqrt(support size) for the
-# chosen operator.  Overridable per call.
-DEFAULT_PICK_THRESHOLD = Fraction(1, 2)
+# Dichotomy constant: |lambda| >= PICK_THRESHOLD * sqrt(support size) for
+# the chosen operator.
+PICK_THRESHOLD = Fraction(1, 2)
 
 
 class AmplifierError(ValueError):
@@ -101,17 +101,15 @@ class LocalChoice:
     ell: int  # support exponent: 2 for j=1, 4 for j=2
     lam: Fraction  # eigenvalue of the chosen operator
     phase: int  # sign making phase * lam >= 0
-    guarantee_met: bool  # |lam| >= threshold * sqrt(support size)
+    guarantee_met: bool  # |lam| >= PICK_THRESHOLD * sqrt(support size)
 
     def support_size(self) -> int:
         return tree.sphere_size(self.prime, 2 * self.j)
 
 
-def _at_least_threshold(lam, bound: int, threshold: Fraction) -> bool:
-    """|lam| >= threshold * sqrt(bound), exactly when lam is rational."""
-    if isinstance(lam, Rational) and not isinstance(lam, float):
-        return lam * lam >= threshold * threshold * bound
-    return abs(float(lam)) >= float(threshold) * math.sqrt(bound)
+def _at_least_threshold(lam: Fraction, bound: int) -> bool:
+    """|lam| >= PICK_THRESHOLD * sqrt(bound), by one exact comparison."""
+    return lam * lam >= PICK_THRESHOLD ** 2 * bound
 
 
 def dichotomy_constant(p: int) -> float:
@@ -143,10 +141,11 @@ def dichotomy_constant_at_least(p: int, t: Rational) -> bool:
     return (2 * p - 1) ** 2 * t * t <= s1 * (1 - t * t) ** 2
 
 
-def pick_local(p: int, lambda_p, threshold: Fraction = DEFAULT_PICK_THRESHOLD) -> LocalChoice:
+def pick_local(p: int, lambda_p) -> LocalChoice:
     """Choose between the radius-2 and radius-4 operators.
 
-    Takes j=1 when |lambda_p| clears threshold * sqrt(p(p+1)), else j=2
+    The seed is taken exactly, a float by its binary value.  Takes j=1
+    when |lambda_p| clears PICK_THRESHOLD * sqrt(p(p+1)), else j=2
     with the eigenvalue from the degree-2 recursion.  The j=2 guarantee
     is recorded rather than asserted: there is a narrow band of seed
     eigenvalues just under the j=1 cutoff where neither normalized
@@ -154,26 +153,19 @@ def pick_local(p: int, lambda_p, threshold: Fraction = DEFAULT_PICK_THRESHOLD) -
     c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
     decreases to sqrt(2) - 1, the sharp uniform constant.
     """
-    supp1 = tree.sphere_size(p, 2)
-    if _at_least_threshold(lambda_p, supp1, threshold):
-        lam = lambda_p
-        j = 1
-        met = True
+    lambda_p = Fraction(lambda_p)
+    if _at_least_threshold(lambda_p, tree.sphere_size(p, 2)):
+        lam, j, met = lambda_p, 1, True
     else:
         lam = hecke.eigenvalue_sequence(p, lambda_p, 2).value(2)
-        j = 2
-        met = _at_least_threshold(lam, tree.sphere_size(p, 4), threshold)
-    if lam > 0:
-        phase = 1
-    elif lam < 0:
-        phase = -1
-    else:
-        phase = 1
-    return LocalChoice(p, j, 2 * j, lam, phase, met)
+        j, met = 2, _at_least_threshold(lam, tree.sphere_size(p, 4))
+    return LocalChoice(p, j, 2 * j, lam, -1 if lam < 0 else 1, met)
 
 
 @dataclass
 class AmplifierReport:
+    """One amplifier window; the CLI reports every field but verdicts."""
+
     Q: int
     ell: int
     primes_used: list[int]
@@ -199,7 +191,6 @@ def build_amplifier(
     f: splitting.IntPoly,
     spectrum: SpectrumModel,
     orbit: orbits.OrbitModel,
-    threshold: Fraction = DEFAULT_PICK_THRESHOLD,
 ) -> tuple[list[LocalChoice], AmplifierReport]:
     """Pick the amplifier over split primes in [Q, 2Q] and report on it.
 
@@ -213,7 +204,7 @@ def build_amplifier(
     primes = splitting.split_primes_in(f, Q, 2 * Q)
     if len(primes) < 2:
         raise AmplifierError(f"need at least 2 split primes in [{Q}, {2 * Q}], found {len(primes)}")
-    choices = [pick_local(p, spectrum.lambda_p(p), threshold) for p in primes]
+    choices = [pick_local(p, spectrum.lambda_p(p)) for p in primes]
     by_ell = {2: [c for c in choices if c.ell == 2], 4: [c for c in choices if c.ell == 4]}
     # keep the majority class; on a tie the smaller support wins
     ell = 2 if len(by_ell[2]) >= len(by_ell[4]) else 4
@@ -292,7 +283,6 @@ def scaling_sweep(
     f: splitting.IntPoly,
     spectrum: SpectrumModel,
     orbit: orbits.OrbitModel,
-    threshold: Fraction = DEFAULT_PICK_THRESHOLD,
 ) -> list[AmplifierReport]:
     """Build one amplifier per Q and attach normalized trend quantities.
 
@@ -310,7 +300,7 @@ def scaling_sweep(
         raise AmplifierError(f"Q values must be strictly ascending, got {list(Qs)}")
     reports = []
     for Q in Qs:
-        _, report = build_amplifier(Q, f, spectrum, orbit, threshold)
+        _, report = build_amplifier(Q, f, spectrum, orbit)
         logq = math.log(Q)
         ell = report.ell
         report.lambda_scaled = float(report.Lambda) * logq * logq / Q ** (2 + ell)

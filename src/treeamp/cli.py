@@ -11,6 +11,8 @@ which is reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import random
@@ -45,9 +47,14 @@ def write_report(report: dict, out_path: str | None) -> None:
     text = json.dumps(_encode(report), indent=2, sort_keys=True) + "\n"
     if out_path:
         tmp = out_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
     else:
         sys.stdout.write(text)
 
@@ -67,6 +74,8 @@ def _int_list(text: str) -> list[int]:
     values = [int(tok) for tok in text.split(",") if tok]
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
 
 
@@ -88,10 +97,10 @@ def _fraction_text(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Each subcommand returns (config, results, verdicts) for main's envelope.
 
 
-def cmd_verify_hecke(args) -> int:
-    started = time.monotonic()
+def cmd_verify_hecke(args):
     primes = args.primes
     max_radius = args.max_radius
     for p in primes:
@@ -129,18 +138,10 @@ def cmd_verify_hecke(args) -> int:
         results[str(p)] = checks
         for name, ok in checks.items():
             verdicts[f"p{p}_{name}"] = ok
-    report = {
-        "tool_version": __version__,
-        "command": "verify-hecke",
-        "config": {"primes": primes, "max_radius": max_radius},
-        "results": results,
-        "verdicts": verdicts,
-    }
-    return finish(report, args.out, started)
+    return {"primes": primes, "max_radius": max_radius}, results, verdicts
 
 
-def cmd_split_density(args) -> int:
-    started = time.monotonic()
+def cmd_split_density(args):
     if args.limit > MAX_SIEVE:
         raise ValueError(f"limit {args.limit} exceeds the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
@@ -150,19 +151,13 @@ def cmd_split_density(args) -> int:
     if args.expected is not None:
         expected = Fraction(args.expected)
         verdicts["density_within_tolerance"] = abs(density - expected) <= Fraction(1, 50)
-    report = {
-        "tool_version": __version__,
-        "command": "split-density",
-        "config": {"poly": str(poly), "limit": args.limit,
-                   "expected": args.expected},
-        "results": {
-            "density": density,
-            "density_decimal": float(density),
-            "split_primes_up_to_200": sample,
-        },
-        "verdicts": verdicts,
+    config = {"poly": str(poly), "limit": args.limit, "expected": args.expected}
+    results = {
+        "density": density,
+        "density_decimal": float(density),
+        "split_primes_up_to_200": sample,
     }
-    return finish(report, args.out, started)
+    return config, results, verdicts
 
 
 def _random_gauss_rat(rng: random.Random, span: int = 30, den: int = 12) -> gaussian.GaussRat:
@@ -172,8 +167,7 @@ def _random_gauss_rat(rng: random.Random, span: int = 30, den: int = 12) -> gaus
     )
 
 
-def cmd_denom_check(args) -> int:
-    started = time.monotonic()
+def cmd_denom_check(args):
     rng = random.Random(args.seed)
     n = args.samples
     submult_add = submult_mul = product_one = arch_floor = True
@@ -208,20 +202,11 @@ def cmd_denom_check(args) -> int:
         "unimodular_right_invariance": unimodular,
         "sl2_inverse_equality": sl2_inverse,
     }
-    report = {
-        "tool_version": __version__,
-        "command": "denom-check",
-        "config": {"samples": n, "seed": args.seed},
-        "results": {},
-        "verdicts": verdicts,
-    }
-    return finish(report, args.out, started)
+    return {"samples": n, "seed": args.seed}, {}, verdicts
 
 
-def cmd_orbit_check(args) -> int:
-    started = time.monotonic()
-    kind = orbits.OrbitKind.SL2 if args.orbit == "sl2" else orbits.OrbitKind.MULTIPLICATIVE
-    model = orbits.OrbitModel(kind, args.index)
+def cmd_orbit_check(args):
+    model = orbits.OrbitModel(orbits.OrbitKind(args.orbit), args.index)
     primes = args.primes
     for p in primes:
         size = tree.sphere_size(p, 2 * args.max_j)
@@ -236,60 +221,26 @@ def cmd_orbit_check(args) -> int:
             brute = orbits.brute_force_intersect(model, p, j, ball_radius=2 * j)
             results[f"p{p}_j{j}"] = {"closed_form": closed, "brute_force": brute}
             verdicts[f"p{p}_j{j}_agree"] = closed == brute
-    report = {
-        "tool_version": __version__,
-        "command": "orbit-check",
-        "config": {"orbit": args.orbit, "index": args.index,
-                   "primes": primes, "max_j": args.max_j},
-        "results": results,
-        "verdicts": verdicts,
-    }
-    return finish(report, args.out, started)
+    config = {"orbit": args.orbit, "index": args.index,
+              "primes": primes, "max_j": args.max_j}
+    return config, results, verdicts
 
 
-def cmd_amplifier(args) -> int:
-    started = time.monotonic()
+def cmd_amplifier(args):
     Qs = args.Q
     for Q in Qs:
         if 2 * Q > MAX_SIEVE:
             raise ValueError(f"Q={Q} sieves up to 2Q = {2 * Q}, above the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
-    if args.spectrum == "trivial":
-        spectrum = amplifier.SpectrumModel.trivial()
-    else:
-        spectrum = amplifier.SpectrumModel.tempered(args.seed)
-    kind = orbits.OrbitKind.SL2 if args.orbit == "sl2" else orbits.OrbitKind.MULTIPLICATIVE
-    orbit = orbits.OrbitModel(kind, args.index)
+    spectrum = amplifier.SpectrumModel.trivial() if args.spectrum == "trivial" \
+        else amplifier.SpectrumModel.tempered(args.seed)
+    orbit = orbits.OrbitModel(orbits.OrbitKind(args.orbit), args.index)
     reports = amplifier.scaling_sweep(Qs, poly, spectrum, orbit)
-    results = []
-    verdicts = {}
-    for rep in reports:
-        results.append({
-            "Q": rep.Q,
-            "ell": rep.ell,
-            "primes_used": rep.primes_used,
-            "Lambda": rep.Lambda,
-            "tau1_at_identity": rep.tau1_at_identity,
-            "c_tau": rep.c_tau,
-            "norm_inf": rep.norm_inf,
-            "intersection_count": rep.intersection_count,
-            "ratio_intersections": rep.ratio_intersections,
-            "ratio_positivity": rep.ratio_positivity,
-            "lambda_scaled": rep.lambda_scaled,
-            "norm_inf_scaled": rep.norm_inf_scaled,
-            "positivity_scaled": rep.positivity_scaled,
-        })
-        for name, ok in rep.verdicts.items():
-            verdicts[f"Q{rep.Q}_{name}"] = ok
-    report = {
-        "tool_version": __version__,
-        "command": "amplifier",
-        "config": {"Q": Qs, "poly": str(poly), "spectrum": args.spectrum,
-                   "seed": args.seed, "orbit": args.orbit, "index": args.index},
-        "results": results,
-        "verdicts": verdicts,
-    }
-    return finish(report, args.out, started)
+    results = [{k: v for k, v in vars(rep).items() if k != "verdicts"} for rep in reports]
+    verdicts = {f"Q{rep.Q}_{name}": ok for rep in reports for name, ok in rep.verdicts.items()}
+    config = {"Q": Qs, "poly": str(poly), "spectrum": args.spectrum,
+              "seed": args.seed, "orbit": args.orbit, "index": args.index}
+    return config, results, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -301,44 +252,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification suites for tree Hecke convolution, "
                     "denominators, prime splitting, and amplifier assembly",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="write the report here, not to stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
+    orbit_names = [kind.value for kind in orbits.OrbitKind]
 
-    vh = sub.add_parser("verify-hecke", help="convolution identity and algebra checks")
+    vh = add("verify-hecke", help="convolution identity and algebra checks")
     vh.add_argument("--primes", type=_int_list, default="2,3,5,7,11")
     vh.add_argument("--max-radius", type=_int_at_least(2), default=8)
-    vh.add_argument("--out", default=None)
     vh.set_defaults(func=cmd_verify_hecke)
 
-    sd = sub.add_parser("split-density", help="empirical complete-splitting density")
+    sd = add("split-density", help="empirical complete-splitting density")
     sd.add_argument("--poly", required=True)
     sd.add_argument("--limit", type=int, default=10 ** 5)
     sd.add_argument("--expected", type=_fraction_text, default=None,
                     help="expected density as a fraction, e.g. 1/2")
-    sd.add_argument("--out", default=None)
     sd.set_defaults(func=cmd_split_density)
 
-    dc = sub.add_parser("denom-check", help="denominator and product-formula sweeps")
+    dc = add("denom-check", help="denominator and product-formula sweeps")
     dc.add_argument("--samples", type=_int_at_least(1), default=1000)
     dc.add_argument("--seed", type=int, default=0)
-    dc.add_argument("--out", default=None)
     dc.set_defaults(func=cmd_denom_check)
 
-    oc = sub.add_parser("orbit-check", help="orbit intersection closed form vs enumeration")
-    oc.add_argument("--orbit", choices=["sl2", "torus"], default="torus")
+    oc = add("orbit-check", help="orbit intersection closed form vs enumeration")
+    oc.add_argument("--orbit", choices=orbit_names, default="torus")
     oc.add_argument("--index", type=_int_at_least(1), default=1)
     oc.add_argument("--primes", type=_int_list, default="2,3,5")
     oc.add_argument("--max-j", type=_int_at_least(1), default=3)
-    oc.add_argument("--out", default=None)
     oc.set_defaults(func=cmd_orbit_check)
 
-    am = sub.add_parser("amplifier", help="build amplifiers over a Q sweep and report ratios")
+    am = add("amplifier", help="build amplifiers over a Q sweep and report ratios")
     am.add_argument("--Q", type=_int_list, default="50,100,200,400")
     am.add_argument("--poly", default="x^2+1")
     am.add_argument("--spectrum", choices=["trivial", "tempered"], default="trivial")
     am.add_argument("--seed", type=int, default=42)
-    am.add_argument("--orbit", choices=["sl2", "torus"], default="sl2")
+    am.add_argument("--orbit", choices=orbit_names, default="sl2")
     am.add_argument("--index", type=_int_at_least(1), default=1)
-    am.add_argument("--out", default=None)
     am.set_defaults(func=cmd_amplifier)
     return parser
 
@@ -346,9 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except ValueError as exc:  # includes AmplifierError
+        config, results, verdicts = args.func(args)
+        report = {"tool_version": __version__, "command": args.subcommand,
+                  "config": config, "results": results, "verdicts": verdicts}
+        return finish(report, args.out, started)
+    except (ValueError, OSError) as exc:  # ValueError includes AmplifierError
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

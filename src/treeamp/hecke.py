@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from . import tree
 
@@ -139,15 +138,12 @@ def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
 
     Multiplicativity forces lambda(radius 2) * lambda(radius 2j) to
     equal the eigenvalue of their convolution; the top structure
-    constant is 1, so each new term is solved triangularly.  Rational
-    seeds stay exact.
+    constant is 1, so each new term is solved triangularly, exactly: a
+    float seed is read by its binary value.
     """
     if max_j < 2:
         raise ValueError("max_j must be >= 2")
-    if isinstance(lambda_p, Rational) and not isinstance(lambda_p, float):
-        lam = [Fraction(1), Fraction(lambda_p)]
-    else:
-        lam = [1.0, float(lambda_p)]
+    lam = [Fraction(1), Fraction(lambda_p)]
     for j in range(1, max_j):
         # lambda_p * lam[j] = sum_k N(2, 2j, 2k) lam[k], top term k = j+1 has N = 1
         acc = lam[1] * lam[j]

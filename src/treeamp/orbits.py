@@ -31,7 +31,7 @@ __all__ = [
 
 
 class OrbitKind(enum.Enum):
-    MULTIPLICATIVE = "multiplicative"
+    MULTIPLICATIVE = "torus"
     SL2 = "sl2"
 
 

@@ -176,12 +176,21 @@ BAD_INPUT = {
     "amplifier-duplicate-q": ["amplifier", "--Q", "50,50"],
     "split-density-degree-above-cap": ["split-density", "--poly", "x^9+1"],
     "amplifier-degree-huge": ["amplifier", "--poly", "x^1000000000+1"],
+    "verify-hecke-repeated-prime": ["verify-hecke", "--primes", "2,2"],
+    "orbit-check-repeated-prime": ["orbit-check", "--primes", "2,2"],
+    # relative to the directory the test runs in, which holds only a-directory/
+    "out-missing-parent": ["verify-hecke", "--primes", "2", "--max-radius", "2",
+                           "--out", "missing/report.json"],
+    "out-is-directory": ["verify-hecke", "--primes", "2", "--max-radius", "2",
+                         "--out", "a-directory"],
 }
 
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-    def test_exits_2_with_error_line(self, argv, capsys):
+    def test_exits_2_with_error_line(self, argv, capsys, tmp_path, monkeypatch):
+        (tmp_path / "a-directory").mkdir()
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -189,6 +198,7 @@ class TestBadInput:
         assert captured.out == ""
         assert "error:" in captured.err.splitlines()[-1]
         assert "Traceback" not in captured.err
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize("argv,value", [
         (BAD_INPUT["split-density-limit-above-cap"], "1000001"),
@@ -226,7 +236,7 @@ def test_import_loads_no_sympy():
 # workload size is always given, so no drawn run exceeds 10^4 primes
 # or a radius-4 ball.
 EDGE_VALUES = {
-    "verify-hecke": {"--primes": ["2", "2,3", "13", "", "4", "17"],
+    "verify-hecke": {"--primes": ["2", "2,3", "13", "", "4", "17", "2,2"],
                      "--max-radius": [None, "0", "2", "4", "8", "10"]},
     "split-density": {"--poly": ["x^2+1", "x-1", "x^2", "x^3-3x+2", "2x^2+1", "x^^2"],
                       "--limit": ["100", "101", "10000", "99"],
@@ -235,7 +245,7 @@ EDGE_VALUES = {
                     "--seed": [None, "-1", "0", "7"]},
     "orbit-check": {"--orbit": [None, "sl2", "torus"],
                     "--index": [None, "1", "3", "0"],
-                    "--primes": ["2", "3", "2,3", "", "4"],
+                    "--primes": ["2", "3", "2,3", "", "4", "2,2"],
                     "--max-j": ["1", "2", "0"]},
     "amplifier": {"--Q": ["11", "50", "50,100", "10", "400,200", ""],
                   "--poly": [None, "x^2+1", "x-1", "x^3-3x+2", "2x^2+1", "x^^2"],

@@ -110,6 +110,8 @@ class TestEigenvalues:
         exact = hecke.eigenvalue_sequence(3, Fraction(5, 4), 4)
         for j in range(5):
             assert seq.value(j) == pytest.approx(float(exact.value(j)), rel=1e-9)
+        assert all(isinstance(v, Fraction) for v in seq.lambdas)
+        assert seq.lambdas == exact.lambdas
 
     def test_max_j_too_small(self):
         with pytest.raises(ValueError):

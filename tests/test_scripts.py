@@ -24,9 +24,10 @@ def test_scan_dichotomy_certifies_2_and_3_at_half():
     assert certified == {2: "yes", 3: "yes", 5: "NO", 7: "NO", 11: "NO", 13: "NO"}
 
 
-def test_run_scaling_sweep_tabulates_each_window():
-    proc = run_script("run_scaling_sweep.py", "--Q", "50,100", "--spectrum", "trivial",
-                      "--orbit", "sl2")
+@pytest.mark.parametrize("orbit,spectrum", [("sl2", "trivial"), ("torus", "tempered")])
+def test_run_scaling_sweep_tabulates_each_window(orbit, spectrum):
+    proc = run_script("run_scaling_sweep.py", "--Q", "50,100", "--spectrum", spectrum,
+                      "--orbit", orbit)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["50", "100"]
