@@ -5,18 +5,22 @@ Prints, per window [Q, 2Q]: the number of split primes used, the common
 support exponent ell, the main term Lambda, and the three normalized
 trend quantities (Lambda * log^2 Q / Q^(2+ell), normInf / Q^(ell-1),
 and the positivity ratio rescaled by Q^(1+ell/2) / log Q).
+
+Exits 0 when every window passes its verdicts, 1 when one fails, and 2
+with a one-line error on bad input, like the treeamp CLI.
 """
 
 import argparse
 
 from treeamp.amplifier import SpectrumModel, scaling_sweep
+from treeamp.cli import _int_list
 from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import parse_poly
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--Q", default="50,100,200,400",
+    parser.add_argument("--Q", type=_int_list, default="50,100,200,400",
                         help="comma-separated ascending window starts")
     parser.add_argument("--poly", default="x^2+1")
     parser.add_argument("--spectrum", choices=["trivial", "tempered"],
@@ -24,13 +28,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--orbit", choices=[k.value for k in OrbitKind],
                         default="torus")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    Qs = [int(tok) for tok in args.Q.split(",") if tok]
     spectrum = SpectrumModel.trivial() if args.spectrum == "trivial" \
         else SpectrumModel.tempered(args.seed)
     orbit = OrbitModel(OrbitKind(args.orbit))
-    reports = scaling_sweep(Qs, parse_poly(args.poly), spectrum, orbit)
+    try:
+        reports = scaling_sweep(args.Q, parse_poly(args.poly), spectrum, orbit)
+    except ValueError as exc:  # includes AmplifierError
+        parser.error(str(exc))
 
     header = (f"{'Q':>5} {'#p':>3} {'ell':>3} {'Lambda':>16} "
               f"{'Lam*log^2Q/Q^(2+l)':>19} {'nInf/Q^(l-1)':>13} "
@@ -42,7 +48,7 @@ def main() -> int:
         print(f"{r.Q:>5} {len(r.primes_used):>3} {r.ell:>3} "
               f"{float(r.Lambda):>16.6g} {r.lambda_scaled:>19.6g} "
               f"{r.norm_inf_scaled:>13.6g} {r.positivity_scaled:>19.6g} {flag}")
-    return 0
+    return 0 if all(r.all_pass() for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__, amplifier, gaussian, hecke, orbits, splitting, tree
 
 MAX_PRIME = 13
-MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may materialise per (p, j)
+MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
 MAX_SIEVE = 10 ** 6  # largest integer split-density and amplifier may sieve up to
 
 
@@ -108,6 +108,8 @@ def cmd_verify_hecke(args):
             raise ValueError(f"prime {p} exceeds the cap {MAX_PRIME}")
     if max_radius > hecke.MAX_RADIUS:
         raise ValueError(f"max radius {max_radius} exceeds the cap {hecke.MAX_RADIUS}")
+    if max_radius % 2:
+        raise ValueError(f"max radius {max_radius} is odd; Hecke supports have even radii")
     verdicts: dict[str, bool] = {}
     results: dict[str, dict] = {}
     for p in primes:

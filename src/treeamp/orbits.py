@@ -7,6 +7,10 @@ would have to be the root, pinning the left coordinate there too.  The
 torus orbit is a product of two apartments through the root; the left
 apartment crosses each sphere of positive radius in exactly two
 vertices, once per coset translate.
+
+brute_force_intersect checks these closed forms by walking the orbit
+through a ball and testing each point against the support's definition,
+right coordinate at the root and left coordinate at depth 2j.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from .hecke import GlobalHeckeElement, LocalHeckeElement
 __all__ = [
     "OrbitKind",
     "OrbitModel",
-    "ProductPoint",
-    "one_sided_support",
     "orbit_intersect_one_sided",
     "brute_force_intersect",
     "count_global_intersections",
@@ -52,26 +54,6 @@ class OrbitModel:
             raise ValueError("index multiplier must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    """A point of (tree x tree) at a single prime."""
-
-    left: tree.TreeVertex
-    right: tree.TreeVertex
-
-    def __post_init__(self):
-        if self.left.prime != self.right.prime:
-            raise ValueError("coordinates must share a prime")
-
-
-def one_sided_support(p: int, j: int) -> frozenset[ProductPoint]:
-    """Support of the radius-2j one-sided operator: sphere x {root}."""
-    if j < 1:
-        raise ValueError("j must be >= 1; j = 0 is the identity coset")
-    o = tree.root(p)
-    return frozenset(ProductPoint(v, o) for v in tree.iter_sphere(p, 2 * j))
-
-
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     """Closed-form count of orbit points inside a one-sided support."""
     if j < 1:
@@ -96,23 +78,23 @@ def _apartment_points(p: int, max_depth: int) -> list[tree.TreeVertex]:
 def brute_force_intersect(model: OrbitModel, p: int, j: int, ball_radius: int) -> int:
     """Enumerate the orbit inside a ball and count one-sided support hits.
 
-    Independent of the closed form: membership is tested point by point
-    against the materialized support.
+    Independent of the closed form: each orbit point (left, right) is
+    tested against the definition of the radius-2j one-sided support,
+    sphere x {root}.  At j = 0 that is the identity coset {(root, root)}.
     """
     if ball_radius < 2 * j:
         raise ValueError(f"ball radius {ball_radius} too small for j={j}")
-    o = tree.root(p)
-    if j == 0:
-        support = frozenset([ProductPoint(o, o)])
-    else:
-        support = one_sided_support(p, j)
+
+    def in_support(left: tree.TreeVertex, right: tree.TreeVertex) -> bool:
+        return right.is_root() and left.depth() == 2 * j
+
     if model.kind is OrbitKind.SL2:
         # diagonal orbit: all (v, v) within the ball
         base = sum(
             1
             for r in range(ball_radius + 1)
             for v in tree.iter_sphere(p, r)
-            if ProductPoint(v, v) in support
+            if in_support(v, v)
         )
     else:
         apartment = _apartment_points(p, ball_radius)
@@ -120,7 +102,7 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int, ball_radius: int) -
             1
             for left in apartment
             for right in apartment
-            if ProductPoint(left, right) in support
+            if in_support(left, right)
         )
     return base * model.index_multiplier
 

@@ -6,6 +6,8 @@ Word length is graph distance to the root, and two vertices are
 adjacent exactly when one word extends the other by a single digit.
 This is the vertex set of the Bruhat-Tits tree of SL2(Qp) with the
 root playing the role of the standard maximal compact subgroup.
+Spheres are streamed by iter_sphere and never held as sets; callers
+bound their size with sphere_size.
 """
 
 from __future__ import annotations
@@ -20,18 +22,11 @@ __all__ = [
     "TreeVertex",
     "root",
     "canonical_vertex",
-    "sphere",
     "iter_sphere",
     "sphere_size",
     "distance",
     "convolution_count",
-    "MATERIALIZE_MAX_RADIUS",
-    "MATERIALIZE_MAX_PRIME",
 ]
-
-# Spheres beyond these caps are served as streams, never as sets.
-MATERIALIZE_MAX_RADIUS = 8
-MATERIALIZE_MAX_PRIME = 13
 
 
 @lru_cache(maxsize=None)  # every vertex checks its prime; only primes are cached
@@ -96,20 +91,6 @@ def iter_sphere(p: int, r: int):
     for first in range(p + 1):
         for rest in itertools.product(range(p), repeat=r - 1):
             yield TreeVertex(p, (first,) + rest)
-
-
-def sphere(p: int, r: int) -> frozenset[TreeVertex]:
-    """All vertices at distance exactly r, materialized as a set.
-
-    Materialization is refused beyond r=8, p=13; use iter_sphere there.
-    """
-    if r > MATERIALIZE_MAX_RADIUS or p > MATERIALIZE_MAX_PRIME:
-        raise ValueError(
-            f"sphere(p={p}, r={r}) exceeds the materialization cap "
-            f"(r <= {MATERIALIZE_MAX_RADIUS}, p <= {MATERIALIZE_MAX_PRIME}); "
-            "use iter_sphere to stream"
-        )
-    return frozenset(iter_sphere(p, r))
 
 
 def distance(v: TreeVertex, w: TreeVertex) -> int:

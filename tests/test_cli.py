@@ -157,6 +157,8 @@ BAD_INPUT = {
     "verify-hecke-max-radius-0": ["verify-hecke", "--max-radius", "0"],
     "verify-hecke-max-radius-1": ["verify-hecke", "--max-radius", "1"],
     "verify-hecke-max-radius-negative": ["verify-hecke", "--max-radius", "-4"],
+    "verify-hecke-max-radius-3": ["verify-hecke", "--max-radius", "3"],
+    "verify-hecke-max-radius-7": ["verify-hecke", "--max-radius", "7"],
     "orbit-check-index-0": ["orbit-check", "--index", "0"],
     "orbit-check-max-j-0": ["orbit-check", "--max-j", "0"],
     "orbit-check-sphere-p7-j4": ["orbit-check", "--primes", "7", "--max-j", "4"],
@@ -237,7 +239,7 @@ def test_import_loads_no_sympy():
 # or a radius-4 ball.
 EDGE_VALUES = {
     "verify-hecke": {"--primes": ["2", "2,3", "13", "", "4", "17", "2,2"],
-                     "--max-radius": [None, "0", "2", "4", "8", "10"]},
+                     "--max-radius": [None, "0", "2", "3", "4", "8", "10"]},
     "split-density": {"--poly": ["x^2+1", "x-1", "x^2", "x^3-3x+2", "2x^2+1", "x^^2"],
                       "--limit": ["100", "101", "10000", "99"],
                       "--expected": [None, "1/2", "0", "1/0"]},

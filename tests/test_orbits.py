@@ -1,38 +1,19 @@
+import tracemalloc
+
 import pytest
 
-from treeamp import hecke, tree
+from treeamp import hecke
 from treeamp.orbits import (
     OrbitKind,
     OrbitModel,
-    ProductPoint,
     brute_force_intersect,
     count_amplifier_intersections,
     count_global_intersections,
-    one_sided_support,
     orbit_intersect_one_sided,
 )
 
 SL2 = OrbitModel(OrbitKind.SL2)
 TORUS = OrbitModel(OrbitKind.MULTIPLICATIVE)
-
-
-class TestOneSidedSupport:
-    def test_right_coordinate_is_root(self):
-        pts = one_sided_support(2, 1)
-        assert len(pts) == 6
-        assert all(pt.right.is_root() for pt in pts)
-        assert all(pt.left.depth() == 2 for pt in pts)
-
-    def test_size(self):
-        assert len(one_sided_support(3, 2)) == 108
-
-    def test_j_zero_rejected(self):
-        with pytest.raises(ValueError):
-            one_sided_support(2, 0)
-
-    def test_mismatched_primes_rejected(self):
-        with pytest.raises(ValueError):
-            ProductPoint(tree.root(2), tree.root(3))
 
 
 class TestClosedForm:
@@ -61,6 +42,23 @@ class TestBruteForce:
 
     def test_identity_coset_on_apartment(self):
         assert brute_force_intersect(TORUS, 2, 0, ball_radius=0) == 1
+
+    def test_identity_coset_on_diagonal(self):
+        # (root, root) is the one diagonal point in the j = 0 support
+        assert brute_force_intersect(SL2, 3, 0, ball_radius=2) == 1
+
+    @pytest.mark.parametrize("model,j", [(SL2, 3), (TORUS, 3), (TORUS, 4)],
+                             ids=["sl2-j3", "torus-j3", "torus-j4"])
+    def test_streams_without_holding_the_support(self, model, j):
+        # the radius-2j sphere at p = 5 has 6 * 5^(2j-1) vertices
+        tracemalloc.start()
+        try:
+            count = brute_force_intersect(model, 5, j, ball_radius=2 * j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == orbit_intersect_one_sided(model, 5, j)
+        assert peak < 500_000
 
     def test_small_ball_rejected(self):
         with pytest.raises(ValueError):

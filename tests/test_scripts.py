@@ -34,6 +34,25 @@ def test_run_scaling_sweep_tabulates_each_window(orbit, spectrum):
     assert all(row.endswith(" ok") for row in rows)
 
 
+@pytest.mark.parametrize("q", ["5", "50,50", "abc", "400,200", ""])
+def test_run_scaling_sweep_rejects_bad_q(q):
+    proc = run_script("run_scaling_sweep.py", "--Q", q)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]
+
+
+def test_run_scaling_sweep_exits_1_on_a_failed_verdict():
+    # at seed 10 the two split primes in [11, 22] draw eigenvalues too
+    # small to beat the identity mass, so Lambda < 0
+    proc = run_script("run_scaling_sweep.py", "--Q", "11", "--spectrum", "tempered",
+                      "--seed", "10")
+    assert proc.returncode == 1, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].endswith(" lambda_positive")
+
+
 @pytest.mark.parametrize("stub_exit,script_fails", [(1, True), (0, False)])
 def test_run_all_checks_runs_every_suite_and_reports_failure(tmp_path, stub_exit, script_fails):
     bin_dir = tmp_path / "bin"

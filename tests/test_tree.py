@@ -37,34 +37,32 @@ def random_word(rng, p, length):
 
 class TestSphere:
     def test_radius_zero(self):
-        assert tree.sphere(2, 0) == {tree.root(2)}
+        assert list(tree.iter_sphere(2, 0)) == [tree.root(2)]
 
     def test_root_degree(self):
-        assert len(tree.sphere(2, 1)) == 3
+        assert sum(1 for _ in tree.iter_sphere(2, 1)) == 3
 
     @pytest.mark.parametrize("p,r,size", [(2, 2, 6), (3, 4, 108)])
     def test_spot_sizes(self, p, r, size):
-        assert len(tree.sphere(p, r)) == size
+        assert sum(1 for _ in tree.iter_sphere(p, r)) == size
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_enumeration_matches_closed_form(self, p):
         for r in range(9):
             expected = tree.sphere_size(p, r)
             if expected <= 20000:
-                assert len(tree.sphere(p, r)) == expected
+                words = [v.word for v in tree.iter_sphere(p, r)]
+                assert len(words) == len(set(words)) == expected
+                assert all(len(w) == r for w in words)
             else:
-                # stream a prefix and verify the recursion instead
+                # too large to walk here: verify the recursion instead
                 assert expected == p * tree.sphere_size(p, r - 1)
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            tree.sphere(4, 2)
+            next(tree.iter_sphere(4, 2))
 
-    def test_materialization_cap(self):
-        with pytest.raises(ValueError):
-            tree.sphere(17, 2)
-        with pytest.raises(ValueError):
-            tree.sphere(2, 9)
+    def test_streams_past_the_cli_prime_cap(self):
         assert next(tree.iter_sphere(17, 1)).depth() == 1
 
 
