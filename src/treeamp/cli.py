@@ -71,9 +71,13 @@ def finish(report: dict, out_path: str | None, started: float) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
     if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}")
     if len(set(values)) != len(values):
         raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values

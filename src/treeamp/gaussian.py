@@ -1,13 +1,15 @@
 """Exact arithmetic over Q and Q(i): denominators, the product formula,
 and the commutator-forcing certificate.
 
-Z[i] is Euclidean, so ideals reduce to gcd computations.  The
-absolute value at the single complex place is normalized as the squared
-modulus, which makes the full product formula exactly 1.  Local
+The absolute value at the single complex place is normalized as the
+squared modulus, which makes the full product formula exactly 1.  Local
 denominators are q_v^max(-ord_v, 0) with q_v the residue size of the
 place (2 for the ramified prime, p for split primes, p^2 for inert);
-their product is the norm of the denominator ideal, found by one gcd.
-Only the product-formula check factors.
+their product is the norm of the denominator ideal.  That norm is the
+index of a lattice in Z^2, so it is a gcd of 2x2 integer minors and
+needs no arithmetic in Z[i].  Only the product-formula check factors.
+Products are taken over one common integer denominator, so each result
+entry is a single Fraction built from integers.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 __all__ = [
@@ -130,31 +133,35 @@ class GaussPrime:
         return GaussPrime(g, g.norm())
 
 
-def _prime_above(p: int) -> list[GaussPrime]:
+@lru_cache(maxsize=None)
+def _prime_above(p: int) -> tuple[GaussPrime, ...]:
     """The primes of Z[i] over a rational prime p."""
     if p == 2:
-        return [GaussPrime.make(GaussInt(1, 1))]
+        return (GaussPrime.make(GaussInt(1, 1)),)
     if p % 4 == 3:
-        return [GaussPrime.make(GaussInt(p, 0))]
+        return (GaussPrime.make(GaussInt(p, 0)),)
     # t^2 = -1 mod p for a non-residue a (Euler); min(t, p - t) fixes the pair's order
     a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
     t = pow(a, (p - 1) // 4, p)
     g = gauss_gcd(GaussInt(p, 0), GaussInt(min(t, p - t), 1))
     pi = GaussPrime.make(g)
-    return [pi, GaussPrime.make(pi.generator.conj())]
+    return (pi, GaussPrime.make(pi.generator.conj()))
+
+
+def _divide_out(z: GaussInt, v: GaussPrime) -> tuple[int, GaussInt]:
+    """(k, z / pi^k) for k = ord_v(z) and pi the generator of v; z nonzero."""
+    k = 0
+    while (q := z.exact_div(v.generator)) is not None:
+        z = q
+        k += 1
+    return k, z
 
 
 def ord_at(z: GaussInt, v: GaussPrime) -> int:
     """Valuation of a nonzero Gaussian integer at v."""
     if z.is_zero():
         raise ValueError("valuation of zero is undefined")
-    k = 0
-    while True:
-        q = z.exact_div(v.generator)
-        if q is None:
-            return k
-        z = q
-        k += 1
+    return _divide_out(z, v)[0]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -180,10 +187,9 @@ def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
     rest = z
     for p in _prime_factors(z.norm()):
         for v in _prime_above(p):
-            e = ord_at(rest, v)
+            e, rest = _divide_out(rest, v)
             if e:
                 factors[v] = e
-                rest = rest.exact_div(v.generator ** e)
     if not rest.is_unit():
         raise AssertionError(f"factorization left non-unit remainder {rest}")
     return rest, factors
@@ -207,7 +213,9 @@ class GaussRat:
         return GaussRat(self.re - o.re, self.im - o.im)
 
     def __mul__(self, o: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        [(a, b)], d = _over_common_denominator((self,))
+        [(c, e)], f = _over_common_denominator((o,))
+        return GaussRat(Fraction(a * c - b * e, d * f), Fraction(a * e + b * c, d * f))
 
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
@@ -217,7 +225,8 @@ class GaussRat:
 
     def norm(self) -> Fraction:
         """Squared complex modulus: the normalized archimedean absolute value."""
-        return self.re * self.re + self.im * self.im
+        [(a, b)], d = _over_common_denominator((self,))
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -233,8 +242,16 @@ class GaussRat:
 
     def as_quotient(self) -> tuple[GaussInt, int]:
         """Write self = n / d with n in Z[i] and d a positive integer."""
-        d = math.lcm(self.re.denominator, self.im.denominator)
-        return GaussInt(int(self.re * d), int(self.im * d)), d
+        [(a, b)], d = _over_common_denominator((self,))
+        return GaussInt(a, b), d
+
+
+def _over_common_denominator(xs) -> tuple[list[tuple[int, int]], int]:
+    """([(a_k, b_k), ...], d) with x_k = (a_k + b_k i) / d and d the lcm of
+    every denominator in xs."""
+    d = math.lcm(*(q for x in xs for q in (x.re.denominator, x.im.denominator)))
+    return [(x.re.numerator * (d // x.re.denominator),
+             x.im.numerator * (d // x.im.denominator)) for x in xs], d
 
 
 def ord_rat(x: GaussRat, v: GaussPrime) -> int:
@@ -254,16 +271,20 @@ def denom_local(x: GaussRat, v: GaussPrime) -> int:
 def _denominator_norm(xs) -> int:
     """Norm of the denominator ideal: prod_v q_v^max(-min_k ord_v(x_k), 0).
 
-    For D the lcm of the denominators, g = gcd(D, D x_1, ...) has
-    ord_v(g) = ord_v(D) + min(0, min_k ord_v(x_k)), so this is N(D) / N(g).
-    Zero entries leave g unchanged, so they count as integral.
+    Write x_k = w_k / D over the lcm D of the denominators.  The ideal
+    I = (D, w_1, ...) has ord_v(I) = ord_v(D) + min(0, min_k ord_v(x_k)),
+    so this is N(D) / N(I).  As a lattice in Z^2, I is spanned by D, iD,
+    w_k and i w_k, and N(I) is its index: the gcd of its 2x2 minors, which
+    are D^2, D Re w_k, D Im w_k, and Re and Im of w_k conj(w_l) for k <= l.
+    Zero entries add only zero minors, so they count as integral.
     """
-    quotients = [x.as_quotient() for x in xs]
-    d = math.lcm(*(q for _, q in quotients))
-    g = GaussInt(d, 0)
-    for n, q in quotients:
-        g = gauss_gcd(g, n * GaussInt(d // q, 0))
-    return d * d // g.norm()
+    ws, d = _over_common_denominator(xs)
+    minors = [d * d]
+    for k, (a, b) in enumerate(ws):
+        minors += (d * a, d * b)
+        for c, e in ws[k:]:
+            minors += (a * c + b * e, b * c - a * e)
+    return d * d // math.gcd(*minors)
 
 
 def denom(x: GaussRat) -> int:
@@ -279,12 +300,10 @@ def product_formula_check(x: GaussRat) -> Fraction:
     if x.is_zero():
         raise ValueError("product formula applies to nonzero elements")
     n, d = x.as_quotient()
-    result = x.norm()
-    for v, e in gaussian_factor(n)[1].items():
-        result /= v.residue_size ** e
-    for v, e in gaussian_factor(GaussInt(d, 0))[1].items():
-        result *= v.residue_size ** e
-    return result
+    finite_num = math.prod(v.residue_size ** e
+                           for v, e in gaussian_factor(GaussInt(d, 0))[1].items())
+    finite_den = math.prod(v.residue_size ** e for v, e in gaussian_factor(n)[1].items())
+    return Fraction(n.norm() * finite_num, d * d * finite_den)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +336,17 @@ class Mat2:
         return Mat2(tuple(a - b for a, b in zip(self.entries, o.entries)))
 
     def __mul__(self, o: "Mat2") -> "Mat2":
-        a, b, c, d = self.entries
-        e, f, g, h = o.entries
-        return Mat2((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        (a, b, c, d), s = _over_common_denominator(self.entries)
+        (e, f, g, h), t = _over_common_denominator(o.entries)
+        st = s * t
+
+        def dot(x, y, z, w):
+            """(x y + z w) / st, for Gaussian integers as (re, im) pairs."""
+            (xa, xb), (ya, yb), (za, zb), (wa, wb) = x, y, z, w
+            return GaussRat(Fraction(xa * ya - xb * yb + za * wa - zb * wb, st),
+                            Fraction(xa * yb + xb * ya + za * wb + zb * wa, st))
+
+        return Mat2((dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)))
 
     def det(self) -> GaussRat:
         a, b, c, d = self.entries

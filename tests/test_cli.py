@@ -154,6 +154,8 @@ class TestDeterminism:
 BAD_INPUT = {
     "verify-hecke-non-prime": ["verify-hecke", "--primes", "4"],
     "verify-hecke-empty-primes": ["verify-hecke", "--primes", ""],
+    "verify-hecke-malformed-primes": ["verify-hecke", "--primes", "abc"],
+    "amplifier-malformed-q": ["amplifier", "--Q", "50,x"],
     "verify-hecke-max-radius-0": ["verify-hecke", "--max-radius", "0"],
     "verify-hecke-max-radius-1": ["verify-hecke", "--max-radius", "1"],
     "verify-hecke-max-radius-negative": ["verify-hecke", "--max-radius", "-4"],
@@ -212,6 +214,17 @@ class TestBadInput:
         line = capsys.readouterr().err.strip()
         assert line.startswith("treeamp: error:")
         assert value in line and str(cli.MAX_SIEVE) in line
+
+    @pytest.mark.parametrize("argv,value", [
+        (BAD_INPUT["verify-hecke-malformed-primes"], "'abc'"),
+        (BAD_INPUT["amplifier-malformed-q"], "'50,x'"),
+    ])
+    def test_malformed_list_names_the_text_not_the_parser(self, argv, value, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert value in line
+        assert "_int_list" not in line
 
 
 def test_finish_names_every_failing_verdict(tmp_path, capsys):

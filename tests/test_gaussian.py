@@ -19,6 +19,7 @@ from treeamp.gaussian import (
     denom,
     denom_local,
     denom_mat,
+    _prime_above,
     gaussian_factor,
     product_formula_check,
 )
@@ -54,6 +55,7 @@ big_rat = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
 big_gauss_rat = st.one_of(st.just(GaussRat.make(0)), st.builds(GaussRat, big_rat, big_rat))
+big_mat = st.tuples(big_gauss_rat, big_gauss_rat, big_gauss_rat, big_gauss_rat).map(Mat2)
 
 
 class TestFactorization:
@@ -110,6 +112,18 @@ class TestFactorization:
         unit, factors = gaussian_factor(z)
         assert rebuild(unit, factors) == z
         assert sorted({rational_prime(v) for v in factors}) == sorted(sympy.factorint(z.norm()))
+
+    def test_repeated_prime_powers(self):
+        ramified, split, other, inert = (GaussInt(1, 1), GaussInt(2, 1), GaussInt(2, -1),
+                                         GaussInt(3, 0))
+        z = GaussInt(0, 1) * ramified ** 7 * split ** 3 * other ** 2 * inert ** 2
+        unit, factors = gaussian_factor(z)
+        assert factors == {GaussPrime(ramified, 2): 7, GaussPrime(split, 5): 3,
+                           GaussPrime(other, 5): 2, GaussPrime(inert, 9): 2}
+        assert rebuild(unit, factors) == z
+        for p in (2, 3, 5):
+            assert isinstance(_prime_above(p), tuple)
+            assert _prime_above(p) is _prime_above(p)
 
     def test_residue_sizes_are_legal(self):
         rng = random.Random(6)
@@ -179,10 +193,14 @@ class TestDenominators:
 
 
 class TestDenominatorOracle:
-    """denom and denom_mat (one gcd) against the per-place definition."""
+    """denom and denom_mat (a gcd of lattice minors) against the per-place
+    definition.  Each example needs one term of the closed form."""
 
     @given(big_gauss_rat)
     @example(GaussRat.make(0))
+    @example(GaussRat.make(Fraction(1, 2), Fraction(1, 2)))  # 2
+    @example(GaussRat.make(Fraction(1, 25), Fraction(2, 25)))  # 125; 25 without N(w)
+    @example(GaussRat.make(Fraction(2, 5), Fraction(11, 5)))  # 5; 1 without D Re w, D Im w
     @settings(max_examples=200, deadline=None)
     def test_denom_is_product_of_local_denominators(self, x):
         _, d = x.as_quotient()
@@ -190,11 +208,43 @@ class TestDenominatorOracle:
 
     @given(st.tuples(big_gauss_rat, big_gauss_rat, big_gauss_rat, big_gauss_rat))
     @example((GaussRat.make(0),) * 4)
+    # 100; 20 without the cross terms Re and Im of w_k conj(w_l)
+    @example((GaussRat.make(Fraction(4, 5), Fraction(2, 5)),
+              GaussRat.make(Fraction(3, 10), Fraction(-4, 10)),
+              GaussRat.make(0), GaussRat.make(0)))
     @settings(max_examples=200, deadline=None)
     def test_denom_mat_is_product_of_per_place_maxima(self, entries):
         d = math.lcm(*(x.as_quotient()[1] for x in entries))
         want = math.prod(max(denom_local(x, v) for x in entries) for v in places_over(d))
         assert denom_mat(Mat2(entries)) == want
+
+
+class TestIntegerProducts:
+    """Products and norms against the Fraction formulas written out entrywise."""
+
+    @given(big_gauss_rat, big_gauss_rat)
+    @example(GaussRat.make(0), GaussRat.make(3, -2))
+    @example(GaussRat.make(1), GaussRat.make(Fraction(-7, 12), Fraction(5, 8)))
+    @settings(max_examples=200, deadline=None)
+    def test_gauss_rat_product_and_norm(self, x, y):
+        p = x * y
+        assert (p.re, p.im) == (x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+        assert x.norm() == x.re * x.re + x.im * x.im
+
+    @given(big_mat, big_mat)
+    @example(Mat2.identity(), Mat2.make([[Fraction(1, 3), -2], [Fraction(5, 7), 0]]))
+    @example(Mat2.make([[1, 4], [0, 1]]), Mat2.make([[1, 0], [-3, 1]]))
+    @example(Mat2.make([[0, 0], [0, 0]]), Mat2.identity())
+    @settings(max_examples=200, deadline=None)
+    def test_mat2_product(self, m, n):
+        def dot(x, y, z, w):
+            return (x.re * y.re - x.im * y.im + z.re * w.re - z.im * w.im,
+                    x.re * y.im + x.im * y.re + z.re * w.im + z.im * w.re)
+
+        a, b, c, d = m.entries
+        e, f, g, h = n.entries
+        want = [dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)]
+        assert [(x.re, x.im) for x in (m * n).entries] == want
 
 
 class TestProductFormula:

@@ -41,6 +41,7 @@ def test_run_scaling_sweep_rejects_bad_q(q):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr.splitlines()[-1]
+    assert "_int_list" not in proc.stderr
 
 
 def test_run_scaling_sweep_exits_1_on_a_failed_verdict():
