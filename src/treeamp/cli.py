@@ -6,6 +6,10 @@ strings (never floats), rationals as "num/den", reals as %.12g strings,
 and wall time goes to stderr only.  Exit code is 0 exactly when every
 verdict in the report passes, 1 when one fails, and 2 on bad input,
 which is reported as one line on stderr.
+
+Each subcommand imports the library modules it runs when it runs:
+importing this module loads none of them, so a process compiles only
+the code its subcommand calls.
 """
 
 from __future__ import annotations
@@ -19,8 +23,12 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, amplifier, gaussian, hecke, orbits, splitting, tree
+from . import __version__
+
+if TYPE_CHECKING:
+    from . import gaussian, orbits
 
 MAX_PRIME = 13
 MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
@@ -104,7 +112,18 @@ def _fraction_text(text: str) -> str:
 # Each subcommand returns (config, results, verdicts) for main's envelope.
 
 
+def _orbit_kind(name: str) -> orbits.OrbitKind:
+    """The OrbitKind whose value is name; ValueError lists the valid names."""
+    from .orbits import OrbitKind
+    try:
+        return OrbitKind(name)
+    except ValueError:
+        known = ", ".join(repr(kind.value) for kind in OrbitKind)
+        raise ValueError(f"unknown orbit {name!r} (choose from {known})") from None
+
+
 def cmd_verify_hecke(args):
+    from . import hecke
     primes = args.primes
     max_radius = args.max_radius
     for p in primes:
@@ -148,6 +167,7 @@ def cmd_verify_hecke(args):
 
 
 def cmd_split_density(args):
+    from . import splitting
     if args.limit > MAX_SIEVE:
         raise ValueError(f"limit {args.limit} exceeds the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
@@ -167,6 +187,7 @@ def cmd_split_density(args):
 
 
 def _random_gauss_rat(rng: random.Random, span: int = 30, den: int = 12) -> gaussian.GaussRat:
+    from . import gaussian
     return gaussian.GaussRat(
         Fraction(rng.randint(-span, span), rng.randint(1, den)),
         Fraction(rng.randint(-span, span), rng.randint(1, den)),
@@ -174,6 +195,7 @@ def _random_gauss_rat(rng: random.Random, span: int = 30, den: int = 12) -> gaus
 
 
 def cmd_denom_check(args):
+    from . import gaussian
     rng = random.Random(args.seed)
     n = args.samples
     submult_add = submult_mul = product_one = arch_floor = True
@@ -212,7 +234,8 @@ def cmd_denom_check(args):
 
 
 def cmd_orbit_check(args):
-    model = orbits.OrbitModel(orbits.OrbitKind(args.orbit), args.index)
+    from . import orbits, tree
+    model = orbits.OrbitModel(_orbit_kind(args.orbit), args.index)
     primes = args.primes
     for p in primes:
         size = tree.sphere_size(p, 2 * args.max_j)
@@ -233,6 +256,7 @@ def cmd_orbit_check(args):
 
 
 def cmd_amplifier(args):
+    from . import amplifier, orbits, splitting
     Qs = args.Q
     for Q in Qs:
         if 2 * Q > MAX_SIEVE:
@@ -240,7 +264,7 @@ def cmd_amplifier(args):
     poly = splitting.parse_poly(args.poly)
     spectrum = amplifier.SpectrumModel.trivial() if args.spectrum == "trivial" \
         else amplifier.SpectrumModel.tempered(args.seed)
-    orbit = orbits.OrbitModel(orbits.OrbitKind(args.orbit), args.index)
+    orbit = orbits.OrbitModel(_orbit_kind(args.orbit), args.index)
     reports = amplifier.scaling_sweep(Qs, poly, spectrum, orbit)
     results = [{k: v for k, v in vars(rep).items() if k != "verdicts"} for rep in reports]
     verdicts = {f"Q{rep.Q}_{name}": ok for rep in reports for name, ok in rep.verdicts.items()}
@@ -262,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report here, not to stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     add = functools.partial(sub.add_parser, parents=[common])
-    orbit_names = [kind.value for kind in orbits.OrbitKind]
+    orbit_help = "orbit shape, an orbits.OrbitKind value (default %(default)s)"
 
     vh = add("verify-hecke", help="convolution identity and algebra checks")
     vh.add_argument("--primes", type=_int_list, default="2,3,5,7,11")
@@ -282,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     dc.set_defaults(func=cmd_denom_check)
 
     oc = add("orbit-check", help="orbit intersection closed form vs enumeration")
-    oc.add_argument("--orbit", choices=orbit_names, default="torus")
+    oc.add_argument("--orbit", default="torus", help=orbit_help)
     oc.add_argument("--index", type=_int_at_least(1), default=1)
     oc.add_argument("--primes", type=_int_list, default="2,3,5")
     oc.add_argument("--max-j", type=_int_at_least(1), default=3)
@@ -293,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--poly", default="x^2+1")
     am.add_argument("--spectrum", choices=["trivial", "tempered"], default="trivial")
     am.add_argument("--seed", type=int, default=42)
-    am.add_argument("--orbit", choices=orbit_names, default="sl2")
+    am.add_argument("--orbit", default="sl2", help=orbit_help)
     am.add_argument("--index", type=_int_at_least(1), default=1)
     am.set_defaults(func=cmd_amplifier)
     return parser

@@ -295,7 +295,10 @@ def denom(x: GaussRat) -> int:
 def product_formula_check(x: GaussRat) -> Fraction:
     """|x|^2 at the complex place times all finite absolute values.
 
-    Equals 1 exactly for every nonzero x.
+    Equals 1 exactly for every nonzero x.  Cost: the finite places come
+    from trial division of the norms of numerator and denominator, in
+    O(sqrt(N)) steps for a norm N, so a large prime norm is slow where
+    denom, which factors nothing, stays fast.
     """
     if x.is_zero():
         raise ValueError("product formula applies to nonzero elements")

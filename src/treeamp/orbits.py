@@ -18,9 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import tree
-from .hecke import GlobalHeckeElement, LocalHeckeElement
+
+if TYPE_CHECKING:
+    from .hecke import GlobalHeckeElement, LocalHeckeElement
 
 __all__ = [
     "OrbitKind",
@@ -56,6 +59,7 @@ class OrbitModel:
 
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     """Closed-form count of orbit points inside a one-sided support."""
+    tree._check_prime(p)
     if j < 1:
         raise ValueError("j must be >= 1")
     if model.kind is OrbitKind.SL2:
@@ -82,6 +86,8 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int, ball_radius: int) -
     tested against the definition of the radius-2j one-sided support,
     sphere x {root}.  At j = 0 that is the identity coset {(root, root)}.
     """
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
     if ball_radius < 2 * j:
         raise ValueError(f"ball radius {ball_radius} too small for j={j}")
 

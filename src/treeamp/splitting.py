@@ -36,11 +36,21 @@ __all__ = [
 
 MAX_DEGREE = 8  # parse_poly refuses higher degrees before building coefficients
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers n < 3.3e24."""
+    """Deterministic Miller-Rabin with the prime bases 2..41.
+
+    Exact for n < psi_13 = _MR_LIMIT (about 3.3e24); n >= psi_13 raises
+    ValueError rather than risk a pseudoprime.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, "
+                         f"got a {n.bit_length()}-bit number")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

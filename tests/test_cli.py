@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from treeamp import cli
 from treeamp.cli import main
+from treeamp.orbits import OrbitKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,6 +183,8 @@ BAD_INPUT = {
     "amplifier-degree-huge": ["amplifier", "--poly", "x^1000000000+1"],
     "verify-hecke-repeated-prime": ["verify-hecke", "--primes", "2,2"],
     "orbit-check-repeated-prime": ["orbit-check", "--primes", "2,2"],
+    "orbit-check-unknown-orbit": ["orbit-check", "--orbit", "cone"],
+    "amplifier-unknown-orbit": ["amplifier", "--orbit", "cone"],
     # relative to the directory the test runs in, which holds only a-directory/
     "out-missing-parent": ["verify-hecke", "--primes", "2", "--max-radius", "2",
                            "--out", "missing/report.json"],
@@ -226,6 +229,15 @@ class TestBadInput:
         assert value in line
         assert "_int_list" not in line
 
+    @pytest.mark.parametrize("name", ["orbit-check-unknown-orbit", "amplifier-unknown-orbit"])
+    def test_unknown_orbit_names_it_and_every_kind(self, name, capsys):
+        with pytest.raises(SystemExit):
+            main(BAD_INPUT[name])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("treeamp: error:")
+        assert "'cone'" in lines[0]
+        assert all(repr(kind.value) in lines[0] for kind in OrbitKind)
+
 
 def test_finish_names_every_failing_verdict(tmp_path, capsys):
     report = {"config": {"limit": 7, "poly": "x^2 + 1"},
@@ -237,14 +249,45 @@ def test_finish_names_every_failing_verdict(tmp_path, capsys):
     assert '{"limit": "7", "poly": "x^2 + 1"}' in fail
 
 
+def run_probe(probe: str, *args: str) -> str:
+    """Run probe in a fresh interpreter with src on the path; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_import_loads_no_sympy():
-    src = ROOT / "src"
     probe = ("import sys, treeamp.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
+
+
+LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'treeamp'))"
+
+
+def test_import_loads_no_library_module():
+    assert run_probe("import sys, treeamp.cli; " + LOADED) == "treeamp treeamp.cli"
+
+
+# Tiny flags for each subcommand and the library modules it loads;
+# every other treeamp module must stay unloaded.
+SUBCOMMAND_LOADS = {
+    "denom-check": (["--samples", "2"], {"gaussian"}),
+    "split-density": (["--poly", "x^2+1", "--limit", "100"], {"splitting"}),
+    "verify-hecke": (["--primes", "2", "--max-radius", "2"], {"hecke", "tree", "splitting"}),
+    "orbit-check": (["--primes", "2", "--max-j", "1"], {"orbits", "tree", "splitting"}),
+    "amplifier": (["--Q", "50"], {"amplifier", "hecke", "orbits", "splitting", "tree"}),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_LOADS)
+def test_subcommand_loads_only_what_it_runs(command, tmp_path):
+    flags, modules = SUBCOMMAND_LOADS[command]
+    probe = "import sys; from treeamp.cli import main; main(sys.argv[1:]); " + LOADED
+    loaded = run_probe(probe, command, *flags, "--out", str(tmp_path / "r.json")).split()
+    assert loaded == sorted({"treeamp", "treeamp.cli"} | {f"treeamp.{m}" for m in modules})
 
 
 # Edge values per flag, valid and invalid; every flag that sets a
@@ -258,14 +301,14 @@ EDGE_VALUES = {
                       "--expected": [None, "1/2", "0", "1/0"]},
     "denom-check": {"--samples": ["1", "2", "20", "0", "-5"],
                     "--seed": [None, "-1", "0", "7"]},
-    "orbit-check": {"--orbit": [None, "sl2", "torus"],
+    "orbit-check": {"--orbit": [None, "sl2", "torus", "cone"],
                     "--index": [None, "1", "3", "0"],
                     "--primes": ["2", "3", "2,3", "", "4", "2,2"],
                     "--max-j": ["1", "2", "0"]},
     "amplifier": {"--Q": ["11", "50", "50,100", "10", "400,200", ""],
                   "--poly": [None, "x^2+1", "x-1", "x^3-3x+2", "2x^2+1", "x^^2"],
                   "--spectrum": [None, "trivial", "tempered"],
-                  "--orbit": [None, "sl2", "torus"],
+                  "--orbit": [None, "sl2", "torus", "cone"],
                   "--index": [None, "1", "2", "0"]},
 }
 

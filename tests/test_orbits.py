@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import pytest
@@ -28,6 +29,13 @@ class TestClosedForm:
     def test_linearity_in_translates(self):
         model = OrbitModel(OrbitKind.MULTIPLICATIVE, 3)
         assert orbit_intersect_one_sided(model, 2, 1) == 6
+
+    @pytest.mark.parametrize("count", [
+        orbit_intersect_one_sided, functools.partial(brute_force_intersect, ball_radius=2),
+    ], ids=["closed-form", "brute-force"])
+    def test_non_prime_rejected(self, count):
+        with pytest.raises(ValueError, match="p must be prime, got 4"):
+            count(TORUS, 4, 1)
 
 
 class TestBruteForce:
@@ -63,6 +71,11 @@ class TestBruteForce:
     def test_small_ball_rejected(self):
         with pytest.raises(ValueError):
             brute_force_intersect(TORUS, 2, 2, ball_radius=3)
+
+    @pytest.mark.parametrize("model", [SL2, TORUS], ids=["sl2", "torus"])
+    def test_negative_j_rejected(self, model):
+        with pytest.raises(ValueError, match="j must be >= 0"):
+            brute_force_intersect(model, 2, -1, ball_radius=2)
 
 
 class TestGlobalCounts:

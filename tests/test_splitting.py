@@ -60,6 +60,19 @@ class TestPrimality:
         assert not is_prime(561)
         assert not is_prime(25326001)
 
+    def test_psi12_rejected(self):
+        # the least strong pseudoprime to the bases 2..37; base 41 exposes it
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+        assert is_prime(2 ** 61 - 1)
+
+    def test_psi13_and_beyond_raise(self):
+        # psi_13 passes every base 2..41, so no answer is given from there up
+        for n in (3317044064679887385961981, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="decided only below"):
+                is_prime(n)
+
     def test_primes_in_matches_sieve(self):
         assert primes_in(90, 110) == [97, 101, 103, 107, 109]
 

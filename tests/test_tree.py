@@ -62,6 +62,10 @@ class TestSphere:
         with pytest.raises(ValueError):
             next(tree.iter_sphere(4, 2))
 
+    def test_strong_pseudoprime_rejected(self):
+        with pytest.raises(ValueError, match="p must be prime"):
+            tree.TreeVertex(318665857834031151167461, ())
+
     def test_streams_past_the_cli_prime_cap(self):
         assert next(tree.iter_sphere(17, 1)).depth() == 1
 
