@@ -7,6 +7,8 @@ eigenvalues lam, the minimising seed lam* = -c_p sqrt(p(p+1)), and
 whether c_p >= threshold, decided by one exact rational comparison.
 c_p decreases toward sqrt(2) - 1 ~ 0.4142 as p grows, crossing below
 1/2 at p = 5.
+
+Exits 2 with a one-line error on bad input, like the treeamp CLI.
 """
 
 import argparse
@@ -14,13 +16,14 @@ import math
 from fractions import Fraction
 
 from treeamp.amplifier import dichotomy_constant, dichotomy_constant_at_least
+from treeamp.cli import _fraction_text, _int_at_least
 from treeamp.splitting import primes_in
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-prime", type=int, default=97)
-    parser.add_argument("--threshold", default="1/2",
+    parser.add_argument("--max-prime", type=_int_at_least(2), default=97)
+    parser.add_argument("--threshold", type=_fraction_text, default="1/2",
                         help="certification threshold as a fraction")
     args = parser.parse_args()
     threshold = Fraction(args.threshold)

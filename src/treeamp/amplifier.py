@@ -146,10 +146,12 @@ def pick_local(p: int, lambda_p) -> LocalChoice:
 
     The seed is taken exactly, a float by its binary value.  Takes j=1
     when |lambda_p| clears PICK_THRESHOLD * sqrt(p(p+1)), else j=2
-    with the eigenvalue from the degree-2 recursion.  The j=2 guarantee
-    is recorded rather than asserted: there is a narrow band of seed
-    eigenvalues just under the j=1 cutoff where neither normalized
-    eigenvalue reaches 1/2.  The per-prime minimax constant
+    with the radius-4 eigenvalue lambda_p^2 - (p-1) lambda_p - p(p+1),
+    read off the degree-2 identity T_2 * T_2 = T_4 + (p-1) T_2 +
+    p(p+1) T_0 (hecke.eigenvalue_sequence is its test oracle).  The
+    j=2 guarantee is recorded rather than asserted: there is a narrow
+    band of seed eigenvalues just under the j=1 cutoff where neither
+    normalized eigenvalue reaches 1/2.  The per-prime minimax constant
     c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
     decreases to sqrt(2) - 1, the sharp uniform constant.
     """
@@ -157,7 +159,7 @@ def pick_local(p: int, lambda_p) -> LocalChoice:
     if _at_least_threshold(lambda_p, tree.sphere_size(p, 2)):
         lam, j, met = lambda_p, 1, True
     else:
-        lam = hecke.eigenvalue_sequence(p, lambda_p, 2).value(2)
+        lam = lambda_p * lambda_p - (p - 1) * lambda_p - p * (p + 1)
         j, met = 2, _at_least_threshold(lam, tree.sphere_size(p, 4))
     return LocalChoice(p, j, 2 * j, lam, -1 if lam < 0 else 1, met)
 

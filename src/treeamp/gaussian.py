@@ -79,16 +79,6 @@ class GaussInt:
             return None
         return GaussInt(num.a // n, num.b // n)
 
-    def __pow__(self, e: int) -> "GaussInt":
-        out = GaussInt(1, 0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
 
 UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
 

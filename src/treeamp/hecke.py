@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tree
+from .splitting import check_prime
 
 __all__ = [
     "MAX_RADIUS",
@@ -40,11 +41,6 @@ MAX_RADIUS = 8
 SupportPoint = tuple[tuple[int, int], ...]  # sorted ((prime, radius), ...)
 
 
-def _check_even_radius(r: int) -> None:
-    if r < 0 or r % 2 != 0:
-        raise ValueError(f"radius must be even and nonnegative, got {r}")
-
-
 @dataclass(frozen=True)
 class LocalHeckeElement:
     """Finitely supported function on even radii at a single prime."""
@@ -52,12 +48,14 @@ class LocalHeckeElement:
     prime: int
     coeffs: tuple[tuple[int, int], ...]  # sorted (radius, coefficient), coefficient != 0
 
+    def __post_init__(self):
+        check_prime(self.prime)
+        for r, _ in self.coeffs:
+            tree.check_even_radius(r)
+
     @staticmethod
     def from_dict(p: int, coeffs: dict[int, int]) -> "LocalHeckeElement":
-        for r in coeffs:
-            _check_even_radius(r)
-        items = tuple(sorted((r, c) for r, c in coeffs.items() if c != 0))
-        return LocalHeckeElement(p, items)
+        return LocalHeckeElement(p, tuple(sorted((r, c) for r, c in coeffs.items() if c != 0)))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
@@ -128,6 +126,8 @@ class EigenvalueSequence:
     lambdas: tuple
 
     def value(self, j: int):
+        if j < 0:
+            raise ValueError(f"j must be >= 0, got {j}")
         if j >= len(self.lambdas):
             raise ValueError(f"sequence at p={self.prime} too short for j={j}")
         return self.lambdas[j]
@@ -165,20 +165,20 @@ class GlobalHeckeElement:
 
     coeffs: tuple[tuple[SupportPoint, int], ...]
 
-    @staticmethod
-    def from_dict(coeffs: dict[SupportPoint, int]) -> "GlobalHeckeElement":
-        items = []
-        for point, c in coeffs.items():
-            point = tuple(sorted(point))
+    def __post_init__(self):
+        for point, _ in self.coeffs:
             primes = [p for p, _ in point]
             if len(set(primes)) != len(primes):
                 raise ValueError(f"support point repeats a prime: {point}")
-            for _, r in point:
-                _check_even_radius(r)
+            for p, r in point:
+                check_prime(p)
+                tree.check_even_radius(r)
                 if r == 0:
                     raise ValueError("support points must not carry radius 0 entries")
-            if c != 0:
-                items.append((point, c))
+
+    @staticmethod
+    def from_dict(coeffs: dict[SupportPoint, int]) -> "GlobalHeckeElement":
+        items = ((tuple(sorted(point)), c) for point, c in coeffs.items() if c != 0)
         return GlobalHeckeElement(tuple(sorted(items)))
 
     def as_dict(self) -> dict[SupportPoint, int]:

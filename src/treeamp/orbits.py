@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import tree
+from .splitting import check_prime
 
 if TYPE_CHECKING:
     from .hecke import GlobalHeckeElement, LocalHeckeElement
@@ -59,7 +60,7 @@ class OrbitModel:
 
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     """Closed-form count of orbit points inside a one-sided support."""
-    tree._check_prime(p)
+    check_prime(p)
     if j < 1:
         raise ValueError("j must be >= 1")
     if model.kind is OrbitKind.SL2:

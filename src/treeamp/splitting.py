@@ -31,6 +31,7 @@ __all__ = [
     "split_primes_in",
     "empirical_density",
     "is_prime",
+    "check_prime",
     "primes_in",
 ]
 
@@ -71,6 +72,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=None)  # a failed check raises, so only primes are cached
+def check_prime(p: int) -> None:
+    """The one prime precondition: ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def sieve(limit: int) -> bytearray:
@@ -248,8 +256,7 @@ def splits_completely(f: IntPoly, p: int) -> bool:
 
     Primes dividing disc(f) give False; non-primes raise ValueError.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     return bool(_split_filter(f, [p]))
 
 

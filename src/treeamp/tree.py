@@ -8,6 +8,13 @@ This is the vertex set of the Bruhat-Tits tree of SL2(Qp) with the
 root playing the role of the standard maximal compact subgroup.
 Spheres are streamed by iter_sphere and never held as sets; callers
 bound their size with sphere_size.
+
+The structure constants of the spherical Hecke algebra are path counts
+in closed form: the vertices z on the sphere of radius a around the
+root o that lie at distance b from a fixed vertex y on the sphere of
+radius r all leave the geodesic from o to y at the same branch point,
+at distance m = (a + r - b)/2 from o, and are counted by the
+directions out of it (convolution_count).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .splitting import is_prime
+from .splitting import check_prime
 
 __all__ = [
     "TreeVertex",
@@ -25,14 +32,15 @@ __all__ = [
     "iter_sphere",
     "sphere_size",
     "distance",
+    "check_even_radius",
     "convolution_count",
 ]
 
 
-@lru_cache(maxsize=None)  # every vertex checks its prime; only primes are cached
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+def check_even_radius(r: int) -> None:
+    """The one even-radius precondition of the Hecke algebra."""
+    if r < 0 or r % 2 != 0:
+        raise ValueError(f"radius must be even and nonnegative, got {r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class TreeVertex:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        _check_prime(self.prime)
+        check_prime(self.prime)
         p = self.prime
         for i, d in enumerate(self.word):
             hi = p if i == 0 else p - 1
@@ -72,7 +80,7 @@ def canonical_vertex(p: int, r: int) -> TreeVertex:
 
 
 def sphere_size(p: int, r: int) -> int:
-    _check_prime(p)
+    check_prime(p)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:
@@ -82,7 +90,7 @@ def sphere_size(p: int, r: int) -> int:
 
 def iter_sphere(p: int, r: int):
     """Stream all vertices at distance exactly r from the root."""
-    _check_prime(p)
+    check_prime(p)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:
@@ -105,52 +113,28 @@ def distance(v: TreeVertex, w: TreeVertex) -> int:
     return len(v.word) + len(w.word) - 2 * lcp
 
 
-def _count_leading_zeros_exact(p: int, a: int, k: int) -> int:
-    """Number of length-a words whose leading-zero run is exactly k."""
-    if a == 0:
-        return 1 if k == 0 else 0
-    if k == a:
-        return 1
-    if k == 0:
-        # first digit nonzero: p of the p+1 choices, rest free
-        return p * p ** (a - 1)
-    # first k digits zero, digit k nonzero among [0, p-1], rest free
-    return (p - 1) * p ** (a - 1 - k)
-
-
-def _count_leading_zeros_at_least(p: int, a: int, k: int) -> int:
-    """Number of length-a words whose leading-zero run is at least k."""
-    if k == 0:
-        return sphere_size(p, a)
-    if k > a:
-        return 0
-    return p ** (a - k) if k < a else 1
-
-
 @lru_cache(maxsize=None)
 def convolution_count(p: int, a: int, b: int, r: int) -> int:
     """Count vertices z with d(o, z) = a and d(z, y) = b for y = 0^r.
 
     By vertex-transitivity the count does not depend on which vertex at
-    distance r is taken as y.  For z of length a, d(z, 0^r) =
-    a + r - 2 * min(leading zeros of z, r), so counting reduces to
-    counting leading-zero runs.
+    distance r is taken as y.  The path from o to z follows the
+    geodesic to y for m = (a + r - b)/2 steps (an integer, since a, b
+    and r are even), so there is no such z unless 0 <= m <= r; m <= a
+    holds because r <= a + b.  If m = a, z is the vertex at distance a
+    on that geodesic.  Otherwise z leaves it at the branch point, in
+    one of its p + 1 directions less the one back to o (when m > 0) and
+    the one on to y (when m < r), and then takes any of p directions at
+    each of its a - m - 1 further steps.
     """
-    _check_prime(p)
-    for name, val in (("a", a), ("b", b), ("r", r)):
-        if val < 0:
-            raise ValueError(f"{name} must be nonnegative")
-        if val % 2 != 0:
-            raise ValueError(f"{name} must be even, got {val}")
+    check_prime(p)
+    for radius in (a, b, r):
+        check_even_radius(radius)
     if r > a + b:
         raise ValueError(f"r={r} exceeds a+b={a + b}")
-    two_m = a + r - b
-    if two_m < 0 or two_m % 2 != 0:
+    m = (a + r - b) // 2
+    if not 0 <= m <= r:
         return 0
-    m = two_m // 2
-    if m > min(a, r):
-        return 0
-    if m < r:
-        return _count_leading_zeros_exact(p, a, m)
-    # m == r: any leading-zero run of length >= r gives common prefix r
-    return _count_leading_zeros_at_least(p, a, r)
+    if m == a:
+        return 1
+    return (p + 1 - (m > 0) - (m < r)) * p ** (a - m - 1)

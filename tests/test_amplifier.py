@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeamp import hecke, orbits
 from treeamp.amplifier import (
@@ -43,6 +44,15 @@ class TestPickLocal:
     def test_support_size(self):
         assert pick_local(5, Fraction(0)).support_size() == 750
         assert pick_local(5, Fraction(150)).support_size() == 30
+
+    @given(st.sampled_from(primes_in(2, 2000)), st.integers(-499, 499))
+    @settings(max_examples=200, deadline=None)
+    def test_radius4_eigenvalue_matches_recursion(self, p, k):
+        # a tempered draw k p / 1000 with |k| < 500 is below sqrt(p(p+1)) / 2
+        lam = Fraction(k * p, 1000)
+        choice = pick_local(p, lam)
+        assert choice.j == 2
+        assert choice.lam == hecke.eigenvalue_sequence(p, lam, 2).value(2)
 
 
 class TestDichotomyConstant:

@@ -28,7 +28,7 @@ from treeamp.gaussian import (
 def rebuild(unit, factors):
     z = unit
     for v, e in factors.items():
-        z = z * v.generator ** e
+        z = math.prod([v.generator] * e, start=z)
     return z
 
 
@@ -116,7 +116,8 @@ class TestFactorization:
     def test_repeated_prime_powers(self):
         ramified, split, other, inert = (GaussInt(1, 1), GaussInt(2, 1), GaussInt(2, -1),
                                          GaussInt(3, 0))
-        z = GaussInt(0, 1) * ramified ** 7 * split ** 3 * other ** 2 * inert ** 2
+        z = math.prod([ramified] * 7 + [split] * 3 + [other] * 2 + [inert] * 2,
+                      start=GaussInt(0, 1))
         unit, factors = gaussian_factor(z)
         assert factors == {GaussPrime(ramified, 2): 7, GaussPrime(split, 5): 3,
                            GaussPrime(other, 5): 2, GaussPrime(inert, 9): 2}

@@ -28,6 +28,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             hecke.basic(2, 5)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: hecke.basic(4, 1), id="basic-at-4"),
+        pytest.param(lambda: hecke.identity(1), id="identity-at-1"),
+        pytest.param(lambda: hecke.LocalHeckeElement(2, ((3, 1),)), id="odd-radius"),
+        pytest.param(lambda: hecke.LocalHeckeElement(2, ((-2, 1),)), id="negative-radius"),
+        pytest.param(lambda: hecke.LocalHeckeElement.from_dict(3, {1: 1}), id="from-dict"),
+    ])
+    def test_bad_prime_or_radius_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestConvolve:
     @pytest.mark.parametrize("p", PRIMES)
@@ -117,6 +128,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             hecke.eigenvalue_sequence(2, Fraction(1), 1)
 
+    def test_value_index_in_range(self):
+        seq = hecke.eigenvalue_sequence(2, 1, 2)
+        assert seq.value(2) == -6
+        for j in (-1, 3):
+            with pytest.raises(ValueError):
+                seq.value(j)
+
 
 class TestSpectralValue:
     def test_identity_evaluates_to_one(self):
@@ -182,6 +200,16 @@ class TestGlobal:
     def test_duplicate_prime_rejected(self):
         with pytest.raises(ValueError):
             hecke.global_assemble({2: (hecke.basic(3, 1), 1)})
+
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param(((((2, 3),), 5),), id="odd-radius"),
+        pytest.param(((((2, 2), (2, 4)), 1),), id="repeated-prime"),
+        pytest.param(((((4, 2),), 1),), id="not-prime"),
+        pytest.param(((((2, 0),), 1),), id="radius-0"),
+    ])
+    def test_direct_construction_checked(self, coeffs):
+        with pytest.raises(ValueError):
+            hecke.GlobalHeckeElement(coeffs)
 
     def test_non_basic_rejected(self):
         sq = hecke.convolve(hecke.basic(2, 1), hecke.basic(2, 1))

@@ -24,6 +24,16 @@ def test_scan_dichotomy_certifies_2_and_3_at_half():
     assert certified == {2: "yes", 3: "yes", 5: "NO", 7: "NO", 11: "NO", 13: "NO"}
 
 
+@pytest.mark.parametrize("flag,value", [("--threshold", "abc"), ("--threshold", "1/0"),
+                                        ("--max-prime", "-5"), ("--max-prime", "x")])
+def test_scan_dichotomy_rejects_bad_flags(flag, value):
+    proc = run_script("scan_dichotomy.py", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]
+
+
 @pytest.mark.parametrize("orbit,spectrum", [("sl2", "trivial"), ("torus", "tempered")])
 def test_run_scaling_sweep_tabulates_each_window(orbit, spectrum):
     proc = run_script("run_scaling_sweep.py", "--Q", "50,100", "--spectrum", spectrum,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treeamp import tree
 from treeamp.splitting import (
     MAX_DEGREE,
     IntPoly,
@@ -118,6 +119,11 @@ class TestSplitsCompletely:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             splits_completely(parse_poly("x^2+1"), 6)
+        with pytest.raises(ValueError) as tree_error:
+            tree.sphere_size(4, 2)
+        with pytest.raises(ValueError) as split_error:
+            splits_completely(parse_poly("x^2+1"), 4)
+        assert str(split_error.value) == str(tree_error.value)
 
     @pytest.mark.parametrize("text", CORPUS)
     def test_against_root_counting(self, text):

@@ -127,8 +127,9 @@ class TestConvolutionCount:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_full_table_against_enumeration(self, p):
-        for a in (0, 2, 4):
-            for b in (0, 2, 4):
+        max_ab = {2: 8, 3: 6, 5: 4}[p]  # reaches every branch of the closed form
+        for a in range(0, max_ab + 1, 2):
+            for b in range(0, max_ab + 1, 2):
                 for r in range(0, a + b + 1, 2):
                     assert tree.convolution_count(p, a, b, r) == enumeration_count(p, a, b, r)
 
