@@ -40,6 +40,10 @@ MAX_RADIUS = 8
 
 SupportPoint = tuple[tuple[int, int], ...]  # sorted ((prime, radius), ...)
 
+# Both element classes store one entry per key, keys ascending, so equal
+# elements compare equal and every sum over coeffs counts a key once.
+_NOT_CANONICAL = "coeffs must be strictly ascending by key with no zero coefficient"
+
 
 @dataclass(frozen=True)
 class LocalHeckeElement:
@@ -50,8 +54,12 @@ class LocalHeckeElement:
 
     def __post_init__(self):
         check_prime(self.prime)
-        for r, _ in self.coeffs:
+        last = -1
+        for r, c in self.coeffs:
             tree.check_even_radius(r)
+            if r <= last or c == 0:
+                raise ValueError(f"{_NOT_CANONICAL}, got {self.coeffs}")
+            last = r
 
     @staticmethod
     def from_dict(p: int, coeffs: dict[int, int]) -> "LocalHeckeElement":
@@ -166,10 +174,14 @@ class GlobalHeckeElement:
     coeffs: tuple[tuple[SupportPoint, int], ...]
 
     def __post_init__(self):
-        for point, _ in self.coeffs:
+        last = None
+        for point, c in self.coeffs:
+            if (last is not None and point <= last) or c == 0:
+                raise ValueError(f"{_NOT_CANONICAL}, got {self.coeffs}")
+            last = point
             primes = [p for p, _ in point]
-            if len(set(primes)) != len(primes):
-                raise ValueError(f"support point repeats a prime: {point}")
+            if primes != sorted(set(primes)):
+                raise ValueError(f"support point must list distinct primes in ascending order: {point}")
             for p, r in point:
                 check_prime(p)
                 tree.check_even_radius(r)
@@ -178,8 +190,12 @@ class GlobalHeckeElement:
 
     @staticmethod
     def from_dict(coeffs: dict[SupportPoint, int]) -> "GlobalHeckeElement":
-        items = ((tuple(sorted(point)), c) for point, c in coeffs.items() if c != 0)
-        return GlobalHeckeElement(tuple(sorted(items)))
+        """Sum the coefficients of each point, whatever its prime order, and drop zeros."""
+        merged: dict[SupportPoint, int] = {}
+        for point, c in coeffs.items():
+            key = tuple(sorted(point))
+            merged[key] = merged.get(key, 0) + c
+        return GlobalHeckeElement(tuple(sorted((k, c) for k, c in merged.items() if c != 0)))
 
     def as_dict(self) -> dict[SupportPoint, int]:
         return dict(self.coeffs)

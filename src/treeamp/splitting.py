@@ -9,10 +9,17 @@ Quadratics and binomials x^d + c0 skip that polynomial power.  Both
 reduce to y^d = a: x^2 + bx + c to y^2 = b^2 - 4c with y = 2x + b, and
 x^d + c0 to y^d = -c0.  For p not dividing d, F_p^* is cyclic of order
 p - 1, so y^d = a has d distinct roots exactly when p does not divide a,
-d divides p - 1 and a^((p-1)/d) = 1 mod p: one modular power per prime.
-The primes dividing d keep the Frobenius test, because there the
-substitution y = 2x + b is not invertible (x^2 + x splits at 2) and
-y^d - a is inseparable mod p.
+d divides p - 1 and a^((p-1)/d) = 1 mod p.  A binomial with d >= 3
+never splits at p | d, where y^d - a is inseparable, so it costs one
+modular power per prime p = 1 mod d.
+
+A quadratic costs one decision per class of p mod 4|a|.  By quadratic
+reciprocity (a/p) depends only on p mod 4|a| for odd p not dividing a,
+and a class sharing a factor with 4a holds at most one prime, the one
+dividing 4a.  Each class is decided at its first prime, by the modular
+power or, at p = 2 where y = 2x + b is not a change of variable
+(x^2 + x splits there), by the Frobenius test.  a = 0 is a repeated
+root and never splits.
 """
 
 from __future__ import annotations
@@ -225,15 +232,24 @@ def _polmulmod(u: list[int], v: list[int], f: list[int], p: int, deg: int) -> li
     return prod[:deg]
 
 
+def _quadratic_class_splits(coeffs: tuple[int, ...], a: int, p: int) -> bool:
+    """Whether x^2 + bx + c, with a = b^2 - 4c != 0, splits at p and so
+    at every prime congruent to p mod 4|a|."""
+    return _frobenius_fixes_x(coeffs, p) if p == 2 else pow(a, (p - 1) // 2, p) == 1
+
+
 def _split_filter(f: IntPoly, primes: list[int]) -> list[int]:
     """The primes of `primes` at which f splits completely, in order.
 
     This is the only place that checks f is monic and decides
     splitting; every public entry point filters through it.  A
-    quadratic or binomial, read as y^d = a, splits at p not dividing d
-    exactly when d | p - 1 and a^((p-1)/d) = 1 mod p (p | a gives 0,
-    the repeated root); see the module docstring.  Primes dividing d
-    and every other f take the Frobenius test x^p = x mod (f, p).
+    quadratic or binomial is read as y^d = a (see the module
+    docstring): a binomial of degree d >= 3 splits at p exactly when
+    p = 1 mod d and a^((p-1)/d) = 1 mod p, and a quadratic is decided
+    once per class of p mod 4|a|, which is exact because (a/p) is a
+    function of that class (quadratic reciprocity) and a class sharing
+    a factor with 4a holds at most one prime.  Every other f takes the
+    Frobenius test x^p = x mod (f, p).
     """
     if not f.is_monic():
         raise ValueError(f"splitting test requires a monic polynomial, got {f}")
@@ -242,13 +258,23 @@ def _split_filter(f: IntPoly, primes: list[int]) -> list[int]:
         return list(primes)
     if d == 2:
         a = coeffs[1] * coeffs[1] - 4 * coeffs[0]
-    elif not any(coeffs[1:-1]):
+        if a == 0:
+            return []
+        m = 4 * abs(a)
+        class_splits: dict[int, bool] = {}
+        out = []
+        for p in primes:
+            r = p % m
+            s = class_splits.get(r)
+            if s is None:
+                s = class_splits[r] = _quadratic_class_splits(coeffs, a, p)
+            if s:
+                out.append(p)
+        return out
+    if not any(coeffs[1:-1]):
         a = -coeffs[0]
-    else:
-        return [p for p in primes if _frobenius_fixes_x(coeffs, p)]
-    return [p for p in primes
-            if (_frobenius_fixes_x(coeffs, p) if d % p == 0
-                else (p - 1) % d == 0 and pow(a, (p - 1) // d, p) == 1)]
+        return [p for p in primes if p % d == 1 and pow(a, p // d, p) == 1]
+    return [p for p in primes if _frobenius_fixes_x(coeffs, p)]
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:

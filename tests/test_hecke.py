@@ -39,6 +39,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param(((4, 1), (2, 1)), id="descending"),
+        pytest.param(((2, 1), (2, 3)), id="repeated-radius"),
+        pytest.param(((2, 0),), id="zero-coefficient"),
+    ])
+    def test_non_canonical_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="strictly ascending by key with no zero"):
+            hecke.LocalHeckeElement(2, coeffs)
+
 
 class TestConvolve:
     @pytest.mark.parametrize("p", PRIMES)
@@ -206,10 +215,22 @@ class TestGlobal:
         pytest.param(((((2, 2), (2, 4)), 1),), id="repeated-prime"),
         pytest.param(((((4, 2),), 1),), id="not-prime"),
         pytest.param(((((2, 0),), 1),), id="radius-0"),
+        pytest.param(((((3, 2), (2, 2)), 1),), id="unsorted-point"),
+        pytest.param(((((3, 2),), 1), (((2, 2),), 1)), id="descending"),
+        pytest.param(((((2, 2),), 1), (((2, 2),), 1)), id="repeated-point"),
+        pytest.param(((((2, 2),), 0),), id="zero-coefficient"),
     ])
     def test_direct_construction_checked(self, coeffs):
         with pytest.raises(ValueError):
             hecke.GlobalHeckeElement(coeffs)
+
+    def test_from_dict_merges_spellings_of_one_point(self):
+        g = hecke.GlobalHeckeElement.from_dict({((2, 2), (3, 2)): 1, ((3, 2), (2, 2)): 1})
+        assert g.coeffs == ((((2, 2), (3, 2)), 2),)
+        spectra = {p: hecke.eigenvalue_sequence(p, Fraction(1), 2) for p in (2, 3)}
+        assert hecke.spectral_value(g, spectra) == g.as_dict()[((2, 2), (3, 2))] == 2
+        assert hecke.GlobalHeckeElement.from_dict(
+            {((2, 2), (3, 2)): 1, ((3, 2), (2, 2)): -1}).is_zero()
 
     def test_non_basic_rejected(self):
         sq = hecke.convolve(hecke.basic(2, 1), hecke.basic(2, 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeamp import tree
+from treeamp import splitting, tree
 from treeamp.splitting import (
     MAX_DEGREE,
     IntPoly,
@@ -145,18 +145,52 @@ PRIMES_20000 = primes_in(2, 20000)
 
 
 # the power-residue criterion against the Frobenius test it replaces;
-# x^2+x splits at 2 = d, x^2+2x+1 and x^3 have repeated roots, and
-# x^6-1 and x^4-4 = (x^2-2)(x^2+2) need both d | p-1 and the d-th power test
+# x^3 has a repeated root, and x^6-1 and x^4-4 = (x^2-2)(x^2+2) need
+# both d | p-1 and the d-th power test
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(BINOMIAL, QUADRATIC))
-@example(parse_poly("x^2+x"))
-@example(parse_poly("x^2+2x+1"))
 @example(parse_poly("x^6-1"))
 @example(parse_poly("x^4-4"))
 @example(parse_poly("x^3"))
 def test_power_residue_matches_frobenius(f):
     assert split_primes_in(f, 2, 20000) == \
         [p for p in PRIMES_20000 if _frobenius_fixes_x(f.coeffs, p)]
+
+
+# small coefficients keep 4|b^2 - 4c| below 4100, so the quadratic's
+# residue classes repeat many times below 20000; x^2-1 has a square a,
+# 3 divides a = 12 for x^2-3, x^2+2x+1 has a = 0, x^2+x splits at 2,
+# where y = 2x + 1 is not a change of variable, and x^2+7 has a = -28
+SMALL_QUADRATIC = st.builds(lambda b, c: IntPoly((c, b, 1)),
+                            st.integers(-30, 30), st.integers(-30, 30))
+
+
+@settings(max_examples=5, deadline=None)
+@given(SMALL_QUADRATIC)
+@example(parse_poly("x^2-1"))
+@example(parse_poly("x^2-3"))
+@example(parse_poly("x^2+2x+1"))
+@example(parse_poly("x^2+x"))
+@example(parse_poly("x^2+7"))
+def test_quadratic_classes_match_frobenius(f):
+    assert split_primes_in(f, 2, 20000) == \
+        [p for p in PRIMES_20000 if _frobenius_fixes_x(f.coeffs, p)]
+
+
+def test_quadratic_decided_once_per_class(monkeypatch):
+    # x^2+1 has a = -4: the primes below 10^5 fall in the 8 odd classes
+    # mod 16 and the class of 2, so a fall back to one decision per
+    # prime (9592 of them) fails here
+    decide = splitting._quadratic_class_splits
+    calls = []
+
+    def counted(coeffs, a, p):
+        calls.append(p)
+        return decide(coeffs, a, p)
+
+    monkeypatch.setattr(splitting, "_quadratic_class_splits", counted)
+    assert empirical_density(parse_poly("x^2+1"), 10 ** 5) == Fraction(4783, 9592)
+    assert len(calls) <= 16
 
 
 class TestSplitPrimesIn:
