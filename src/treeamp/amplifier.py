@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -59,12 +60,17 @@ class SpectrumModel:
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
     draws uniformly from [-3p, 3p], deterministically per (seed, p) so the
     draw does not depend on which window the prime appears in.  EXPLICIT
-    takes a fixed map.
+    takes a fixed map, kept sorted by prime and searched by bisection.
     """
 
     kind: SpectrumKind
     seed: int = 0
     values: tuple[tuple[int, Fraction], ...] = ()
+
+    def __post_init__(self):
+        primes = [p for p, _ in self.values]
+        if any(a >= b for a, b in zip(primes, primes[1:])):
+            raise ValueError(f"explicit values must be strictly ascending by prime, got {primes}")
 
     @staticmethod
     def trivial() -> "SpectrumModel":
@@ -86,10 +92,11 @@ class SpectrumModel:
             rng = random.Random(f"{self.seed}:{p}")
             # rational draw with step p/1000 keeps downstream arithmetic exact
             return Fraction(rng.randint(-3000, 3000) * p, 1000)
-        values = dict(self.values)
-        if p not in values:
+        # values is sorted by prime, and (p,) sorts just before (p, v)
+        i = bisect_left(self.values, (p,))
+        if i == len(self.values) or self.values[i][0] != p:
             raise KeyError(f"explicit spectrum has no value at p={p}")
-        return values[p]
+        return self.values[i][1]
 
 
 @dataclass(frozen=True)
@@ -107,9 +114,14 @@ class LocalChoice:
         return tree.sphere_size(self.prime, 2 * self.j)
 
 
-def _at_least_threshold(lam: Fraction, bound: int) -> bool:
-    """|lam| >= PICK_THRESHOLD * sqrt(bound), by one exact comparison."""
-    return lam * lam >= PICK_THRESHOLD ** 2 * bound
+# PICK_THRESHOLD = t_num / t_den, squared once for the integer comparison
+_T_NUM2 = PICK_THRESHOLD.numerator ** 2
+_T_DEN2 = PICK_THRESHOLD.denominator ** 2
+
+
+def _at_least_threshold(num: int, den: int, bound: int) -> bool:
+    """|num / den| >= PICK_THRESHOLD * sqrt(bound), by one integer comparison."""
+    return _T_DEN2 * num * num >= _T_NUM2 * bound * den * den
 
 
 def dichotomy_constant(p: int) -> float:
@@ -144,24 +156,31 @@ def dichotomy_constant_at_least(p: int, t: Rational) -> bool:
 def pick_local(p: int, lambda_p) -> LocalChoice:
     """Choose between the radius-2 and radius-4 operators.
 
-    The seed is taken exactly, a float by its binary value.  Takes j=1
-    when |lambda_p| clears PICK_THRESHOLD * sqrt(p(p+1)), else j=2
-    with the radius-4 eigenvalue lambda_p^2 - (p-1) lambda_p - p(p+1),
+    The seed is taken exactly, a float by its binary value, and the
+    choice is made on its numerator n and denominator d > 0.  Takes j=1
+    when |lambda_p| clears PICK_THRESHOLD * sqrt(p(p+1)), decided as
+    4 n^2 >= p(p+1) d^2 for the threshold 1/2, and then reuses the seed
+    as the eigenvalue.  Else takes j=2 with the radius-4 eigenvalue
+    lambda_p^2 - (p-1) lambda_p - p(p+1) = (n^2 - (p-1) n d - p(p+1) d^2) / d^2,
     read off the degree-2 identity T_2 * T_2 = T_4 + (p-1) T_2 +
-    p(p+1) T_0 (hecke.eigenvalue_sequence is its test oracle).  The
-    j=2 guarantee is recorded rather than asserted: there is a narrow
-    band of seed eigenvalues just under the j=1 cutoff where neither
-    normalized eigenvalue reaches 1/2.  The per-prime minimax constant
+    p(p+1) T_0 (hecke.eigenvalue_sequence is its test oracle), and
+    decides its guarantee by the same integer comparison.  Only the
+    j=2 eigenvalue is built as a new Fraction.  The j=2 guarantee is
+    recorded rather than asserted: there is a narrow band of seed
+    eigenvalues just under the j=1 cutoff where neither normalized
+    eigenvalue reaches 1/2.  The per-prime minimax constant
     c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
     decreases to sqrt(2) - 1, the sharp uniform constant.
     """
-    lambda_p = Fraction(lambda_p)
-    if _at_least_threshold(lambda_p, tree.sphere_size(p, 2)):
-        lam, j, met = lambda_p, 1, True
-    else:
-        lam = lambda_p * lambda_p - (p - 1) * lambda_p - p * (p + 1)
-        j, met = 2, _at_least_threshold(lam, tree.sphere_size(p, 4))
-    return LocalChoice(p, j, 2 * j, lam, -1 if lam < 0 else 1, met)
+    seed = lambda_p if isinstance(lambda_p, Fraction) else Fraction(lambda_p)
+    n, d = seed.numerator, seed.denominator
+    s1 = tree.sphere_size(p, 2)  # p(p+1); rejects a non-prime p
+    if _at_least_threshold(n, d, s1):
+        return LocalChoice(p, 1, 2, seed, -1 if n < 0 else 1, True)
+    d2 = d * d
+    num = n * n - (p - 1) * n * d - s1 * d2
+    met = _at_least_threshold(num, d2, s1 * p * p)  # sphere_size(p, 4) = p^3 (p+1)
+    return LocalChoice(p, 2, 4, Fraction(num, d2), -1 if num < 0 else 1, met)
 
 
 @dataclass
@@ -199,7 +218,11 @@ def build_amplifier(
     tau is never expanded: same-prime terms put s_p = h_p * h_p on
     one-prime points and cross terms put 2 zeta_p zeta_q on one point per
     pair, so each report value is a closed form in the s_p.
-    hecke.global_assemble expands tau from the returned choices.
+    hecke.global_assemble expands tau from the returned choices.  Each
+    split prime costs one pick_local call and each kept prime one
+    hecke.convolve call.  Lambda = (sum |lambda_p|)^2 - tau1(1) is summed
+    as integers over the lcm of the eigenvalue denominators, and only
+    the result is a Fraction.
     """
     if Q < 11:
         raise AmplifierError("Q must be >= 11")
@@ -215,8 +238,9 @@ def build_amplifier(
 
     tau1_at_identity = sum(s[0] for s in squares)
     c_tau = tau1_at_identity  # tau1 is self-adjoint
-    lam_sum = sum(abs(c.lam) for c in kept)
-    Lambda = lam_sum * lam_sum - tau1_at_identity
+    den = math.lcm(*(c.lam.denominator for c in kept))
+    lam_sum = sum(abs(c.lam.numerator) * (den // c.lam.denominator) for c in kept)
+    Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
     n = len(kept)
     cross = 2 if n >= 2 else 0  # |2 zeta_p zeta_q|
     ninf = max(cross, max(hecke.off_origin_max(s) for s in squares))

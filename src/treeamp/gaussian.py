@@ -15,6 +15,7 @@ entry is a single Fraction built from integers.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,19 +155,81 @@ def ord_at(z: GaussInt, v: GaussPrime) -> int:
     return _divide_out(z, v)[0]
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct primes dividing n >= 1, ascending, by trial division in
-    O(sqrt(n)) steps: about 510 for the norms denom-check factors (<= 259,200).
+# Trial divisors below 2^10: 2, 3 and every 6k +- 1, which include all
+# primes from 5 to 1021.  A cofactor left below 2^20 is 1 or a prime.
+_TRIAL_LIMIT = 1 << 10
+_TRIAL_DIVISORS = (2, 3) + tuple(k + e for k in range(6, _TRIAL_LIMIT, 6) for e in (-1, 1))
+_RHO_BATCH = 128  # rho steps per gcd
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of a composite n with no factor below 2^10.
+
+    Brent's variant of Pollard rho (Brent, BIT 20, 1980) on
+    x -> x^2 + c, batching _RHO_BATCH differences per gcd and moving to
+    the next c when a cycle closes without a proper factor.  It takes
+    about sqrt(q) steps for the least prime factor q of n, so at most
+    about n^(1/4).
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _rational_primes(n: int) -> list[int]:
+    """Distinct primes dividing n >= 1, ascending.
+
+    Trial division below 2^10 (at most 342 divisions) settles every
+    n < 2^20.  A larger cofactor is split by _pollard_brent until
+    splitting.is_prime accepts each part.  Where is_prime refuses a
+    part (at psi_13 and above), ValueError names n.
     """
     out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    m = n
+    for p in _TRIAL_DIVISORS:
+        if p * p > m:
+            break
+        if m % p == 0:
             out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + [n] if n > 1 else out
+            m //= p
+            while m % p == 0:
+                m //= p
+    if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        return out + [m] if m > 1 else out
+    from .splitting import is_prime  # lazy: no norm below 2^20 needs it
+    large, todo = set(), [m]
+    while todo:
+        m = todo.pop()
+        try:
+            prime = is_prime(m)
+        except ValueError:
+            raise ValueError(f"cannot factor the norm {n}: primality of its "
+                             f"cofactor {m} is not decided exactly") from None
+        if prime:
+            large.add(m)
+        else:
+            f = _pollard_brent(m)
+            todo += (f, m // f)
+    return out + sorted(large)
 
 
 def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
@@ -175,7 +238,7 @@ def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
         raise ValueError("cannot factor zero")
     factors: dict[GaussPrime, int] = {}
     rest = z
-    for p in _prime_factors(z.norm()):
+    for p in _rational_primes(z.norm()):
         for v in _prime_above(p):
             e, rest = _divide_out(rest, v)
             if e:
@@ -285,10 +348,11 @@ def denom(x: GaussRat) -> int:
 def product_formula_check(x: GaussRat) -> Fraction:
     """|x|^2 at the complex place times all finite absolute values.
 
-    Equals 1 exactly for every nonzero x.  Cost: the finite places come
-    from trial division of the norms of numerator and denominator, in
-    O(sqrt(N)) steps for a norm N, so a large prime norm is slow where
-    denom, which factors nothing, stays fast.
+    Equals 1 exactly for every nonzero x.  The finite places come from
+    factoring the norms of numerator and denominator: trial division
+    below 2^10, then Brent's rho on what is left, in about N^(1/4)
+    steps for a norm N.  A prime norm costs one Miller-Rabin test.  A
+    norm whose cofactor reaches psi_13 (about 3.3e24) raises ValueError.
     """
     if x.is_zero():
         raise ValueError("product formula applies to nonzero elements")

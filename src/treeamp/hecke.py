@@ -75,12 +75,12 @@ class LocalHeckeElement:
         return not self.coeffs
 
     def max_radius(self) -> int:
-        return max((r for r, _ in self.coeffs), default=0)
+        return self.coeffs[-1][0] if self.coeffs else 0
 
 
 def identity(p: int) -> LocalHeckeElement:
     """The identity element: the radius-0 indicator."""
-    return LocalHeckeElement.from_dict(p, {0: 1})
+    return LocalHeckeElement(p, ((0, 1),))
 
 
 def basic(p: int, j: int) -> LocalHeckeElement:
@@ -89,7 +89,7 @@ def basic(p: int, j: int) -> LocalHeckeElement:
         raise ValueError("j must be >= 1; use identity() for j = 0")
     if 2 * j > MAX_RADIUS:
         raise ValueError(f"radius 2j={2 * j} exceeds the cap {MAX_RADIUS}")
-    return LocalHeckeElement.from_dict(p, {2 * j: 1})
+    return LocalHeckeElement(p, ((2 * j, 1),))
 
 
 def support_size(f: LocalHeckeElement) -> int:
@@ -108,22 +108,26 @@ def off_origin_max(f: LocalHeckeElement) -> int:
 
 
 def convolve(f: LocalHeckeElement, g: LocalHeckeElement) -> LocalHeckeElement:
-    """Convolution product, bilinear in the structure constants."""
+    """Convolution product, bilinear in the structure constants.
+
+    The product of the radius-a and radius-b indicators lives on the
+    radii |a - b|, |a - b| + 2, ..., a + b, each with a nonzero count, so
+    the coefficients are summed into a list indexed by r/2 and read off
+    in ascending order.
+    """
     if f.prime != g.prime:
         raise ValueError(f"prime mismatch: {f.prime} vs {g.prime}")
     p = f.prime
-    for h in (f, g):
-        if h.max_radius() > MAX_RADIUS:
-            raise ValueError(f"input radius {h.max_radius()} exceeds the cap {MAX_RADIUS}")
-    out: dict[int, int] = {}
+    top = (f.max_radius(), g.max_radius())
+    if max(top) > MAX_RADIUS:
+        raise ValueError(f"input radius {max(top)} exceeds the cap {MAX_RADIUS}")
+    out = [0] * (sum(top) // 2 + 1)
     for a, ca in f.coeffs:
         for b, cb in g.coeffs:
             w = ca * cb
-            for r in range(0, a + b + 1, 2):
-                n = tree.convolution_count(p, a, b, r)
-                if n:
-                    out[r] = out.get(r, 0) + w * n
-    return LocalHeckeElement.from_dict(p, out)
+            for r in range(abs(a - b), a + b + 1, 2):
+                out[r // 2] += w * tree.convolution_count(p, a, b, r)
+    return LocalHeckeElement(p, tuple((2 * k, c) for k, c in enumerate(out) if c))
 
 
 @dataclass(frozen=True)

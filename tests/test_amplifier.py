@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from treeamp import hecke, orbits
+from treeamp import amplifier, hecke, orbits, tree
 from treeamp.amplifier import (
+    PICK_THRESHOLD,
     AmplifierError,
     AmplifierReport,
+    LocalChoice,
+    SpectrumKind,
     SpectrumModel,
     build_amplifier,
     dichotomy_constant,
@@ -18,7 +22,7 @@ from treeamp.amplifier import (
 )
 from treeamp.cli import main as cli_main
 from treeamp.orbits import OrbitKind, OrbitModel
-from treeamp.splitting import parse_poly, primes_in, split_primes_in
+from treeamp.splitting import is_prime, parse_poly, primes_in, split_primes_in
 
 GAUSS = parse_poly("x^2+1")
 SL2 = OrbitModel(OrbitKind.SL2)
@@ -53,6 +57,103 @@ class TestPickLocal:
         choice = pick_local(p, lam)
         assert choice.j == 2
         assert choice.lam == hecke.eigenvalue_sequence(p, lam, 2).value(2)
+
+
+def fraction_pick_local(p, lambda_p):
+    """pick_local as every eigenvalue and comparison a Fraction: the oracle."""
+    def at_least_threshold(lam, bound):
+        return lam * lam >= PICK_THRESHOLD ** 2 * bound
+
+    lambda_p = Fraction(lambda_p)
+    if at_least_threshold(lambda_p, tree.sphere_size(p, 2)):
+        lam, j, met = lambda_p, 1, True
+    else:
+        lam = lambda_p * lambda_p - (p - 1) * lambda_p - p * (p + 1)
+        j, met = 2, at_least_threshold(lam, tree.sphere_size(p, 4))
+    return LocalChoice(p, j, 2 * j, lam, -1 if lam < 0 else 1, met)
+
+
+SMALL_PRIMES = primes_in(2, 2000)
+seeds = st.one_of(
+    st.integers(),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPickLocalAgainstFractionOracle:
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(-3000, 3000))
+    @settings(max_examples=200, deadline=None)
+    # either side of the j = 1 cutoff k = 500 sqrt((p + 1)/p)
+    @example(2, 612)
+    @example(2, 613)
+    @example(1999, 500)
+    @example(1999, 501)
+    def test_tempered_draws(self, p, k):
+        got = pick_local(p, Fraction(k * p, 1000))
+        assert got == fraction_pick_local(p, Fraction(k * p, 1000))
+        assert type(got.lam) is Fraction
+
+    @given(st.sampled_from(SMALL_PRIMES), seeds)
+    @settings(max_examples=200, deadline=None)
+    @example(3, 0.1)  # read by its binary value, not as 1/10
+    @example(5, -2.5)
+    def test_arbitrary_seeds(self, p, seed):
+        got = pick_local(p, seed)
+        assert got == fraction_pick_local(p, seed)
+        assert type(got.lam) is Fraction
+
+    def test_j1_choice_keeps_the_seed(self):
+        seed = Fraction(7 * 8)
+        assert pick_local(7, seed).lam is seed
+
+    @given(st.integers(-50, 2000).filter(lambda n: not is_prime(n)), seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_non_prime_rejected(self, p, seed):
+        with pytest.raises(ValueError):
+            fraction_pick_local(p, seed)
+        with pytest.raises(ValueError):
+            pick_local(p, seed)
+
+
+class TestExplicitSpectrum:
+    def test_missing_prime_names_it(self):
+        spectrum = SpectrumModel.explicit({5: Fraction(1), 13: Fraction(2)})
+        assert spectrum.lambda_p(13) == 2
+        for p in (2, 7, 17):
+            with pytest.raises(KeyError, match=f"explicit spectrum has no value at p={p}"):
+                spectrum.lambda_p(p)
+
+    @pytest.mark.parametrize("values", [((7, 1), (5, 1)), ((5, 1), (5, 2))],
+                             ids=["descending", "repeated"])
+    def test_unsorted_values_rejected(self, values):
+        # bisection needs the primes strictly ascending
+        with pytest.raises(ValueError, match="strictly ascending by prime"):
+            SpectrumModel(SpectrumKind.EXPLICIT, values=values)
+
+    def test_window_reads_logarithmically_many_values(self):
+        class CountingValues(tuple):
+            """A values tuple that counts the entries read from it."""
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return tuple.__getitem__(self, i)
+
+            def __iter__(self):
+                return (self[i] for i in range(len(self)))
+
+        Q = 3200
+        primes = split_primes_in(GAUSS, Q, 2 * Q)
+        values = CountingValues(sorted((p, Fraction(-p, 2)) for p in primes))
+        spectrum = SpectrumModel(SpectrumKind.EXPLICIT, values=values)
+        values.reads = 0
+        _, report = build_amplifier(Q, GAUSS, spectrum, SL2)
+        assert report == build_amplifier(Q, GAUSS, explicit_half(Q), SL2)[1]
+        n = len(primes)
+        # a binary search and the entry it finds per prime; a dict rebuilt
+        # per prime would read n^2
+        assert n > 100 and values.reads <= n * (n.bit_length() + 3)
 
 
 class TestDichotomyConstant:
@@ -137,6 +238,23 @@ class TestBuildAmplifier:
         # x^2-2 splits at p = 17 only inside [11, 22]
         with pytest.raises(AmplifierError):
             build_amplifier(11, parse_poly("x^2-2"), SpectrumModel.trivial(), SL2)
+
+    @pytest.mark.parametrize("spectrum", ["trivial", "tempered42", "explicit-half"])
+    def test_one_pick_per_split_prime_one_convolve_per_kept_prime(self, spectrum, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(amplifier, "pick_local", counting("pick_local", amplifier.pick_local))
+        monkeypatch.setattr(hecke, "convolve", counting("convolve", hecke.convolve))
+        Q = 800
+        _, report = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
+        assert calls == {"pick_local": len(split_primes_in(GAUSS, Q, 2 * Q)),
+                         "convolve": len(report.primes_used)}
 
     def test_negative_lambda_reported_not_raised(self):
         # adversarial explicit spectrum: every seed sits just under the

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
+from treeamp import gaussian, splitting
 from treeamp.gaussian import (
     ArchBoundViolation,
     CommutatorVerdict,
@@ -20,6 +21,7 @@ from treeamp.gaussian import (
     denom_local,
     denom_mat,
     _prime_above,
+    _rational_primes,
     gaussian_factor,
     product_formula_check,
 )
@@ -44,6 +46,30 @@ def rational_prime(v):
     """The rational prime under v: q_v is p, or p^2 for an inert p."""
     root = math.isqrt(v.residue_size)
     return root if root * root == v.residue_size else v.residue_size
+
+
+def trial_division_primes(n):
+    """Distinct primes dividing n >= 1, ascending, by trial division to sqrt(n): the oracle."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+PSI_13 = 3317044064679887385961981
+primes_above_2_10 = st.integers(2 ** 10, 10 ** 8).map(sympy.nextprime)
+# norms up to about 10^16: arbitrary ones, and ones whose factors all
+# pass the 2^10 trial division (prime powers and semiprimes)
+norms = st.one_of(
+    st.integers(1, 10 ** 16),
+    st.builds(lambda q, r: q * r, primes_above_2_10, primes_above_2_10),
+    st.builds(lambda q, k, m: q ** k * m, primes_above_2_10, st.integers(1, 2), st.integers(1, 10 ** 4)),
+)
 
 
 def places_over(d):
@@ -112,6 +138,41 @@ class TestFactorization:
         unit, factors = gaussian_factor(z)
         assert rebuild(unit, factors) == z
         assert sorted({rational_prime(v) for v in factors}) == sorted(sympy.factorint(z.norm()))
+
+    def test_rational_primes_match_trial_division(self):
+        # every norm below 2^20 is settled by trial division alone
+        for n in list(range(1, 5000)) + [2 ** 20 - 1, 2 ** 20, 1031 ** 2, 1031 * 1033, 259_200]:
+            assert _rational_primes(n) == trial_division_primes(n), n
+
+    @given(norms)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_primes_match_factorint_to_10_16(self, n):
+        assert _rational_primes(n) == sorted(sympy.factorint(n))
+
+    @given(st.integers(-10 ** 8, 10 ** 8), st.integers(-10 ** 8, 10 ** 8))
+    @settings(max_examples=30, deadline=None)
+    def test_large_norms_match_sympy(self, a, b):
+        z = GaussInt(a, b)
+        assume(not z.is_zero())
+        unit, factors = gaussian_factor(z)
+        assert rebuild(unit, factors) == z
+        assert sorted({rational_prime(v) for v in factors}) == sorted(sympy.factorint(z.norm()))
+
+    def test_semiprime_norm_takes_one_rho_split(self, monkeypatch):
+        q, r = sympy.nextprime(10 ** 8), sympy.nextprime(2 * 10 ** 8)
+        splits = []
+        rho = gaussian._pollard_brent
+        monkeypatch.setattr(gaussian, "_pollard_brent", lambda n: splits.append(n) or rho(n))
+        assert _rational_primes(q * r) == [q, r]
+        assert splits == [q * r]
+
+    def test_uncertifiable_cofactor_refused(self):
+        # psi_13 has no factor below 2^10, and is_prime refuses it
+        norm = PSI_13 * PSI_13
+        with pytest.raises(ValueError, match=f"norm {norm}"):
+            gaussian_factor(GaussInt(PSI_13, 0))
+        with pytest.raises(ValueError, match=f"norm {norm}"):
+            product_formula_check(GaussRat.make(PSI_13))
 
     def test_repeated_prime_powers(self):
         ramified, split, other, inert = (GaussInt(1, 1), GaussInt(2, 1), GaussInt(2, -1),
@@ -260,6 +321,17 @@ class TestProductFormula:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             product_formula_check(GaussRat.make(0))
+
+    def test_prime_norm_near_10_16_costs_one_primality_test(self, monkeypatch):
+        # N(10^8 + 49 i) = 10^16 + 2401 is prime; trial division to its
+        # square root took 10^8 steps
+        calls = []
+        is_prime, rho = splitting.is_prime, gaussian._pollard_brent
+        monkeypatch.setattr(splitting, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        monkeypatch.setattr(gaussian, "_pollard_brent", lambda n: calls.append("rho") or rho(n))
+        x = GaussRat(Fraction(10 ** 8, 7), Fraction(49, 7))
+        assert product_formula_check(x) == 1
+        assert calls == [10 ** 16 + 2401]
 
     @given(small_rat, small_rat)
     @settings(max_examples=300, deadline=None)

@@ -2,10 +2,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeamp import hecke, tree
 
 PRIMES = [2, 3, 5, 7, 11]
+
+
+def bilinear_convolve(f, g):
+    """f * g as a dict, summing every structure constant over r = 0 ... a + b."""
+    out = {}
+    for a, ca in f.coeffs:
+        for b, cb in g.coeffs:
+            for r in range(0, a + b + 1, 2):
+                out[r] = out.get(r, 0) + ca * cb * tree.convolution_count(f.prime, a, b, r)
+    return {r: c for r, c in out.items() if c}
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements at one prime, each with up to five terms of radius <= MAX_RADIUS."""
+    p = draw(st.sampled_from(PRIMES + [13]))
+    radii = st.sampled_from(range(0, hecke.MAX_RADIUS + 1, 2))
+    terms = st.dictionaries(radii, st.integers(-3, 3), max_size=5)
+    return (hecke.LocalHeckeElement.from_dict(p, draw(terms)),
+            hecke.LocalHeckeElement.from_dict(p, draw(terms)))
 
 
 class TestBasics:
@@ -65,6 +86,28 @@ class TestConvolve:
             6: p - 1,
             8: 1,
         }
+
+    @given(element_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bilinear_oracle(self, pair):
+        f, g = pair
+        got = hecke.convolve(f, g)
+        assert got.as_dict() == bilinear_convolve(f, g)
+        radii = [r for r, _ in got.coeffs]
+        assert radii == sorted(set(radii))
+        assert all(c != 0 for _, c in got.coeffs)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_cancelled_radius_is_dropped(self, p):
+        # T_2 * (T_2 - (p - 1) T_0) = T_4 + p(p + 1) T_0
+        t2 = hecke.basic(p, 1)
+        g = hecke.LocalHeckeElement(p, ((0, 1 - p), (2, 1)))
+        assert hecke.convolve(t2, g).coeffs == ((0, p * (p + 1)), (4, 1))
+
+    def test_zero_element(self):
+        zero = hecke.LocalHeckeElement(5, ())
+        assert hecke.convolve(hecke.basic(5, 2), zero).is_zero()
+        assert hecke.convolve(zero, zero).is_zero()
 
     def test_identity_element(self):
         f = hecke.LocalHeckeElement.from_dict(3, {2: 5, 4: -1})
