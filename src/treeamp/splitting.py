@@ -5,21 +5,23 @@ x^p = x in Z[x]/(f, p), that is, when f divides x^p - x mod p.  Since
 x^p - x is squarefree, this already fails at every prime dividing
 disc(f), so no separate discriminant test is needed.
 
-Quadratics and binomials x^d + c0 skip that polynomial power.  Both
-reduce to y^d = a: x^2 + bx + c to y^2 = b^2 - 4c with y = 2x + b, and
-x^d + c0 to y^d = -c0.  For p not dividing d, F_p^* is cyclic of order
-p - 1, so y^d = a has d distinct roots exactly when p does not divide a,
-d divides p - 1 and a^((p-1)/d) = 1 mod p.  A binomial with d >= 3
-never splits at p | d, where y^d - a is inseparable, so it costs one
-modular power per prime p = 1 mod d.
+The filter maps the sieve's byte table over [lo, hi], built in
+O(hi - lo + sqrt(hi)) steps of C, to a byte mask of the split primes.
+Quadratics and binomials x^d + c0 reduce to y^d = a: x^2 + bx + c to
+y^2 = b^2 - 4c with y = 2x + b, and x^d + c0 to y^d = -c0.  For p not
+dividing d, F_p^* is cyclic of order p - 1, so y^d = a has d distinct
+roots exactly when p does not divide a, d divides p - 1 and
+a^((p-1)/d) = 1 mod p.  A binomial with d >= 3 never splits at 2 or at
+p | d, where y^d - a is inseparable, so it reads the (hi - lo)/lcm(2, d)
+offsets p = 1 mod lcm(2, d) and makes one modular power per prime there.
 
-A quadratic costs one decision per class of p mod 4|a|.  By quadratic
-reciprocity (a/p) depends only on p mod 4|a| for odd p not dividing a,
-and a class sharing a factor with 4a holds at most one prime, the one
-dividing 4a.  Each class is decided at its first prime, by the modular
-power or, at p = 2 where y = 2x + b is not a change of variable
-(x^2 + x splits there), by the Frobenius test.  a = 0 is a repeated
-root and never splits.
+A quadratic takes min(4|a|, #primes) decisions, one per class of p mod
+4|a|: by quadratic reciprocity (a/p) depends only on that class for odd
+p not dividing a, and a class sharing a factor with 4a holds at most one
+prime.  A class is decided at its first prime, by the modular power or,
+at p = 2 where y = 2x + b is not a change of variable (x^2 + x splits
+there), by the Frobenius test.  a = 0 never splits.  Every other
+polynomial takes one Frobenius test per prime.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import isqrt
+from math import isqrt, lcm
 
 __all__ = [
     "MAX_DEGREE",
@@ -98,23 +100,34 @@ def sieve(limit: int) -> bytearray:
     return table
 
 
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], ascending, by one segmented sieve.
+def _prime_table(lo: int, hi: int) -> bytearray:
+    """Segmented sieve for 2 <= lo: byte i is 1 iff lo + i is prime.
 
-    A table of hi - lo + 1 bytes has the multiples of every base prime
-    up to isqrt(hi) crossed off.  Time and memory are
-    O(hi - lo + sqrt(hi)), so a narrow window far above 10^14 pays
-    mostly for the sqrt(hi) base sieve.
+    O(hi - lo + sqrt(hi)) time and memory, so a narrow window far above
+    10^14 pays mostly for the base sieve of the primes up to isqrt(hi).
     """
-    lo = max(lo, 2)
     if hi < lo:
-        return []
+        return bytearray()
     base = sieve(isqrt(hi))
     table = bytearray([1]) * (hi - lo + 1)
     for p in compress(range(len(base)), base):
         start = max(p * p, -(-lo // p) * p) - lo
         table[start:: p] = bytes(len(range(start, len(table), p)))
-    return list(compress(range(lo, hi + 1), table))
+    return table
+
+
+def _primes_of(lo: int, table: bytes) -> list[int]:
+    """Each lo + i whose byte i is set, ascending; reads 2 and odd offsets only."""
+    odd = (lo + 1) % 2
+    out = [2] if lo == 2 and table[:1] == b"\x01" else []
+    out += compress(range(lo + odd, lo + len(table), 2), table[odd::2])
+    return out
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi], ascending, by one segmented sieve."""
+    lo = max(lo, 2)
+    return _primes_of(lo, _prime_table(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -238,64 +251,71 @@ def _quadratic_class_splits(coeffs: tuple[int, ...], a: int, p: int) -> bool:
     return _frobenius_fixes_x(coeffs, p) if p == 2 else pow(a, (p - 1) // 2, p) == 1
 
 
-def _split_filter(f: IntPoly, primes: list[int]) -> list[int]:
-    """The primes of `primes` at which f splits completely, in order.
+def _split_filter(f: IntPoly, lo: int, table: bytes) -> bytearray:
+    """Byte mask, over a prime table at lo, of the primes where f splits.
 
-    This is the only place that checks f is monic and decides
-    splitting; every public entry point filters through it.  A
-    quadratic or binomial is read as y^d = a (see the module
-    docstring): a binomial of degree d >= 3 splits at p exactly when
-    p = 1 mod d and a^((p-1)/d) = 1 mod p, and a quadratic is decided
-    once per class of p mod 4|a|, which is exact because (a/p) is a
-    function of that class (quadratic reciprocity) and a class sharing
-    a factor with 4a holds at most one prime.  Every other f takes the
-    Frobenius test x^p = x mod (f, p).
+    The only place that checks f is monic and decides splitting.  Costs
+    beyond the sieve: a quadratic, min(4|a|, #primes) decisions, with one
+    slice clearing each failed class of p mod 4|a|; a binomial of degree
+    d >= 3, (hi - lo)/lcm(2, d) candidates and one pow per p = 1 mod d;
+    any other f, one Frobenius test x^p = x mod (f, p) per prime.
     """
     if not f.is_monic():
         raise ValueError(f"splitting test requires a monic polynomial, got {f}")
     coeffs, d = f.coeffs, f.degree()
     if d == 1:
-        return list(primes)
+        return bytearray(table)
+    mask = bytearray(len(table))
     if d == 2:
         a = coeffs[1] * coeffs[1] - 4 * coeffs[0]
-        if a == 0:
-            return []
         m = 4 * abs(a)
-        class_splits: dict[int, bool] = {}
-        out = []
-        for p in primes:
-            r = p % m
-            s = class_splits.get(r)
-            if s is None:
-                s = class_splits[r] = _quadratic_class_splits(coeffs, a, p)
-            if s:
-                out.append(p)
-        return out
+        if a and m < table.count(1):
+            mask = bytearray(table)
+            for i in range(m):
+                j = table[i::m].find(1)
+                if j >= 0 and not _quadratic_class_splits(coeffs, a, lo + i + j * m):
+                    mask[i::m] = bytes(len(range(i, len(mask), m)))
+        elif a:
+            class_splits: dict[int, bool] = {}
+            for p in _primes_of(lo, table):
+                r = p % m
+                if r not in class_splits:
+                    class_splits[r] = _quadratic_class_splits(coeffs, a, p)
+                mask[p - lo] = class_splits[r]
+        return mask
     if not any(coeffs[1:-1]):
-        a = -coeffs[0]
-        return [p for p in primes if p % d == 1 and pow(a, p // d, p) == 1]
-    return [p for p in primes if _frobenius_fixes_x(coeffs, p)]
+        a, step = -coeffs[0], lcm(2, d)
+        first = (1 - lo) % step  # the offset of the first p = 1 mod step
+        split = [p for p in compress(range(lo + first, lo + len(table), step), table[first::step])
+                 if pow(a, p // d, p) == 1]
+    else:
+        split = [p for p in _primes_of(lo, table) if _frobenius_fixes_x(coeffs, p)]
+    for p in split:
+        mask[p - lo] = 1
+    return mask
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:
     """True iff f factors into deg(f) distinct linear factors mod p.
 
     Primes dividing disc(f) give False; non-primes raise ValueError.
+    The filter runs on a one-byte table at p, so p is never sieved.
     """
     check_prime(p)
-    return bool(_split_filter(f, [p]))
+    return _split_filter(f, p, b"\x01") == b"\x01"
 
 
 def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi] where f splits completely, ascending."""
     if lo > hi:
         raise ValueError("empty range")
-    return _split_filter(f, primes_in(lo, hi))
+    lo = max(lo, 2)
+    return _primes_of(lo, _split_filter(f, lo, _prime_table(lo, hi)))
 
 
 def empirical_density(f: IntPoly, limit: int) -> Fraction:
     """Fraction of primes up to limit where f splits completely."""
     if limit < 100:
         raise ValueError("limit must be >= 100")
-    ps = primes_in(2, limit)
-    return Fraction(len(_split_filter(f, ps)), len(ps))
+    table = _prime_table(2, limit)
+    return Fraction(_split_filter(f, 2, table).count(1), table.count(1))

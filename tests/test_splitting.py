@@ -193,6 +193,97 @@ def test_quadratic_decided_once_per_class(monkeypatch):
     assert len(calls) <= 16
 
 
+@st.composite
+def poly_and_window(draw):
+    """A polynomial and a window [lo, hi]: lo on either side of 4|a| (of
+    64 when f is not a quadratic), widths below 4|a| (the per-prime
+    quadratic path) and above it, single primes, hi < lo and hi < 2."""
+    f = draw(st.one_of(st.sampled_from(CORPUS).map(parse_poly), SMALL_QUADRATIC, BINOMIAL))
+    c = f.coeffs
+    m = 4 * abs(c[1] * c[1] - 4 * c[0]) if f.degree() == 2 else 64
+    kind = draw(st.sampled_from(["low", "high", "prime", "reversed", "below_two"]))
+    if kind == "prime":
+        p = next_prime(draw(st.integers(2, 10 ** 6)))
+        return f, p, p
+    if kind == "below_two":
+        lo = draw(st.integers(-5, 1))
+        return f, lo, draw(st.integers(lo, 1))
+    lo = draw(st.integers(-5, m + 3) if kind == "low" else st.integers(m, 10 ** 6))
+    width = draw(st.integers(-20, -1) if kind == "reversed" else st.integers(0, 2500))
+    return f, lo, lo + width
+
+
+# split_primes_in and the mask count of a window against the Frobenius
+# test on the window's primes; the examples pin each quadratic path: x^2+1
+# (4|a| = 16) has its classes swept from lo = 3 and from lo = 17, and
+# x^2+7 (4|a| = 112) is decided per prime on a window narrower than 112
+@settings(max_examples=60, deadline=None)
+@given(poly_and_window())
+@example((parse_poly("x^2+1"), 3, 3000))
+@example((parse_poly("x^2+1"), 17, 3000))
+@example((parse_poly("x^2+7"), 100, 150))
+@example((parse_poly("x^2+x"), 2, 2))
+@example((parse_poly("x^3-2"), 31, 31))
+@example((parse_poly("x^6-1"), 10, 5))
+@example((parse_poly("x^3+x+1"), -5, 1))
+def test_window_matches_frobenius(case):
+    f, lo, hi = case
+    primes = [n for n in range(lo, hi + 1) if is_prime(n)]
+    expected = [p for p in primes if _frobenius_fixes_x(f.coeffs, p)]
+    if hi < lo:
+        with pytest.raises(ValueError, match="empty range"):
+            split_primes_in(f, lo, hi)
+    else:
+        assert split_primes_in(f, lo, hi) == expected
+    table = splitting._prime_table(max(lo, 2), hi)
+    assert table.count(1) == len(primes)
+    assert splitting._split_filter(f, max(lo, 2), table).count(1) == len(expected)
+
+
+def refuse(*args):
+    raise AssertionError("must not be called")
+
+
+def test_density_builds_no_prime_list(monkeypatch):
+    monkeypatch.setattr(splitting, "primes_in", refuse)
+    assert empirical_density(parse_poly("x^2+1"), 10 ** 4) == Fraction(609, 1229)
+    assert split_primes_in(parse_poly("x^3-2"), 2, 200) == [31, 43, 109, 127, 157]
+
+
+@pytest.mark.parametrize("text,frobenius_at", [("x^3-2", set()), ("x^2+1", {2}),
+                                               ("x^2+x", {2}), ("x^2+1000003", {2})])
+def test_fast_paths_skip_frobenius(monkeypatch, text, frobenius_at):
+    # x^3-2 takes one pow per candidate; a quadratic needs the Frobenius
+    # test only at p = 2, whether its classes are swept (4|a| = 16 or 4)
+    # or, with 4|a| above the prime count, decided per prime
+    f = parse_poly(text)
+    fixes = splitting._frobenius_fixes_x
+    calls = set()
+
+    def counted(coeffs, p):
+        calls.add(p)
+        return fixes(coeffs, p)
+
+    monkeypatch.setattr(splitting, "_frobenius_fixes_x", counted)
+    empirical_density(f, 10 ** 4)
+    split_primes_in(f, 2, 500)
+    split_primes_in(f, 1000, 1100)
+    splits_completely(f, 2)
+    splits_completely(f, 9973)
+    assert calls == frobenius_at
+
+
+def test_splits_completely_never_sieves(monkeypatch):
+    # 10^18 + 3 is prime, 3 mod 4 and 1 mod 3: x^2+1 fails on its class,
+    # and x^3-2 takes its one modular power
+    p = 10 ** 18 + 3
+    assert is_prime(p)
+    monkeypatch.setattr(splitting, "sieve", refuse)
+    for text in ("x^2+1", "x^3-2"):
+        f = parse_poly(text)
+        assert splits_completely(f, p) == _frobenius_fixes_x(f.coeffs, p)
+
+
 class TestSplitPrimesIn:
     def test_gaussian_primes(self):
         assert split_primes_in(parse_poly("x^2+1"), 2, 30) == [5, 13, 17, 29]
