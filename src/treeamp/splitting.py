@@ -268,20 +268,18 @@ def _split_filter(f: IntPoly, lo: int, table: bytes) -> bytearray:
     mask = bytearray(len(table))
     if d == 2:
         a = coeffs[1] * coeffs[1] - 4 * coeffs[0]
-        m = 4 * abs(a)
-        if a and m < table.count(1):
-            mask = bytearray(table)
-            for i in range(m):
-                j = table[i::m].find(1)
-                if j >= 0 and not _quadratic_class_splits(coeffs, a, lo + i + j * m):
-                    mask[i::m] = bytes(len(range(i, len(mask), m)))
-        elif a:
-            class_splits: dict[int, bool] = {}
-            for p in _primes_of(lo, table):
-                r = p % m
-                if r not in class_splits:
-                    class_splits[r] = _quadratic_class_splits(coeffs, a, p)
-                mask[p - lo] = class_splits[r]
+        m, n = 4 * abs(a), len(table)
+        if a:
+            # todo holds the primes whose class is still undecided; i is
+            # the first prime of its class, so only later ones are cleared
+            mask, todo = bytearray(table), bytearray(table)
+            i = todo.find(1)
+            while i >= 0:
+                if not _quadratic_class_splits(coeffs, a, lo + i):
+                    mask[i::m] = bytes((n - 1 - i) // m + 1)
+                if i + m < n:
+                    todo[i + m::m] = bytes((n - 1 - i) // m)
+                i = todo.find(1, i + 1)
         return mask
     if not any(coeffs[1:-1]):
         a, step = -coeffs[0], lcm(2, d)

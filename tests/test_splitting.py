@@ -193,11 +193,33 @@ def test_quadratic_decided_once_per_class(monkeypatch):
     assert len(calls) <= 16
 
 
+@pytest.mark.parametrize("text", ["x^2+1", "x^2+7", "x^2+1000003"])
+def test_quadratic_decides_each_class_at_its_first_prime(monkeypatch, text):
+    # one decision per class of p mod 4|a| that holds a prime, at that
+    # prime: 4|a| = 16, 112, 4000012 against the 1229 primes below 10^4
+    f = parse_poly(text)
+    a = f.coeffs[1] ** 2 - 4 * f.coeffs[0]
+    m = 4 * abs(a)
+    first = {}
+    for p in primes_in(2, 10 ** 4):
+        first.setdefault(p % m, p)
+    decide = splitting._quadratic_class_splits
+    calls = []
+
+    def counted(coeffs, a, p):
+        calls.append(p)
+        return decide(coeffs, a, p)
+
+    monkeypatch.setattr(splitting, "_quadratic_class_splits", counted)
+    empirical_density(f, 10 ** 4)
+    assert calls == sorted(first.values())
+
+
 @st.composite
 def poly_and_window(draw):
     """A polynomial and a window [lo, hi]: lo on either side of 4|a| (of
-    64 when f is not a quadratic), widths below 4|a| (the per-prime
-    quadratic path) and above it, single primes, hi < lo and hi < 2."""
+    64 when f is not a quadratic), widths below 4|a| (one prime per
+    class) and above it, single primes, hi < lo and hi < 2."""
     f = draw(st.one_of(st.sampled_from(CORPUS).map(parse_poly), SMALL_QUADRATIC, BINOMIAL))
     c = f.coeffs
     m = 4 * abs(c[1] * c[1] - 4 * c[0]) if f.degree() == 2 else 64
@@ -214,9 +236,9 @@ def poly_and_window(draw):
 
 
 # split_primes_in and the mask count of a window against the Frobenius
-# test on the window's primes; the examples pin each quadratic path: x^2+1
-# (4|a| = 16) has its classes swept from lo = 3 and from lo = 17, and
-# x^2+7 (4|a| = 112) is decided per prime on a window narrower than 112
+# test on the window's primes; in the quadratic examples x^2+1 (4|a| = 16)
+# has its classes swept from lo = 3 and from lo = 17, and x^2+7
+# (4|a| = 112) has one prime per class on a window narrower than 112
 @settings(max_examples=60, deadline=None)
 @given(poly_and_window())
 @example((parse_poly("x^2+1"), 3, 3000))
@@ -254,8 +276,8 @@ def test_density_builds_no_prime_list(monkeypatch):
                                                ("x^2+x", {2}), ("x^2+1000003", {2})])
 def test_fast_paths_skip_frobenius(monkeypatch, text, frobenius_at):
     # x^3-2 takes one pow per candidate; a quadratic needs the Frobenius
-    # test only at p = 2, whether its classes are swept (4|a| = 16 or 4)
-    # or, with 4|a| above the prime count, decided per prime
+    # test only at p = 2, whether its classes hold many primes (4|a| = 16
+    # or 4) or, with 4|a| above the window, one prime each
     f = parse_poly(text)
     fixes = splitting._frobenius_fixes_x
     calls = set()
