@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
-    from . import gaussian, orbits
+    from . import orbits
 
 MAX_PRIME = 13
 MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
@@ -186,22 +186,18 @@ def cmd_split_density(args):
     return config, results, verdicts
 
 
-def _random_gauss_rat(rng: random.Random, span: int = 30, den: int = 12) -> gaussian.GaussRat:
-    from . import gaussian
-    return gaussian.GaussRat(
-        Fraction(rng.randint(-span, span), rng.randint(1, den)),
-        Fraction(rng.randint(-span, span), rng.randint(1, den)),
-    )
-
-
 def cmd_denom_check(args):
     from . import gaussian
     rng = random.Random(args.seed)
     n = args.samples
+
+    def draw():
+        return gaussian.GaussRat.make(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                                      Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+
     submult_add = submult_mul = product_one = arch_floor = True
     for _ in range(n):
-        x = _random_gauss_rat(rng)
-        y = _random_gauss_rat(rng)
+        x, y = draw(), draw()
         dx, dy = gaussian.denom(x), gaussian.denom(y)
         submult_add &= gaussian.denom(x + y) <= dx * dy
         submult_mul &= gaussian.denom(x * y) <= dx * dy
@@ -210,7 +206,7 @@ def cmd_denom_check(args):
             arch_floor &= dx * x.norm() >= 1
     unimodular = sl2_inverse = True
     for _ in range(max(1, n // 10)):
-        m = gaussian.Mat2(tuple(_random_gauss_rat(rng) for _ in range(4)))
+        m = gaussian.Mat2(tuple(draw() for _ in range(4)))
         # random unimodular integral matrix: product of elementary shears
         k = gaussian.Mat2.identity()
         for _ in range(4):

@@ -8,8 +8,9 @@ place (2 for the ramified prime, p for split primes, p^2 for inert);
 their product is the norm of the denominator ideal.  That norm is the
 index of a lattice in Z^2, so it is a gcd of 2x2 integer minors and
 needs no arithmetic in Z[i].  Only the product-formula check factors.
-Products are taken over one common integer denominator, so each result
-entry is a single Fraction built from integers.
+An element of Q(i) is one Gaussian integer over one positive integer,
+(a + bi)/d in lowest terms, so its arithmetic is integer arithmetic and
+one gcd.
 """
 
 from __future__ import annotations
@@ -250,67 +251,70 @@ def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
 
 @dataclass(frozen=True)
 class GaussRat:
-    """An element of Q(i)."""
+    """An element (a + bi)/d of Q(i) in lowest terms: d > 0, gcd(a, b, d) = 1.
 
-    re: Fraction
-    im: Fraction
+    The form is canonical, so equality and hashing compare values.  make
+    builds one from rationals; a directly built triple in any other form
+    raises ValueError.
+    """
+
+    a: int
+    b: int
+    d: int = 1
+
+    def __post_init__(self):
+        if self.d <= 0 or math.gcd(self.a, self.b, self.d) != 1:
+            raise ValueError(f"({self.a} + {self.b}i)/{self.d} is not in lowest "
+                             "terms over a positive denominator")
 
     @staticmethod
     def make(re, im=0) -> "GaussRat":
-        return GaussRat(Fraction(re), Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
+                        re.denominator * im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, o: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + o.re, self.im + o.im)
+        return _reduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     def __sub__(self, o: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return _reduced(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __mul__(self, o: "GaussRat") -> "GaussRat":
-        [(a, b)], d = _over_common_denominator((self,))
-        [(c, e)], f = _over_common_denominator((o,))
-        return GaussRat(Fraction(a * c - b * e, d * f), Fraction(a * e + b * c, d * f))
+        return _reduced(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
-
-    def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return GaussRat(-self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Squared complex modulus: the normalized archimedean absolute value."""
-        [(a, b)], d = _over_common_denominator((self,))
-        return Fraction(a * a + b * b, d * d)
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def inverse(self) -> "GaussRat":
-        n = self.norm()
-        if n == 0:
+        if self.is_zero():
             raise ZeroDivisionError
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, o: "GaussRat") -> "GaussRat":
-        return self * o.inverse()
-
-    def as_quotient(self) -> tuple[GaussInt, int]:
-        """Write self = n / d with n in Z[i] and d a positive integer."""
-        [(a, b)], d = _over_common_denominator((self,))
-        return GaussInt(a, b), d
+        return _reduced(self.d * self.a, -self.d * self.b, self.a * self.a + self.b * self.b)
 
 
-def _over_common_denominator(xs) -> tuple[list[tuple[int, int]], int]:
-    """([(a_k, b_k), ...], d) with x_k = (a_k + b_k i) / d and d the lcm of
-    every denominator in xs."""
-    d = math.lcm(*(q for x in xs for q in (x.re.denominator, x.im.denominator)))
-    return [(x.re.numerator * (d // x.re.denominator),
-             x.im.numerator * (d // x.im.denominator)) for x in xs], d
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """(a + bi)/d in lowest terms, for d > 0."""
+    g = math.gcd(a, b, d)
+    return GaussRat(a // g, b // g, d // g)
 
 
 def ord_rat(x: GaussRat, v: GaussPrime) -> int:
     """Valuation of a nonzero element of Q(i) at v."""
-    n, d = x.as_quotient()  # ord_at rejects n = 0
-    return ord_at(n, v) - ord_at(GaussInt(d, 0), v)
+    return ord_at(GaussInt(x.a, x.b), v) - ord_at(GaussInt(x.d, 0), v)  # ord_at rejects x = 0
 
 
 def denom_local(x: GaussRat, v: GaussPrime) -> int:
@@ -331,7 +335,8 @@ def _denominator_norm(xs) -> int:
     are D^2, D Re w_k, D Im w_k, and Re and Im of w_k conj(w_l) for k <= l.
     Zero entries add only zero minors, so they count as integral.
     """
-    ws, d = _over_common_denominator(xs)
+    d = math.lcm(*(x.d for x in xs))
+    ws = [(x.a * (d // x.d), x.b * (d // x.d)) for x in xs]
     minors = [d * d]
     for k, (a, b) in enumerate(ws):
         minors += (d * a, d * b)
@@ -356,11 +361,11 @@ def product_formula_check(x: GaussRat) -> Fraction:
     """
     if x.is_zero():
         raise ValueError("product formula applies to nonzero elements")
-    n, d = x.as_quotient()
+    n = GaussInt(x.a, x.b)
     finite_num = math.prod(v.residue_size ** e
-                           for v, e in gaussian_factor(GaussInt(d, 0))[1].items())
+                           for v, e in gaussian_factor(GaussInt(x.d, 0))[1].items())
     finite_den = math.prod(v.residue_size ** e for v, e in gaussian_factor(n)[1].items())
-    return Fraction(n.norm() * finite_num, d * d * finite_den)
+    return Fraction(n.norm() * finite_num, x.d * x.d * finite_den)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +380,10 @@ class Mat2:
 
     @staticmethod
     def make(rows) -> "Mat2":
-        flat = [x if isinstance(x, GaussRat) else GaussRat.make(x)
-                for row in rows for x in row]
-        if len(flat) != 4:
+        rows = [[x if isinstance(x, GaussRat) else GaussRat.make(x) for x in row] for row in rows]
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise ValueError("Mat2 needs a 2x2 array")
-        return Mat2(tuple(flat))
+        return Mat2(tuple(rows[0] + rows[1]))
 
     @staticmethod
     def identity() -> "Mat2":
@@ -393,17 +397,9 @@ class Mat2:
         return Mat2(tuple(a - b for a, b in zip(self.entries, o.entries)))
 
     def __mul__(self, o: "Mat2") -> "Mat2":
-        (a, b, c, d), s = _over_common_denominator(self.entries)
-        (e, f, g, h), t = _over_common_denominator(o.entries)
-        st = s * t
-
-        def dot(x, y, z, w):
-            """(x y + z w) / st, for Gaussian integers as (re, im) pairs."""
-            (xa, xb), (ya, yb), (za, zb), (wa, wb) = x, y, z, w
-            return GaussRat(Fraction(xa * ya - xb * yb + za * wa - zb * wb, st),
-                            Fraction(xa * yb + xb * ya + za * wb + zb * wa, st))
-
-        return Mat2((dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)))
+        a, b, c, d = self.entries
+        e, f, g, h = o.entries
+        return Mat2((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def det(self) -> GaussRat:
         a, b, c, d = self.entries

@@ -222,8 +222,8 @@ def test_criterion_07_split_densities():
 
 
 def _rand_rat(rng, span=30, den=12):
-    return gaussian.GaussRat(Fraction(rng.randint(-span, span), rng.randint(1, den)),
-                             Fraction(rng.randint(-span, span), rng.randint(1, den)))
+    return gaussian.GaussRat.make(Fraction(rng.randint(-span, span), rng.randint(1, den)),
+                                  Fraction(rng.randint(-span, span), rng.randint(1, den)))
 
 
 def test_criterion_08_denominator_laws():

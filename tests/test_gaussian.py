@@ -38,8 +38,8 @@ small_rat = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 def rand_rat(rng, span=30, den=12):
-    return GaussRat(Fraction(rng.randint(-span, span), rng.randint(1, den)),
-                    Fraction(rng.randint(-span, span), rng.randint(1, den)))
+    return GaussRat.make(Fraction(rng.randint(-span, span), rng.randint(1, den)),
+                         Fraction(rng.randint(-span, span), rng.randint(1, den)))
 
 
 def rational_prime(v):
@@ -80,7 +80,7 @@ def places_over(d):
 big_rat = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
-big_gauss_rat = st.one_of(st.just(GaussRat.make(0)), st.builds(GaussRat, big_rat, big_rat))
+big_gauss_rat = st.one_of(st.just(GaussRat.make(0)), st.builds(GaussRat.make, big_rat, big_rat))
 big_mat = st.tuples(big_gauss_rat, big_gauss_rat, big_gauss_rat, big_gauss_rat).map(Mat2)
 
 
@@ -245,8 +245,8 @@ class TestDenominators:
         for _ in range(60):
             k = Mat2.identity()
             for _ in range(5):
-                s = GaussRat(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                             Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                s = GaussRat.make(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                  Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
                 shear = Mat2((one, s, zero, one)) if rng.random() < 0.5 \
                     else Mat2((one, zero, s, one))
                 k = k * shear
@@ -265,8 +265,7 @@ class TestDenominatorOracle:
     @example(GaussRat.make(Fraction(2, 5), Fraction(11, 5)))  # 5; 1 without D Re w, D Im w
     @settings(max_examples=200, deadline=None)
     def test_denom_is_product_of_local_denominators(self, x):
-        _, d = x.as_quotient()
-        assert denom(x) == math.prod(denom_local(x, v) for v in places_over(d))
+        assert denom(x) == math.prod(denom_local(x, v) for v in places_over(x.d))
 
     @given(st.tuples(big_gauss_rat, big_gauss_rat, big_gauss_rat, big_gauss_rat))
     @example((GaussRat.make(0),) * 4)
@@ -276,22 +275,58 @@ class TestDenominatorOracle:
               GaussRat.make(0), GaussRat.make(0)))
     @settings(max_examples=200, deadline=None)
     def test_denom_mat_is_product_of_per_place_maxima(self, entries):
-        d = math.lcm(*(x.as_quotient()[1] for x in entries))
+        d = math.lcm(*(x.d for x in entries))
         want = math.prod(max(denom_local(x, v) for x in entries) for v in places_over(d))
         assert denom_mat(Mat2(entries)) == want
 
 
 class TestIntegerProducts:
-    """Products and norms against the Fraction formulas written out entrywise."""
+    """Arithmetic and norms against the Fraction formulas written out entrywise."""
 
     @given(big_gauss_rat, big_gauss_rat)
     @example(GaussRat.make(0), GaussRat.make(3, -2))
     @example(GaussRat.make(1), GaussRat.make(Fraction(-7, 12), Fraction(5, 8)))
+    # the product (0 + 6i)/6 reduces to i
+    @example(GaussRat.make(Fraction(1, 6), Fraction(1, 6)), GaussRat.make(3, 3))
     @settings(max_examples=200, deadline=None)
     def test_gauss_rat_product_and_norm(self, x, y):
         p = x * y
         assert (p.re, p.im) == (x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
         assert x.norm() == x.re * x.re + x.im * x.im
+        s, t, u = x + y, x - y, -x
+        assert (s.re, s.im) == (x.re + y.re, x.im + y.im)
+        assert (t.re, t.im) == (x.re - y.re, x.im - y.im)
+        assert (u.re, u.im) == (-x.re, -x.im)
+        results = [p, s, t, u]
+        if not y.is_zero():
+            inv = y.inverse()
+            assert (inv.re, inv.im) == (y.re / y.norm(), -y.im / y.norm())
+            results.append(inv)
+        for z in results + [x, y]:
+            assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+            assert z == GaussRat.make(z.re, z.im)
+            assert hash(z) == hash(GaussRat.make(z.re, z.im))
+
+    @pytest.mark.parametrize("a, b, d", [(2, 4, 2), (1, 0, 0), (1, 0, -1)])
+    def test_non_canonical_triple_rejected(self, a, b, d):
+        with pytest.raises(ValueError):
+            GaussRat(a, b, d)
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        x = GaussRat.make(Fraction(-7, 12), Fraction(5, 8))
+        y = GaussRat.make(Fraction(3, 10), Fraction(-4, 15))
+        m = Mat2((x, y, y, x))
+        n = Mat2((y, x, GaussRat.make(2), y))
+        monkeypatch.setattr(gaussian, "Fraction", CountingFraction)
+        _ = x + y, x * y, x.inverse(), m * n, denom(x), denom_mat(m)
+        assert built == []
 
     @given(big_mat, big_mat)
     @example(Mat2.identity(), Mat2.make([[Fraction(1, 3), -2], [Fraction(5, 7), 0]]))
@@ -307,6 +342,13 @@ class TestIntegerProducts:
         e, f, g, h = n.entries
         want = [dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)]
         assert [(x.re, x.im) for x in (m * n).entries] == want
+
+
+class TestMat2:
+    @pytest.mark.parametrize("rows", [[[1, 2, 3, 4]], [[1], [2], [3], [4]], [[1, 2, 3], [4]]])
+    def test_make_requires_two_rows_of_two(self, rows):
+        with pytest.raises(ValueError, match="2x2"):
+            Mat2.make(rows)
 
 
 class TestProductFormula:
@@ -329,14 +371,14 @@ class TestProductFormula:
         is_prime, rho = splitting.is_prime, gaussian._pollard_brent
         monkeypatch.setattr(splitting, "is_prime", lambda n: calls.append(n) or is_prime(n))
         monkeypatch.setattr(gaussian, "_pollard_brent", lambda n: calls.append("rho") or rho(n))
-        x = GaussRat(Fraction(10 ** 8, 7), Fraction(49, 7))
+        x = GaussRat.make(Fraction(10 ** 8, 7), Fraction(49, 7))
         assert product_formula_check(x) == 1
         assert calls == [10 ** 16 + 2401]
 
     @given(small_rat, small_rat)
     @settings(max_examples=300, deadline=None)
     def test_always_one(self, re, im):
-        x = GaussRat(re, im)
+        x = GaussRat.make(re, im)
         if x.is_zero():
             return
         assert product_formula_check(x) == 1
@@ -344,7 +386,7 @@ class TestProductFormula:
     @given(small_rat, small_rat)
     @settings(max_examples=200, deadline=None)
     def test_denominator_arch_floor(self, re, im):
-        x = GaussRat(re, im)
+        x = GaussRat.make(re, im)
         if x.is_zero():
             return
         assert denom(x) * x.norm() >= 1
