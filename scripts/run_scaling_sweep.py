@@ -13,7 +13,7 @@ with a one-line error on bad input, like the treeamp CLI.
 import argparse
 
 from treeamp.amplifier import SpectrumModel, scaling_sweep
-from treeamp.cli import _int_list
+from treeamp.cli import _int_list, check_windows
 from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import parse_poly
 
@@ -34,6 +34,7 @@ def main(argv=None) -> int:
         else SpectrumModel.tempered(args.seed)
     orbit = OrbitModel(OrbitKind(args.orbit))
     try:
+        check_windows(args.Q)
         reports = scaling_sweep(args.Q, parse_poly(args.poly), spectrum, orbit)
     except ValueError as exc:  # includes AmplifierError
         parser.error(str(exc))

@@ -30,7 +30,6 @@ from . import __version__
 if TYPE_CHECKING:
     from . import orbits
 
-MAX_PRIME = 13
 MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
 MAX_SIEVE = 10 ** 6  # largest integer split-density and amplifier may sieve up to
 
@@ -126,9 +125,6 @@ def cmd_verify_hecke(args):
     from . import hecke
     primes = args.primes
     max_radius = args.max_radius
-    for p in primes:
-        if p > MAX_PRIME:
-            raise ValueError(f"prime {p} exceeds the cap {MAX_PRIME}")
     if max_radius > hecke.MAX_RADIUS:
         raise ValueError(f"max radius {max_radius} exceeds the cap {hecke.MAX_RADIUS}")
     if max_radius % 2:
@@ -251,12 +247,17 @@ def cmd_orbit_check(args):
     return config, results, verdicts
 
 
-def cmd_amplifier(args):
-    from . import amplifier, orbits, splitting
-    Qs = args.Q
+def check_windows(Qs: list[int]) -> None:
+    """ValueError unless every window [Q, 2Q] ends within the sieve cap."""
     for Q in Qs:
         if 2 * Q > MAX_SIEVE:
             raise ValueError(f"Q={Q} sieves up to 2Q = {2 * Q}, above the cap {MAX_SIEVE}")
+
+
+def cmd_amplifier(args):
+    from . import amplifier, orbits, splitting
+    Qs = args.Q
+    check_windows(Qs)
     poly = splitting.parse_poly(args.poly)
     spectrum = amplifier.SpectrumModel.trivial() if args.spectrum == "trivial" \
         else amplifier.SpectrumModel.tempered(args.seed)

@@ -8,6 +8,8 @@ place (2 for the ramified prime, p for split primes, p^2 for inert);
 their product is the norm of the denominator ideal.  That norm is the
 index of a lattice in Z^2, so it is a gcd of 2x2 integer minors and
 needs no arithmetic in Z[i].  Only the product-formula check factors.
+Its places are built directly: 1 + i over 2, p over p = 3 mod 4, and
+x +- yi over p = 1 mod 4, where integer Euclid gives p = x^2 + y^2.
 An element of Q(i) is one Gaussian integer over one positive integer,
 (a + bi)/d in lowest terms, so its arithmetic is integer arithmetic and
 one gcd.
@@ -47,17 +49,8 @@ class GaussInt:
     a: int
     b: int
 
-    def __add__(self, o: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a - o.a, self.b - o.b)
-
     def __mul__(self, o: "GaussInt") -> "GaussInt":
         return GaussInt(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.a, -self.b)
 
     def conj(self) -> "GaussInt":
         return GaussInt(self.a, -self.b)
@@ -74,70 +67,51 @@ class GaussInt:
     def exact_div(self, o: "GaussInt") -> "GaussInt | None":
         """self / o if it lies in Z[i], else None."""
         n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError
         num = self * o.conj()
         if num.a % n or num.b % n:
             return None
         return GaussInt(num.a // n, num.b // n)
 
 
-UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
-
-
-def _round_div(z: GaussInt, w: GaussInt) -> GaussInt:
-    """Nearest-Gaussian-integer quotient (Euclidean division step)."""
-    n = w.norm()
-    num = z * w.conj()
-    qa = (2 * num.a + n) // (2 * n) if num.a >= 0 else -((-2 * num.a + n) // (2 * n))
-    qb = (2 * num.b + n) // (2 * n) if num.b >= 0 else -((-2 * num.b + n) // (2 * n))
-    return GaussInt(qa, qb)
-
-
-def gauss_gcd(z: GaussInt, w: GaussInt) -> GaussInt:
-    while not w.is_zero():
-        q = _round_div(z, w)
-        z, w = w, z - q * w
-    return z
-
-
-def canonical_associate(z: GaussInt) -> GaussInt:
-    """The associate with re > 0 and re >= |im|, im > 0 on the diagonal."""
-    if z.is_zero():
-        raise ValueError("zero has no canonical associate")
-    for u in UNITS:
-        c = z * u
-        if c.a > 0 and c.a >= abs(c.b) and (c.a != abs(c.b) or c.b > 0):
-            return c
-    raise AssertionError("unreachable: every nonzero element has a canonical associate")
-
-
 @dataclass(frozen=True)
 class GaussPrime:
-    """A prime of Z[i] in canonical associate form."""
+    """A prime of Z[i] as its canonical generator (re > 0, re >= |im|, im > 0
+    when re = |im|) and its norm, the residue size; other values raise ValueError."""
 
     generator: GaussInt
-    residue_size: int  # norm of the generator
+    residue_size: int
 
-    @staticmethod
-    def make(g: GaussInt) -> "GaussPrime":
-        g = canonical_associate(g)
-        return GaussPrime(g, g.norm())
+    def __post_init__(self):
+        a, b = self.generator.a, self.generator.b
+        if not (self.residue_size == self.generator.norm() >= 2
+                and a > 0 and a >= abs(b) and (a != abs(b) or b > 0)):
+            raise ValueError(f"{self.generator} of residue size {self.residue_size} "
+                             "is not a canonical prime generator")
 
 
 @lru_cache(maxsize=None)
 def _prime_above(p: int) -> tuple[GaussPrime, ...]:
-    """The primes of Z[i] over a rational prime p."""
+    """The primes of Z[i] over a rational prime p.
+
+    For p = 1 mod 4, take t^2 = -1 mod p with t < p/2.  Integer Euclid
+    on (p, t) reaches a first remainder x < sqrt(p), and p = x^2 + y^2
+    (Brillhart, Math. Comp. 26, 1972).  As x > y > 0, both x + yi and
+    x - yi are canonical; the first place is the one dividing t + i.
+    """
     if p == 2:
-        return (GaussPrime.make(GaussInt(1, 1)),)
+        return (GaussPrime(GaussInt(1, 1), 2),)
     if p % 4 == 3:
-        return (GaussPrime.make(GaussInt(p, 0)),)
-    # t^2 = -1 mod p for a non-residue a (Euler); min(t, p - t) fixes the pair's order
-    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        return (GaussPrime(GaussInt(p, 0), p * p),)
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)  # a non-residue
     t = pow(a, (p - 1) // 4, p)
-    g = gauss_gcd(GaussInt(p, 0), GaussInt(min(t, p - t), 1))
-    pi = GaussPrime.make(g)
-    return (pi, GaussPrime.make(pi.generator.conj()))
+    t = min(t, p - t)
+    r, x = p, t
+    while x * x > p:
+        r, x = x, r % x
+    y = math.isqrt(p - x * x)  # the remainder after x, so x > y > 0
+    # x + yi divides t + i exactly when x = yt mod p, as i = -t at that place
+    pi = GaussInt(x, y if (x - y * t) % p == 0 else -y)
+    return (GaussPrime(pi, p), GaussPrime(pi.conj(), p))
 
 
 def _divide_out(z: GaussInt, v: GaussPrime) -> tuple[int, GaussInt]:
@@ -147,13 +121,6 @@ def _divide_out(z: GaussInt, v: GaussPrime) -> tuple[int, GaussInt]:
         z = q
         k += 1
     return k, z
-
-
-def ord_at(z: GaussInt, v: GaussPrime) -> int:
-    """Valuation of a nonzero Gaussian integer at v."""
-    if z.is_zero():
-        raise ValueError("valuation of zero is undefined")
-    return _divide_out(z, v)[0]
 
 
 # Trial divisors below 2^10: 2, 3 and every 6k +- 1, which include all
@@ -312,17 +279,12 @@ def _reduced(a: int, b: int, d: int) -> GaussRat:
     return GaussRat(a // g, b // g, d // g)
 
 
-def ord_rat(x: GaussRat, v: GaussPrime) -> int:
-    """Valuation of a nonzero element of Q(i) at v."""
-    return ord_at(GaussInt(x.a, x.b), v) - ord_at(GaussInt(x.d, 0), v)  # ord_at rejects x = 0
-
-
 def denom_local(x: GaussRat, v: GaussPrime) -> int:
     """max(|x|_v, 1) = q_v^max(-ord_v(x), 0); zero counts as integral."""
     if x.is_zero():
         return 1
-    k = ord_rat(x, v)
-    return v.residue_size ** (-k) if k < 0 else 1
+    k = _divide_out(GaussInt(x.d, 0), v)[0] - _divide_out(GaussInt(x.a, x.b), v)[0]
+    return v.residue_size ** k if k > 0 else 1
 
 
 def _denominator_norm(xs) -> int:
@@ -378,6 +340,11 @@ class Mat2:
 
     entries: tuple[GaussRat, GaussRat, GaussRat, GaussRat]
 
+    def __post_init__(self):
+        if not (isinstance(self.entries, tuple) and len(self.entries) == 4
+                and all(isinstance(x, GaussRat) for x in self.entries)):
+            raise ValueError(f"Mat2 needs a tuple of four GaussRat entries, got {self.entries!r}")
+
     @staticmethod
     def make(rows) -> "Mat2":
         rows = [[x if isinstance(x, GaussRat) else GaussRat.make(x) for x in row] for row in rows]
@@ -405,16 +372,12 @@ class Mat2:
         a, b, c, d = self.entries
         return a * d - b * c
 
-    def adjugate(self) -> "Mat2":
-        a, b, c, d = self.entries
-        return Mat2((d, -b, -c, a))
-
     def inverse(self) -> "Mat2":
         det = self.det()
         if det.is_zero():
             raise ZeroDivisionError("singular matrix")
-        inv = det.inverse()
-        return Mat2(tuple(inv * x for x in self.adjugate().entries))
+        inv, (a, b, c, d) = det.inverse(), self.entries
+        return Mat2(tuple(inv * x for x in (d, -b, -c, a)))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.entries)

@@ -30,9 +30,11 @@ class TestVerifyHecke:
         assert report["verdicts"]["p2_degree2_identity"] is True
         assert all(report["verdicts"].values())
 
-    def test_prime_cap(self):
-        with pytest.raises(SystemExit):
-            main(["verify-hecke", "--primes", "17"])
+    def test_any_prime_below_psi_13_runs(self, tmp_path):
+        # convolution cost does not depend on p, so no prime is too large
+        code, raw = run(tmp_path, "big.json", ["verify-hecke", "--primes", "17,10007,1000003"])
+        assert code == 0
+        assert set(json.loads(raw)["results"]) == {"17", "10007", "1000003"}
 
     def test_radius_cap(self):
         with pytest.raises(SystemExit):
@@ -154,6 +156,9 @@ class TestDeterminism:
 
 BAD_INPUT = {
     "verify-hecke-non-prime": ["verify-hecke", "--primes", "4"],
+    "verify-hecke-large-non-prime": ["verify-hecke", "--primes", "2,1000001"],
+    # is_prime refuses to decide at psi_13 and above
+    "verify-hecke-psi-13": ["verify-hecke", "--primes", "3317044064679887385961981"],
     "verify-hecke-empty-primes": ["verify-hecke", "--primes", ""],
     "verify-hecke-malformed-primes": ["verify-hecke", "--primes", "abc"],
     "amplifier-malformed-q": ["amplifier", "--Q", "50,x"],

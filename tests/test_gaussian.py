@@ -14,7 +14,6 @@ from treeamp.gaussian import (
     GaussPrime,
     GaussRat,
     Mat2,
-    canonical_associate,
     certify_commuting,
     commutator,
     denom,
@@ -25,6 +24,11 @@ from treeamp.gaussian import (
     gaussian_factor,
     product_formula_check,
 )
+
+
+def is_canonical(g):
+    """The one associate of g with re > 0 and re >= |im|, im > 0 on the diagonal."""
+    return g.a > 0 and g.a >= abs(g.b) and (g.a != abs(g.b) or g.b > 0)
 
 
 def rebuild(unit, factors):
@@ -115,20 +119,45 @@ class TestFactorization:
             assert unit.is_unit()
             assert rebuild(unit, factors) == z
             for v in factors:
-                assert v.generator == canonical_associate(v.generator)
+                assert is_canonical(v.generator)
                 assert v.residue_size == v.generator.norm()
 
     def test_split_primes_below_10_4(self):
         for p in sympy.primerange(5, 10 ** 4):
             if p % 4 != 1:
                 continue
-            unit, factors = gaussian_factor(GaussInt(p, 0))
-            (v, e), (w, f) = factors.items()
-            assert e == f == 1, p
+            v, w = _prime_above(p)
+            x, y = v.generator.a, v.generator.b
+            assert x * x + y * y == p, p
             assert v.residue_size == w.residue_size == p
-            assert w.generator == canonical_associate(v.generator.conj()), p
-            assert v.generator != w.generator, p  # canonical, so not associates
+            assert is_canonical(v.generator) and is_canonical(w.generator), p
+            assert w.generator == v.generator.conj(), p
+            unit, factors = gaussian_factor(GaussInt(p, 0))
+            assert factors == {v: 1, w: 1}, p
             assert rebuild(unit, factors) == GaussInt(p, 0)
+
+    def test_split_place_order_follows_the_root_of_minus_one(self):
+        # the first place over p divides t + i for the least t with t^2 = -1 mod p
+        for p in sympy.primerange(5, 2000):
+            if p % 4 == 1:
+                t = min(t for t in range(1, p) if (t * t + 1) % p == 0)
+                v, w = _prime_above(p)
+                assert GaussInt(t, 1).exact_div(v.generator) is not None, p
+                assert GaussInt(t, 1).exact_div(w.generator) is None, p
+
+    @pytest.mark.parametrize("generator, residue_size", [
+        (GaussInt(1, 0), 1),  # a unit
+        (GaussInt(0, 0), 0),  # zero
+        (GaussInt(-1, 1), 2),  # an associate of 1 + i
+        (GaussInt(1, -1), 2),
+        (GaussInt(1, 2), 5),  # an associate of 2 - i
+        (GaussInt(0, 3), 9),
+        (GaussInt(2, 1), 7),  # residue size is not the norm
+        (GaussInt(3, 0), 3),
+    ])
+    def test_prime_rejects_non_canonical_or_wrong_size(self, generator, residue_size):
+        with pytest.raises(ValueError):
+            GaussPrime(generator, residue_size)
 
     @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
     @settings(max_examples=300, deadline=None)
@@ -202,6 +231,11 @@ class TestFactorization:
 
 
 class TestDenominators:
+    def test_unit_place_refused_not_looped_on(self):
+        # dividing by the unit 1 never stops; the place is refused when built
+        with pytest.raises(ValueError):
+            denom_local(GaussRat.make(Fraction(1, 2)), GaussPrime(GaussInt(1, 0), 1))
+
     def test_half_at_ramified_place(self):
         v = GaussPrime(GaussInt(1, 1), 2)
         assert denom_local(GaussRat.make(Fraction(1, 2)), v) == 4
@@ -345,6 +379,18 @@ class TestIntegerProducts:
 
 
 class TestMat2:
+    @pytest.mark.parametrize("entries", [
+        (1, 2),
+        (1, 2, 3, 4),
+        (GaussRat.make(1),) * 3,
+        (GaussRat.make(1),) * 5,
+        (GaussRat.make(1), GaussRat.make(0), GaussRat.make(0), 1),
+        [GaussRat.make(1)] * 4,
+    ])
+    def test_entries_must_be_four_gauss_rats(self, entries):
+        with pytest.raises(ValueError, match="four GaussRat"):
+            Mat2(entries)
+
     @pytest.mark.parametrize("rows", [[[1, 2, 3, 4]], [[1], [2], [3], [4]], [[1, 2, 3], [4]]])
     def test_make_requires_two_rows_of_two(self, rows):
         with pytest.raises(ValueError, match="2x2"):

@@ -1,0 +1,30 @@
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree"]
+
+# Helpers that were deleted; nothing in src/ or scripts/ may name them again.
+DELETED = ["_round_div", "gauss_gcd", "canonical_associate", "UNITS", r"GaussPrime\.make",
+           "ord_at", "ord_rat", "MAX_PRIME", "adjugate"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_finds_every_exported_name(name):
+    namespace = {}
+    exec(f"from treeamp.{name} import *", namespace)  # AttributeError on a missing name
+    exported = getattr(importlib.import_module(f"treeamp.{name}"), "__all__", [])
+    assert [n for n in exported if n not in namespace] == []
+
+
+def test_deleted_helpers_stay_deleted():
+    pattern = re.compile(r"\b(?:" + "|".join(DELETED) + r")\b")
+    hits = [f"{path.relative_to(ROOT)}:{k}: {line.strip()}"
+            for folder in ("src", "scripts") for path in sorted((ROOT / folder).rglob("*"))
+            if path.is_file() and path.suffix in (".py", ".sh")
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from treeamp.cli import MAX_SIEVE
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -52,6 +54,15 @@ def test_run_scaling_sweep_rejects_bad_q(q):
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr.splitlines()[-1]
     assert "_int_list" not in proc.stderr
+
+
+def test_run_scaling_sweep_refuses_a_window_above_the_sieve_cap():
+    proc = run_script("run_scaling_sweep.py", "--Q", "500001")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    line = proc.stderr.splitlines()[-1]
+    assert "error:" in line and "500001" in line and str(MAX_SIEVE) in line
 
 
 def test_run_scaling_sweep_exits_1_on_a_failed_verdict():
