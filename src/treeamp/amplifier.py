@@ -7,8 +7,9 @@ operators are combined into tau1 = (sum zeta_p h_p) * (...)^* and the
 identity value is subtracted; the report collects the eigenvalue
 Lambda, the sup norm, the spectral defect, and orbit intersection
 counts together with the normalized ratios used for trend checks.
-Each report value is a closed form in per-prime data; the expanded
-tau (hecke.global_assemble) serves as the test oracle.
+Each report value is a closed form in the squares h_p * h_p, read off
+tree.convolution_count; hecke.convolve and the expanded tau
+(hecke.global_assemble) are the test oracles.
 """
 
 from __future__ import annotations
@@ -183,6 +184,11 @@ def pick_local(p: int, lambda_p) -> LocalChoice:
     return LocalChoice(p, 2, 4, Fraction(num, d2), -1 if num < 0 else 1, met)
 
 
+def _local_square(p: int, ell: int) -> list[int]:
+    """h * h for the radius-ell indicator h at p, as N(ell, ell, r) at index r/2."""
+    return [tree.convolution_count(p, ell, ell, r) for r in range(0, 2 * ell + 1, 2)]
+
+
 @dataclass
 class AmplifierReport:
     """One amplifier window; the CLI reports every field but verdicts."""
@@ -219,22 +225,22 @@ def build_amplifier(
     one-prime points and cross terms put 2 zeta_p zeta_q on one point per
     pair, so each report value is a closed form in the s_p.
     hecke.global_assemble expands tau from the returned choices.  Each
-    split prime costs one pick_local call and each kept prime one
-    hecke.convolve call.  Lambda = (sum |lambda_p|)^2 - tau1(1) is summed
-    as integers over the lcm of the eigenvalue denominators, and only
-    the result is a Fraction.
+    split prime costs one pick_local call, and no Hecke element is built.
+    Lambda = (sum |lambda_p|)^2 - tau1(1) is summed as integers over the
+    lcm of the eigenvalue denominators, and only the result is a Fraction.
     """
     if Q < 11:
         raise AmplifierError("Q must be >= 11")
     primes = splitting.split_primes_in(f, Q, 2 * Q)
     if len(primes) < 2:
         raise AmplifierError(f"need at least 2 split primes in [{Q}, {2 * Q}], found {len(primes)}")
-    choices = [pick_local(p, spectrum.lambda_p(p)) for p in primes]
-    by_ell = {2: [c for c in choices if c.ell == 2], 4: [c for c in choices if c.ell == 4]}
+    by_ell = {2: [], 4: []}
+    for c in (pick_local(p, spectrum.lambda_p(p)) for p in primes):
+        by_ell[c.ell].append(c)
     # keep the majority class; on a tie the smaller support wins
     ell = 2 if len(by_ell[2]) >= len(by_ell[4]) else 4
     kept = by_ell[ell]  # nonempty: at least two primes were picked
-    squares = [hecke.convolve(h, h) for h in (hecke.basic(c.prime, c.j) for c in kept)]
+    squares = [_local_square(c.prime, ell) for c in kept]
 
     tau1_at_identity = sum(s[0] for s in squares)
     c_tau = tau1_at_identity  # tau1 is self-adjoint
@@ -243,7 +249,7 @@ def build_amplifier(
     Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
     n = len(kept)
     cross = 2 if n >= 2 else 0  # |2 zeta_p zeta_q|
-    ninf = max(cross, max(hecke.off_origin_max(s) for s in squares))
+    ninf = max(cross, max(max(s[1:]) for s in squares))
     intersections = orbits.count_amplifier_intersections(orbit, squares)
 
     lambda_positive = Lambda > 0

@@ -76,15 +76,18 @@ class GaussInt:
 @dataclass(frozen=True)
 class GaussPrime:
     """A prime of Z[i] as its canonical generator (re > 0, re >= |im|, im > 0
-    when re = |im|) and its norm, the residue size; other values raise ValueError."""
+    when re = |im|) and its norm, the residue size: a rational prime, or q^2
+    for a generator q prime and 3 mod 4.  Other values raise ValueError."""
 
     generator: GaussInt
     residue_size: int
 
     def __post_init__(self):
         a, b = self.generator.a, self.generator.b
+        q = self.residue_size if b else a  # the rational prime below the place
         if not (self.residue_size == self.generator.norm() >= 2
-                and a > 0 and a >= abs(b) and (a != abs(b) or b > 0)):
+                and a > 0 and a >= abs(b) and (a != abs(b) or b > 0) and (b != 0 or a % 4 == 3)
+                and (q in _PROVEN_PRIMES or _rational_primes(q) == [q])):
             raise ValueError(f"{self.generator} of residue size {self.residue_size} "
                              "is not a canonical prime generator")
 
@@ -128,6 +131,8 @@ def _divide_out(z: GaussInt, v: GaussPrime) -> tuple[int, GaussInt]:
 _TRIAL_LIMIT = 1 << 10
 _TRIAL_DIVISORS = (2, 3) + tuple(k + e for k in range(6, _TRIAL_LIMIT, 6) for e in (-1, 1))
 _RHO_BATCH = 128  # rho steps per gcd
+# primes above 2^20 that _rational_primes proved, so a place over one is not proved again
+_PROVEN_PRIMES: set[int] = set()
 
 
 def _pollard_brent(n: int) -> int:
@@ -194,6 +199,7 @@ def _rational_primes(n: int) -> list[int]:
                              f"cofactor {m} is not decided exactly") from None
         if prime:
             large.add(m)
+            _PROVEN_PRIMES.add(m)
         else:
             f = _pollard_brent(m)
             todo += (f, m // f)

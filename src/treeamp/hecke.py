@@ -26,7 +26,6 @@ __all__ = [
     "convolve",
     "support_size",
     "total_mass",
-    "off_origin_max",
     "eigenvalue_sequence",
     "spectral_value",
     "global_assemble",
@@ -100,11 +99,6 @@ def support_size(f: LocalHeckeElement) -> int:
 def total_mass(f: LocalHeckeElement):
     """Sum of coefficient * sphere size over the support."""
     return sum(c * tree.sphere_size(f.prime, r) for r, c in f.coeffs)
-
-
-def off_origin_max(f: LocalHeckeElement) -> int:
-    """Largest absolute coefficient at radius > 0."""
-    return max((abs(c) for r, c in f.coeffs if r > 0), default=0)
 
 
 def convolve(f: LocalHeckeElement, g: LocalHeckeElement) -> LocalHeckeElement:
@@ -216,15 +210,6 @@ class GlobalHeckeElement:
 
 def global_identity() -> GlobalHeckeElement:
     return GlobalHeckeElement.from_dict({(): 1})
-
-
-def embed_local(f: LocalHeckeElement) -> GlobalHeckeElement:
-    """View a local element as a global one at its prime."""
-    out: dict[SupportPoint, int] = {}
-    for r, c in f.coeffs:
-        point: SupportPoint = () if r == 0 else ((f.prime, r),)
-        out[point] = out.get(point, 0) + c
-    return GlobalHeckeElement.from_dict(out)
 
 
 def global_assemble(parts: dict[int, tuple[LocalHeckeElement, int]]) -> GlobalHeckeElement:

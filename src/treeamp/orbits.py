@@ -24,7 +24,7 @@ from . import tree
 from .splitting import check_prime
 
 if TYPE_CHECKING:
-    from .hecke import GlobalHeckeElement, LocalHeckeElement
+    from .hecke import GlobalHeckeElement
 
 __all__ = [
     "OrbitKind",
@@ -136,14 +136,14 @@ def count_global_intersections(model: OrbitModel, tau: GlobalHeckeElement) -> in
     return total
 
 
-def count_amplifier_intersections(model: OrbitModel, squares: list[LocalHeckeElement]) -> int:
+def count_amplifier_intersections(model: OrbitModel, squares: list[list[int]]) -> int:
     """count_global_intersections of the amplifier tau, from its local squares.
 
-    Off the identity, tau lives on the positive radii of each h_p * h_p
-    and on one two-prime point per pair of primes; the torus orbit meets
-    a one-prime point twice and a two-prime point 2 * 2 times.
+    Each h_p * h_p is its list of coefficients at index r/2.  Off the
+    identity, tau lives on their nonzero positive radii and on one point
+    per pair of primes; the torus orbit meets these twice and 2 * 2 times.
     """
     if model.kind is OrbitKind.SL2:
         return 0
-    one_prime = sum(1 for s in squares for r, _ in s.coeffs if r > 0)
+    one_prime = sum(1 for s in squares for c in s[1:] if c)
     return model.index_multiplier * (2 * one_prime + 4 * math.comb(len(squares), 2))

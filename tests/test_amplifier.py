@@ -239,8 +239,9 @@ class TestBuildAmplifier:
         with pytest.raises(AmplifierError):
             build_amplifier(11, parse_poly("x^2-2"), SpectrumModel.trivial(), SL2)
 
-    @pytest.mark.parametrize("spectrum", ["trivial", "tempered42", "explicit-half"])
-    def test_one_pick_per_split_prime_one_convolve_per_kept_prime(self, spectrum, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count pick_local, hecke.convolve, hecke.basic and every LocalHeckeElement built."""
         calls = Counter()
 
         def counting(name, fn):
@@ -250,11 +251,23 @@ class TestBuildAmplifier:
             return wrapper
 
         monkeypatch.setattr(amplifier, "pick_local", counting("pick_local", amplifier.pick_local))
-        monkeypatch.setattr(hecke, "convolve", counting("convolve", hecke.convolve))
+        for name in ("convolve", "basic"):
+            monkeypatch.setattr(hecke, name, counting(name, getattr(hecke, name)))
+        monkeypatch.setattr(hecke.LocalHeckeElement, "__post_init__",
+                            counting("LocalHeckeElement", hecke.LocalHeckeElement.__post_init__))
+        return calls
+
+    @pytest.mark.parametrize("spectrum", ["trivial", "tempered42", "explicit-half"])
+    def test_one_pick_per_split_prime_and_no_hecke_element(self, spectrum, calls):
         Q = 800
-        _, report = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
-        assert calls == {"pick_local": len(split_primes_in(GAUSS, Q, 2 * Q)),
-                         "convolve": len(report.primes_used)}
+        build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
+        assert calls == {"pick_local": len(split_primes_in(GAUSS, Q, 2 * Q))}
+
+    @pytest.mark.parametrize("spectrum", ["trivial", "tempered42"])
+    def test_sweep_builds_no_hecke_element(self, spectrum, calls):
+        Qs = [400 * 2 ** k for k in range(6)]
+        scaling_sweep(Qs, GAUSS, ORACLE_SPECTRA[spectrum](Qs[0]), TORUS)
+        assert calls == {"pick_local": sum(len(split_primes_in(GAUSS, Q, 2 * Q)) for Q in Qs)}
 
     def test_negative_lambda_reported_not_raised(self):
         # adversarial explicit spectrum: every seed sits just under the
@@ -319,9 +332,9 @@ def materialised_report(kept, Q, orbit, materialise):
     ninf = hecke.norm_inf(tau)
     intersections = orbits.count_global_intersections(orbit, tau)
     n = len(kept)
+    squares = [hecke.convolve(h, h) for h in (hecke.basic(c.prime, c.j) for c in kept)]
     per_prime_ninf = max(2 if n >= 2 else 0,
-                         max(hecke.off_origin_max(hecke.convolve(h, h))
-                             for h in (hecke.basic(c.prime, c.j) for c in kept)))
+                         max(abs(coeff) for s in squares for r, coeff in s.coeffs if r > 0))
     if Lambda > 0:
         ratios = (float(ninf) * intersections / float(Lambda), tau1_at_identity / float(Lambda))
     else:
@@ -382,6 +395,15 @@ class TestClosedFormAgainstMaterialised:
         for flags in (["--spectrum", "trivial", "--orbit", "sl2"],
                       ["--spectrum", "tempered", "--seed", "42", "--orbit", "torus"]):
             assert cli_main(["amplifier", "--Q", "50,100,200,400", *flags, "--out", out]) == 0
+
+
+@pytest.mark.parametrize("ell", [2, 4])
+def test_local_square_matches_convolve(ell):
+    for p in primes_in(2, 100):
+        h = hecke.basic(p, ell // 2)
+        square = hecke.convolve(h, h)
+        assert square.max_radius() == 2 * ell
+        assert amplifier._local_square(p, ell) == [square[r] for r in range(0, 2 * ell + 1, 2)]
 
 
 class TestScalingSweep:

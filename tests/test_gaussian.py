@@ -154,10 +154,19 @@ class TestFactorization:
         (GaussInt(0, 3), 9),
         (GaussInt(2, 1), 7),  # residue size is not the norm
         (GaussInt(3, 0), 3),
+        (GaussInt(3, 1), 10),  # canonical, but the norm 10 = 2 * 5 is not prime
+        (GaussInt(9, 0), 81),  # 9 = 3 mod 4 is not prime
+        (GaussInt(5, 0), 25),  # 5 = (2 + i)(2 - i) is not inert
+        (GaussInt(2, 0), 4),  # 2 = -i (1 + i)^2 is not inert
     ])
     def test_prime_rejects_non_canonical_or_wrong_size(self, generator, residue_size):
         with pytest.raises(ValueError):
             GaussPrime(generator, residue_size)
+
+    def test_every_place_below_2000_builds(self):
+        for p in splitting.primes_in(2, 2000):
+            for v in _prime_above(p):
+                assert GaussPrime(v.generator, v.residue_size) == v
 
     @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
     @settings(max_examples=300, deadline=None)

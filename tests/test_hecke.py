@@ -216,25 +216,30 @@ class TestSpectralValue:
             hecke.spectral_value(hecke.basic(7, 1), {})
 
 
+def off_origin_max(f):
+    return max((abs(c) for r, c in f.coeffs if r > 0), default=0)
+
+
 class TestOffOriginMax:
     @pytest.mark.parametrize("p", [2, 5, 11])
     def test_square_bounds(self, p):
         sq1 = hecke.convolve(hecke.basic(p, 1), hecke.basic(p, 1))
-        assert hecke.off_origin_max(sq1) == p - 1
+        assert off_origin_max(sq1) == p - 1
         assert p - 1 <= p ** (2 - 1)
         sq2 = hecke.convolve(hecke.basic(p, 2), hecke.basic(p, 2))
-        assert hecke.off_origin_max(sq2) == p * p * (p - 1)
+        assert off_origin_max(sq2) == p * p * (p - 1)
         assert p * p * (p - 1) <= p ** (4 - 1)
 
     def test_identity_is_zero(self):
-        assert hecke.off_origin_max(hecke.identity(2)) == 0
+        assert off_origin_max(hecke.identity(2)) == 0
 
 
 class TestGlobal:
     def test_single_prime_embedding(self):
         t1 = hecke.global_assemble({2: (hecke.basic(2, 1), 1)})
         local = hecke.convolve(hecke.basic(2, 1), hecke.basic(2, 1))
-        assert t1 == hecke.embed_local(local)
+        assert t1 == hecke.GlobalHeckeElement.from_dict(
+            {((2, r),) if r else (): c for r, c in local.coeffs})
 
     def test_cross_coefficients(self):
         t1 = hecke.global_assemble({2: (hecke.basic(2, 1), 1), 3: (hecke.basic(3, 1), 1)})

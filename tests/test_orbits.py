@@ -114,7 +114,10 @@ class TestGlobalCounts:
     def test_amplifier_closed_form_matches_expansion(self, kind, index, js):
         parts = {p: (hecke.basic(p, j), 1) for p, j in js.items()}
         tau = hecke.subtract_identity(hecke.global_assemble(parts))
-        squares = [hecke.convolve(h, h) for h, _ in parts.values()]
+        squares = []
+        for h, _ in parts.values():
+            square = hecke.convolve(h, h)
+            squares.append([square[r] for r in range(0, square.max_radius() + 1, 2)])
         model = OrbitModel(kind, index)
         assert count_amplifier_intersections(model, squares) == \
             count_global_intersections(model, tau)
