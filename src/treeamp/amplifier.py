@@ -18,11 +18,11 @@ import enum
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from . import hecke, orbits, splitting, tree
+from . import orbits, splitting, tree
+from ._value import Value
 
 __all__ = [
     "PICK_THRESHOLD",
@@ -33,7 +33,6 @@ __all__ = [
     "AmplifierError",
     "pick_local",
     "build_amplifier",
-    "verify_spectral_floor",
     "scaling_sweep",
     "dichotomy_constant",
     "dichotomy_constant_at_least",
@@ -54,8 +53,7 @@ class SpectrumKind(enum.Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class SpectrumModel:
+class SpectrumModel(Value):
     """Synthetic eigenvalue assignment for the radius-2 operators.
 
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
@@ -64,14 +62,17 @@ class SpectrumModel:
     takes a fixed map, kept sorted by prime and searched by bisection.
     """
 
-    kind: SpectrumKind
-    seed: int = 0
-    values: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("kind", "seed", "values")
 
-    def __post_init__(self):
-        primes = [p for p, _ in self.values]
+    def __init__(self, kind: SpectrumKind, seed: int = 0,
+                 values: tuple[tuple[int, Fraction], ...] = ()):
+        values = tuple(values)
+        primes = [p for p, _ in values]
         if any(a >= b for a, b in zip(primes, primes[1:])):
             raise ValueError(f"explicit values must be strictly ascending by prime, got {primes}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def trivial() -> "SpectrumModel":
@@ -100,16 +101,21 @@ class SpectrumModel:
         return self.values[i][1]
 
 
-@dataclass(frozen=True)
-class LocalChoice:
-    """The operator picked at one prime."""
+class LocalChoice(Value):
+    """The operator picked at one prime: j = 1 or 2, support exponent ell = 2j,
+    eigenvalue lam, phase the sign making phase * lam >= 0, and guarantee_met
+    whether |lam| >= PICK_THRESHOLD * sqrt(support size)."""
 
-    prime: int
-    j: int  # 1 or 2
-    ell: int  # support exponent: 2 for j=1, 4 for j=2
-    lam: Fraction  # eigenvalue of the chosen operator
-    phase: int  # sign making phase * lam >= 0
-    guarantee_met: bool  # |lam| >= PICK_THRESHOLD * sqrt(support size)
+    __slots__ = ("prime", "j", "ell", "lam", "phase", "guarantee_met")
+
+    def __init__(self, prime: int, j: int, ell: int, lam: Fraction, phase: int,
+                 guarantee_met: bool):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "guarantee_met", guarantee_met)
 
     def support_size(self) -> int:
         return tree.sphere_size(self.prime, 2 * self.j)
@@ -189,25 +195,26 @@ def _local_square(p: int, ell: int) -> list[int]:
     return [tree.convolution_count(p, ell, ell, r) for r in range(0, 2 * ell + 1, 2)]
 
 
-@dataclass
-class AmplifierReport:
-    """One amplifier window; the CLI reports every field but verdicts."""
+class AmplifierReport(Value):
+    """One amplifier window; the CLI reports every field but verdicts.
+    Mutable and unhashable, as scaling_sweep fills the last three fields later."""
 
-    Q: int
-    ell: int
-    primes_used: list[int]
-    Lambda: Fraction
-    tau1_at_identity: int
-    c_tau: int
-    norm_inf: int
-    intersection_count: int
-    ratio_intersections: float
-    ratio_positivity: float
-    verdicts: dict[str, bool]
-    # normalized trend quantities, filled by scaling_sweep
-    lambda_scaled: float | None = None
-    norm_inf_scaled: float | None = None
-    positivity_scaled: float | None = None
+    _fields = ("Q", "ell", "primes_used", "Lambda", "tau1_at_identity", "c_tau", "norm_inf",
+               "intersection_count", "ratio_intersections", "ratio_positivity", "verdicts",
+               "lambda_scaled", "norm_inf_scaled", "positivity_scaled")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, Q: int, ell: int, primes_used: list[int], Lambda: Fraction,
+                 tau1_at_identity: int, c_tau: int, norm_inf: int, intersection_count: int,
+                 ratio_intersections: float, ratio_positivity: float, verdicts: dict[str, bool],
+                 lambda_scaled: float | None = None, norm_inf_scaled: float | None = None,
+                 positivity_scaled: float | None = None):
+        vars(self).update(zip(self._fields, (
+            Q, ell, primes_used, Lambda, tau1_at_identity, c_tau, norm_inf, intersection_count,
+            ratio_intersections, ratio_positivity, verdicts,
+            lambda_scaled, norm_inf_scaled, positivity_scaled)))
 
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
@@ -284,30 +291,6 @@ def build_amplifier(
         verdicts=verdicts,
     )
     return kept, report
-
-
-def verify_spectral_floor(
-    tau: hecke.GlobalHeckeElement,
-    c_tau: int,
-    trials: int,
-    seed: int,
-    max_j: int = 4,
-) -> bool:
-    """Check spectral_value(tau) >= -c_tau over random eigenvalue systems.
-
-    Draws are rational so each trial is an exact comparison.
-    """
-    rng = random.Random(seed)
-    primes = sorted(tau.primes())
-    for _ in range(trials):
-        spectra = {}
-        for p in primes:
-            lam = Fraction(rng.randint(-3000, 3000) * p, 1000)
-            spectra[p] = hecke.eigenvalue_sequence(p, lam, max_j)
-        value = hecke.spectral_value(tau, spectra)
-        if value < -c_tau:
-            return False
-    return True
 
 
 def scaling_sweep(

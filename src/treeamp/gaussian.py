@@ -20,10 +20,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 
 __all__ = [
     "GaussInt",
@@ -42,12 +42,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussInt:
+class GaussInt(Value):
     """A Gaussian integer a + bi."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __mul__(self, o: "GaussInt") -> "GaussInt":
         return GaussInt(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
@@ -73,23 +75,23 @@ class GaussInt:
         return GaussInt(num.a // n, num.b // n)
 
 
-@dataclass(frozen=True)
-class GaussPrime:
+class GaussPrime(Value):
     """A prime of Z[i] as its canonical generator (re > 0, re >= |im|, im > 0
     when re = |im|) and its norm, the residue size: a rational prime, or q^2
     for a generator q prime and 3 mod 4.  Other values raise ValueError."""
 
-    generator: GaussInt
-    residue_size: int
+    __slots__ = ("generator", "residue_size")
 
-    def __post_init__(self):
-        a, b = self.generator.a, self.generator.b
-        q = self.residue_size if b else a  # the rational prime below the place
-        if not (self.residue_size == self.generator.norm() >= 2
+    def __init__(self, generator: GaussInt, residue_size: int):
+        a, b = generator.a, generator.b
+        q = residue_size if b else a  # the rational prime below the place
+        if not (residue_size == generator.norm() >= 2
                 and a > 0 and a >= abs(b) and (a != abs(b) or b > 0) and (b != 0 or a % 4 == 3)
                 and (q in _PROVEN_PRIMES or _rational_primes(q) == [q])):
-            raise ValueError(f"{self.generator} of residue size {self.residue_size} "
+            raise ValueError(f"{generator} of residue size {residue_size} "
                              "is not a canonical prime generator")
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "residue_size", residue_size)
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +224,7 @@ def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
     return rest, factors
 
 
-@dataclass(frozen=True)
-class GaussRat:
+class GaussRat(Value):
     """An element (a + bi)/d of Q(i) in lowest terms: d > 0, gcd(a, b, d) = 1.
 
     The form is canonical, so equality and hashing compare values.  make
@@ -231,14 +232,15 @@ class GaussRat:
     raises ValueError.
     """
 
-    a: int
-    b: int
-    d: int = 1
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        if self.d <= 0 or math.gcd(self.a, self.b, self.d) != 1:
-            raise ValueError(f"({self.a} + {self.b}i)/{self.d} is not in lowest "
+    def __init__(self, a: int, b: int, d: int = 1):
+        if d <= 0 or math.gcd(a, b, d) != 1:
+            raise ValueError(f"({a} + {b}i)/{d} is not in lowest "
                              "terms over a positive denominator")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def make(re, im=0) -> "GaussRat":
@@ -340,16 +342,16 @@ def product_formula_check(x: GaussRat) -> Fraction:
 # 2x2 matrices
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Value):
     """A 2x2 matrix over Q(i), entries row-major."""
 
-    entries: tuple[GaussRat, GaussRat, GaussRat, GaussRat]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not (isinstance(self.entries, tuple) and len(self.entries) == 4
-                and all(isinstance(x, GaussRat) for x in self.entries)):
-            raise ValueError(f"Mat2 needs a tuple of four GaussRat entries, got {self.entries!r}")
+    def __init__(self, entries: tuple[GaussRat, GaussRat, GaussRat, GaussRat]):
+        if not (isinstance(entries, tuple) and len(entries) == 4
+                and all(isinstance(x, GaussRat) for x in entries)):
+            raise ValueError(f"Mat2 needs a tuple of four GaussRat entries, got {entries!r}")
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def make(rows) -> "Mat2":

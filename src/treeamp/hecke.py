@@ -10,10 +10,10 @@ coset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tree
+from ._value import Value
 from .splitting import check_prime
 
 __all__ = [
@@ -44,21 +44,22 @@ SupportPoint = tuple[tuple[int, int], ...]  # sorted ((prime, radius), ...)
 _NOT_CANONICAL = "coeffs must be strictly ascending by key with no zero coefficient"
 
 
-@dataclass(frozen=True)
-class LocalHeckeElement:
+class LocalHeckeElement(Value):
     """Finitely supported function on even radii at a single prime."""
 
-    prime: int
-    coeffs: tuple[tuple[int, int], ...]  # sorted (radius, coefficient), coefficient != 0
+    __slots__ = ("prime", "coeffs")  # coeffs: sorted (radius, coefficient), coefficient != 0
 
-    def __post_init__(self):
-        check_prime(self.prime)
+    def __init__(self, prime: int, coeffs: tuple[tuple[int, int], ...]):
+        check_prime(prime)
+        coeffs = tuple(coeffs)
         last = -1
-        for r, c in self.coeffs:
+        for r, c in coeffs:
             tree.check_even_radius(r)
             if r <= last or c == 0:
-                raise ValueError(f"{_NOT_CANONICAL}, got {self.coeffs}")
+                raise ValueError(f"{_NOT_CANONICAL}, got {coeffs}")
             last = r
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_dict(p: int, coeffs: dict[int, int]) -> "LocalHeckeElement":
@@ -124,12 +125,15 @@ def convolve(f: LocalHeckeElement, g: LocalHeckeElement) -> LocalHeckeElement:
     return LocalHeckeElement(p, tuple((2 * k, c) for k, c in enumerate(out) if c))
 
 
-@dataclass(frozen=True)
-class EigenvalueSequence:
+class EigenvalueSequence(Value):
     """Eigenvalues of the radius-2j operators, lambda[0] = 1."""
 
-    prime: int
-    lambdas: tuple
+    __slots__ = ("prime", "lambdas")
+
+    def __init__(self, prime: int, lambdas: tuple):
+        check_prime(prime)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "lambdas", tuple(lambdas))
 
     def value(self, j: int):
         if j < 0:
@@ -165,17 +169,17 @@ def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
 # Global (multi-prime) elements
 
 
-@dataclass(frozen=True)
-class GlobalHeckeElement:
+class GlobalHeckeElement(Value):
     """Finitely supported integer function on support points."""
 
-    coeffs: tuple[tuple[SupportPoint, int], ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple[tuple[SupportPoint, int], ...]):
+        coeffs = tuple(coeffs)
         last = None
-        for point, c in self.coeffs:
+        for point, c in coeffs:
             if (last is not None and point <= last) or c == 0:
-                raise ValueError(f"{_NOT_CANONICAL}, got {self.coeffs}")
+                raise ValueError(f"{_NOT_CANONICAL}, got {coeffs}")
             last = point
             primes = [p for p, _ in point]
             if primes != sorted(set(primes)):
@@ -185,6 +189,7 @@ class GlobalHeckeElement:
                 tree.check_even_radius(r)
                 if r == 0:
                     raise ValueError("support points must not carry radius 0 entries")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_dict(coeffs: dict[SupportPoint, int]) -> "GlobalHeckeElement":

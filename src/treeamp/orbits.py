@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import tree
+from ._value import Value
 from .splitting import check_prime
 
 if TYPE_CHECKING:
@@ -41,8 +41,7 @@ class OrbitKind(enum.Enum):
     SL2 = "sl2"
 
 
-@dataclass(frozen=True)
-class OrbitModel:
+class OrbitModel(Value):
     """An orbit shape together with its finite-index multiplier.
 
     The multiplier counts coset translates of the base orbit; root-
@@ -50,12 +49,13 @@ class OrbitModel:
     so translates only scale counts.
     """
 
-    kind: OrbitKind
-    index_multiplier: int = 1
+    __slots__ = ("kind", "index_multiplier")
 
-    def __post_init__(self):
-        if self.index_multiplier < 1:
+    def __init__(self, kind: OrbitKind, index_multiplier: int = 1):
+        if index_multiplier < 1:
             raise ValueError("index multiplier must be >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index_multiplier", index_multiplier)
 
 
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:

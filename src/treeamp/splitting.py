@@ -26,11 +26,12 @@ polynomial takes one Frobenius test per prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import isqrt, lcm
+
+from ._value import Value
 
 __all__ = [
     "MAX_DEGREE",
@@ -130,17 +131,18 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return _primes_of(lo, _prime_table(lo, hi))
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Value):
     """Integer polynomial, coefficients from the constant term up."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
+        if not coeffs or coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        if len(self.coeffs) < 2:
+        if len(coeffs) < 2:
             raise ValueError("degree must be >= 1")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -20,9 +20,9 @@ directions out of it (convolution_count).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .splitting import check_prime
 
 __all__ = [
@@ -43,23 +43,23 @@ def check_even_radius(r: int) -> None:
         raise ValueError(f"radius must be even and nonnegative, got {r}")
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(Value):
     """A tree vertex in word normal form.
 
     ``word`` is a tuple of digits; the empty tuple is the root.
     """
 
-    prime: int
-    word: tuple[int, ...]
+    __slots__ = ("prime", "word")
 
-    def __post_init__(self):
-        check_prime(self.prime)
-        p = self.prime
-        for i, d in enumerate(self.word):
-            hi = p if i == 0 else p - 1
+    def __init__(self, prime: int, word: tuple[int, ...]):
+        check_prime(prime)
+        word = tuple(word)
+        for i, d in enumerate(word):
+            hi = prime if i == 0 else prime - 1
             if not 0 <= d <= hi:
                 raise ValueError(f"digit {d} at position {i} out of range [0, {hi}]")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "word", word)
 
     def depth(self) -> int:
         return len(self.word)

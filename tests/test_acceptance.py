@@ -19,11 +19,12 @@ from treeamp.amplifier import (
     dichotomy_constant,
     dichotomy_constant_at_least,
     scaling_sweep,
-    verify_spectral_floor,
 )
 from treeamp.cli import main as cli_main
 from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import empirical_density, parse_poly, primes_in, splits_completely
+
+from oracles import verify_spectral_floor
 
 RESULTS: dict[str, bool] = {}
 

@@ -18,11 +18,12 @@ from treeamp.amplifier import (
     dichotomy_constant_at_least,
     pick_local,
     scaling_sweep,
-    verify_spectral_floor,
 )
 from treeamp.cli import main as cli_main
 from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import is_prime, parse_poly, primes_in, split_primes_in
+
+from oracles import verify_spectral_floor
 
 GAUSS = parse_poly("x^2+1")
 SL2 = OrbitModel(OrbitKind.SL2)
@@ -253,8 +254,8 @@ class TestBuildAmplifier:
         monkeypatch.setattr(amplifier, "pick_local", counting("pick_local", amplifier.pick_local))
         for name in ("convolve", "basic"):
             monkeypatch.setattr(hecke, name, counting(name, getattr(hecke, name)))
-        monkeypatch.setattr(hecke.LocalHeckeElement, "__post_init__",
-                            counting("LocalHeckeElement", hecke.LocalHeckeElement.__post_init__))
+        monkeypatch.setattr(hecke.LocalHeckeElement, "__init__",
+                            counting("LocalHeckeElement", hecke.LocalHeckeElement.__init__))
         return calls
 
     @pytest.mark.parametrize("spectrum", ["trivial", "tempered42", "explicit-half"])

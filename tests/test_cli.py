@@ -276,14 +276,14 @@ def test_import_loads_no_library_module():
     assert run_probe("import sys, treeamp.cli; " + LOADED) == "treeamp treeamp.cli"
 
 
-# Tiny flags for each subcommand and the library modules it loads;
-# every other treeamp module must stay unloaded.
+# Tiny flags for each subcommand and the library modules it loads, besides
+# the value base _value; every other treeamp module must stay unloaded.
 SUBCOMMAND_LOADS = {
     "denom-check": (["--samples", "2"], {"gaussian"}),
     "split-density": (["--poly", "x^2+1", "--limit", "100"], {"splitting"}),
     "verify-hecke": (["--primes", "2", "--max-radius", "2"], {"hecke", "tree", "splitting"}),
     "orbit-check": (["--primes", "2", "--max-j", "1"], {"orbits", "tree", "splitting"}),
-    "amplifier": (["--Q", "50"], {"amplifier", "hecke", "orbits", "splitting", "tree"}),
+    "amplifier": (["--Q", "50"], {"amplifier", "orbits", "splitting", "tree"}),
 }
 
 
@@ -292,7 +292,16 @@ def test_subcommand_loads_only_what_it_runs(command, tmp_path):
     flags, modules = SUBCOMMAND_LOADS[command]
     probe = "import sys; from treeamp.cli import main; main(sys.argv[1:]); " + LOADED
     loaded = run_probe(probe, command, *flags, "--out", str(tmp_path / "r.json")).split()
-    assert loaded == sorted({"treeamp", "treeamp.cli"} | {f"treeamp.{m}" for m in modules})
+    assert loaded == sorted({"treeamp", "treeamp.cli", "treeamp._value"}
+                            | {f"treeamp.{m}" for m in modules})
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_LOADS)
+def test_subcommand_imports_no_dataclasses(command, tmp_path):
+    flags, _ = SUBCOMMAND_LOADS[command]
+    probe = ("import sys; from treeamp.cli import main; main(sys.argv[1:]); "
+             "print('dataclasses' in sys.modules)")
+    assert run_probe(probe, command, *flags, "--out", str(tmp_path / "r.json")) == "False"
 
 
 # Edge values per flag, valid and invalid; every flag that sets a

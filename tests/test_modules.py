@@ -20,6 +20,12 @@ def test_star_import_finds_every_exported_name(name):
     assert [n for n in exported if n not in namespace] == []
 
 
+def test_no_module_imports_dataclasses():
+    pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
+    assert [path.name for path in sorted((ROOT / "src" / "treeamp").glob("*.py"))
+            if pattern.search(path.read_text())] == []
+
+
 def test_deleted_helpers_stay_deleted():
     pattern = re.compile(r"\b(?:" + "|".join(DELETED) + r")\b")
     hits = [f"{path.relative_to(ROOT)}:{k}: {line.strip()}"
