@@ -1,16 +1,23 @@
 #!/usr/bin/env bash
 # Run every CLI verification suite and collect the JSON reports.
 # Every suite runs; the exit code is 1 when any of them failed.
+# Without an installed treeamp on PATH, it runs python3 -m treeamp.cli,
+# so a checkout works with PYTHONPATH=src.
 set -euo pipefail
 
 outdir="${1:-reports}"
 mkdir -p "$outdir"
 failed=0
+if command -v treeamp >/dev/null; then
+    treeamp=(treeamp)
+else
+    treeamp=(python3 -m treeamp.cli)
+fi
 
 run() {
     name="$1"; shift
     echo "== $name"
-    if treeamp "$@" --out "$outdir/$name.json"; then
+    if "${treeamp[@]}" "$@" --out "$outdir/$name.json"; then
         echo "   ok -> $outdir/$name.json"
     else
         echo "   FAILED (see $outdir/$name.json)"

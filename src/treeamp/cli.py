@@ -186,10 +186,12 @@ def cmd_denom_check(args):
     from . import gaussian
     rng = random.Random(args.seed)
     n = args.samples
+    one, zero = gaussian.GaussRat(1, 0), gaussian.GaussRat(0, 0)
 
-    def draw():
-        return gaussian.GaussRat.make(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
-                                      Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+    def draw():  # a/b + (c/d)i, drawn in the order a, b, c, d
+        a, b = rng.randint(-30, 30), rng.randint(1, 12)
+        c, d = rng.randint(-30, 30), rng.randint(1, 12)
+        return gaussian._reduced(a * d, c * b, b * d)
 
     submult_add = submult_mul = product_one = arch_floor = True
     for _ in range(n):
@@ -199,15 +201,14 @@ def cmd_denom_check(args):
         submult_mul &= gaussian.denom(x * y) <= dx * dy
         if not x.is_zero():
             product_one &= gaussian.product_formula_check(x) == 1
-            arch_floor &= dx * x.norm() >= 1
+            arch_floor &= dx * (x.a * x.a + x.b * x.b) >= x.d * x.d  # dx * x.norm() >= 1
     unimodular = sl2_inverse = True
     for _ in range(max(1, n // 10)):
         m = gaussian.Mat2(tuple(draw() for _ in range(4)))
         # random unimodular integral matrix: product of elementary shears
         k = gaussian.Mat2.identity()
         for _ in range(4):
-            s = gaussian.GaussRat.make(rng.randint(-3, 3), rng.randint(-3, 3))
-            one, zero = gaussian.GaussRat.make(1), gaussian.GaussRat.make(0)
+            s = gaussian.GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))
             shear = gaussian.Mat2((one, s, zero, one)) if rng.random() < 0.5 \
                 else gaussian.Mat2((one, zero, s, one))
             k = k * shear

@@ -7,12 +7,13 @@ denominators are q_v^max(-ord_v, 0) with q_v the residue size of the
 place (2 for the ramified prime, p for split primes, p^2 for inert);
 their product is the norm of the denominator ideal.  That norm is the
 index of a lattice in Z^2, so it is a gcd of 2x2 integer minors and
-needs no arithmetic in Z[i].  Only the product-formula check factors.
-Its places are built directly: 1 + i over 2, p over p = 3 mod 4, and
-x +- yi over p = 1 mod 4, where integer Euclid gives p = x^2 + y^2.
-An element of Q(i) is one Gaussian integer over one positive integer,
-(a + bi)/d in lowest terms, so its arithmetic is integer arithmetic and
-one gcd.
+needs no arithmetic in Z[i].  Only the product-formula check factors; it
+reads each place's order off the factored norm in integers, with
+gaussian_factor (division in Z[i]) as its oracle.  Its places are
+built directly: 1 + i over 2, p over p = 3 mod 4, and x +- yi over
+p = 1 mod 4, where integer Euclid gives p = x^2 + y^2.  An element of
+Q(i) is one Gaussian integer over one positive integer, (a + bi)/d in
+lowest terms, so its arithmetic is integer arithmetic and one gcd.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from ._primes import cached_is_prime
 from ._value import Value
 
 __all__ = [
@@ -87,7 +89,7 @@ class GaussPrime(Value):
         q = residue_size if b else a  # the rational prime below the place
         if not (residue_size == generator.norm() >= 2
                 and a > 0 and a >= abs(b) and (a != abs(b) or b > 0) and (b != 0 or a % 4 == 3)
-                and (q in _PROVEN_PRIMES or _rational_primes(q) == [q])):
+                and cached_is_prime(q)):
             raise ValueError(f"{generator} of residue size {residue_size} "
                              "is not a canonical prime generator")
         object.__setattr__(self, "generator", generator)
@@ -133,8 +135,6 @@ def _divide_out(z: GaussInt, v: GaussPrime) -> tuple[int, GaussInt]:
 _TRIAL_LIMIT = 1 << 10
 _TRIAL_DIVISORS = (2, 3) + tuple(k + e for k in range(6, _TRIAL_LIMIT, 6) for e in (-1, 1))
 _RHO_BATCH = 128  # rho steps per gcd
-# primes above 2^20 that _rational_primes proved, so a place over one is not proved again
-_PROVEN_PRIMES: set[int] = set()
 
 
 def _pollard_brent(n: int) -> int:
@@ -175,8 +175,8 @@ def _rational_primes(n: int) -> list[int]:
 
     Trial division below 2^10 (at most 342 divisions) settles every
     n < 2^20.  A larger cofactor is split by _pollard_brent until
-    splitting.is_prime accepts each part.  Where is_prime refuses a
-    part (at psi_13 and above), ValueError names n.
+    cached_is_prime accepts each part.  Where is_prime refuses a part
+    (at psi_13 and above), ValueError names n.
     """
     out = []
     m = n
@@ -190,18 +190,16 @@ def _rational_primes(n: int) -> list[int]:
                 m //= p
     if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
         return out + [m] if m > 1 else out
-    from .splitting import is_prime  # lazy: no norm below 2^20 needs it
     large, todo = set(), [m]
     while todo:
         m = todo.pop()
         try:
-            prime = is_prime(m)
+            prime = cached_is_prime(m)
         except ValueError:
             raise ValueError(f"cannot factor the norm {n}: primality of its "
                              f"cofactor {m} is not decided exactly") from None
         if prime:
             large.add(m)
-            _PROVEN_PRIMES.add(m)
         else:
             f = _pollard_brent(m)
             todo += (f, m // f)
@@ -316,8 +314,34 @@ def _denominator_norm(xs) -> int:
 
 
 def denom(x: GaussRat) -> int:
-    """Product of the local denominators over all finite places."""
-    return _denominator_norm([x])
+    """Product of the local denominators over all finite places: for (a + bi)/d
+    it is d^2 / gcd(d, a^2 + b^2), as the minors of _denominator_norm show."""
+    return x.d * x.d // math.gcd(x.d, x.a * x.a + x.b * x.b)
+
+
+def _place_orders(a: int, b: int):
+    """Each place v dividing a + bi != 0 with ord_v(a + bi), read off the
+    norm N in integers: v_2(N) at 1 + i and v_p(N)/2 at an inert p.  Over
+    p = 1 mod 4, strip the power p^k common to a and b; at most one place
+    x + yi over p divides the rest, the one where bx = ay mod p (i = -x/y
+    there), to order v_p(N) - k, and the other place has order k."""
+    n = a * a + b * b
+    for p in _rational_primes(n):
+        e = k = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        places = _prime_above(p)
+        if len(places) == 1:
+            yield places[0], e if p == 2 else e // 2
+            continue
+        while a % p == 0 and b % p == 0:
+            a, b, k = a // p, b // p, k + 1
+        v, w = places
+        if (b * v.generator.a - a * v.generator.b) % p:  # v does not divide the rest
+            v, w = w, v
+        yield v, e - k
+        if k:
+            yield w, k
 
 
 def product_formula_check(x: GaussRat) -> Fraction:
@@ -331,11 +355,9 @@ def product_formula_check(x: GaussRat) -> Fraction:
     """
     if x.is_zero():
         raise ValueError("product formula applies to nonzero elements")
-    n = GaussInt(x.a, x.b)
-    finite_num = math.prod(v.residue_size ** e
-                           for v, e in gaussian_factor(GaussInt(x.d, 0))[1].items())
-    finite_den = math.prod(v.residue_size ** e for v, e in gaussian_factor(n)[1].items())
-    return Fraction(n.norm() * finite_num, x.d * x.d * finite_den)
+    finite_num = math.prod(v.residue_size ** e for v, e in _place_orders(x.d, 0))
+    finite_den = math.prod(v.residue_size ** e for v, e in _place_orders(x.a, x.b))
+    return Fraction((x.a * x.a + x.b * x.b) * finite_num, x.d * x.d * finite_den)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import tree
 from ._value import Value
-from .splitting import check_prime
+from ._primes import check_prime
 
 __all__ = [
     "MAX_RADIUS",
@@ -39,8 +39,8 @@ MAX_RADIUS = 8
 
 SupportPoint = tuple[tuple[int, int], ...]  # sorted ((prime, radius), ...)
 
-# Both element classes store one entry per key, keys ascending, so equal
-# elements compare equal and every sum over coeffs counts a key once.
+# Both element classes store one tuple pair per key, keys ascending, so
+# equal elements compare equal and every sum over coeffs counts a key once.
 _NOT_CANONICAL = "coeffs must be strictly ascending by key with no zero coefficient"
 
 
@@ -51,7 +51,7 @@ class LocalHeckeElement(Value):
 
     def __init__(self, prime: int, coeffs: tuple[tuple[int, int], ...]):
         check_prime(prime)
-        coeffs = tuple(coeffs)
+        coeffs = tuple((r, c) for r, c in coeffs)
         last = -1
         for r, c in coeffs:
             tree.check_even_radius(r)
@@ -175,7 +175,7 @@ class GlobalHeckeElement(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[tuple[SupportPoint, int], ...]):
-        coeffs = tuple(coeffs)
+        coeffs = tuple((tuple((p, r) for p, r in point), c) for point, c in coeffs)
         last = None
         for point, c in coeffs:
             if (last is not None and point <= last) or c == 0:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import tree
 from ._value import Value
-from .splitting import check_prime
+from ._primes import check_prime
 
 if TYPE_CHECKING:
     from .hecke import GlobalHeckeElement

@@ -23,7 +23,7 @@ import itertools
 from functools import lru_cache
 
 from ._value import Value
-from .splitting import check_prime
+from ._primes import check_prime
 
 __all__ = [
     "TreeVertex",

@@ -1,17 +1,20 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treeamp import cli
+from treeamp import cli, gaussian
 from treeamp.cli import main
+from treeamp.gaussian import GaussRat, Mat2
 from treeamp.orbits import OrbitKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,12 +62,48 @@ class TestSplitDensity:
         assert code == 1
 
 
+def fraction_denom_check_inputs(seed, samples):
+    """What denom-check hands to denom and denom_mat, in order, with every
+    number drawn as two Fractions and every shear built by make: the oracle."""
+    rng = random.Random(seed)
+
+    def draw():
+        return GaussRat.make(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                             Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+
+    seen = []
+    for _ in range(samples):
+        x, y = draw(), draw()
+        seen += [("denom", x), ("denom", y), ("denom", x + y), ("denom", x * y)]
+    for _ in range(max(1, samples // 10)):
+        m = Mat2(tuple(draw() for _ in range(4)))
+        k = Mat2.identity()
+        for _ in range(4):
+            s = GaussRat.make(rng.randint(-3, 3), rng.randint(-3, 3))
+            one, zero = GaussRat.make(1), GaussRat.make(0)
+            k = k * (Mat2((one, s, zero, one)) if rng.random() < 0.5 else Mat2((one, zero, s, one)))
+        seen += [("denom_mat", m * k), ("denom_mat", m), ("denom_mat", k.inverse()),
+                 ("denom_mat", k)]
+    return seen
+
+
 class TestDenomCheck:
     def test_passes(self, tmp_path):
         code, raw = run(tmp_path, "dc.json",
                         ["denom-check", "--samples", "200", "--seed", "1"])
         assert code == 0
         assert all(json.loads(raw)["verdicts"].values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_draws_equal_fraction_draws(self, tmp_path, monkeypatch, seed):
+        seen = []
+        for name in ("denom", "denom_mat"):
+            fn = getattr(gaussian, name)
+            monkeypatch.setattr(gaussian, name,
+                                lambda x, name=name, fn=fn: seen.append((name, x)) or fn(x))
+        code, _ = run(tmp_path, "dc.json", ["denom-check", "--samples", "60", "--seed", str(seed)])
+        assert code == 0
+        assert seen == fraction_denom_check_inputs(seed, 60)
 
 
 class TestOrbitCheck:
@@ -277,12 +316,14 @@ def test_import_loads_no_library_module():
 
 
 # Tiny flags for each subcommand and the library modules it loads, besides
-# the value base _value; every other treeamp module must stay unloaded.
+# the value base _value and the primality module _primes; every other
+# treeamp module must stay unloaded.  The tree-only subcommands load no
+# split filter.
 SUBCOMMAND_LOADS = {
     "denom-check": (["--samples", "2"], {"gaussian"}),
     "split-density": (["--poly", "x^2+1", "--limit", "100"], {"splitting"}),
-    "verify-hecke": (["--primes", "2", "--max-radius", "2"], {"hecke", "tree", "splitting"}),
-    "orbit-check": (["--primes", "2", "--max-j", "1"], {"orbits", "tree", "splitting"}),
+    "verify-hecke": (["--primes", "2", "--max-radius", "2"], {"hecke", "tree"}),
+    "orbit-check": (["--primes", "2", "--max-j", "1"], {"orbits", "tree"}),
     "amplifier": (["--Q", "50"], {"amplifier", "orbits", "splitting", "tree"}),
 }
 
@@ -292,7 +333,7 @@ def test_subcommand_loads_only_what_it_runs(command, tmp_path):
     flags, modules = SUBCOMMAND_LOADS[command]
     probe = "import sys; from treeamp.cli import main; main(sys.argv[1:]); " + LOADED
     loaded = run_probe(probe, command, *flags, "--out", str(tmp_path / "r.json")).split()
-    assert loaded == sorted({"treeamp", "treeamp.cli", "treeamp._value"}
+    assert loaded == sorted({"treeamp", "treeamp.cli", "treeamp._value", "treeamp._primes"}
                             | {f"treeamp.{m}" for m in modules})
 
 

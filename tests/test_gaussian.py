@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from treeamp import gaussian, splitting
+from treeamp import _primes, gaussian, splitting
 from treeamp.gaussian import (
     ArchBoundViolation,
     CommutatorVerdict,
@@ -239,6 +239,38 @@ class TestFactorization:
                 assert q % 4 == 1 or (root * root == q and root % 4 == 3)
 
 
+# Z[i] factors for the place-order oracle: a unit, the ramified 1 + i,
+# the inert 3, the split 2 +- i unevenly, and a power of 13 common to a
+# and b, times a cofactor whose norm may pass 2^20.
+gauss_products = st.builds(
+    lambda u, e2, e3, e5, e5bar, k13, w: math.prod(
+        [GaussInt(0, 1)] * u + [GaussInt(1, 1)] * e2 + [GaussInt(3, 0)] * e3
+        + [GaussInt(2, 1)] * e5 + [GaussInt(2, -1)] * e5bar + [GaussInt(13, 0)] * k13,
+        start=w),
+    st.integers(0, 3), st.integers(0, 6), st.integers(0, 3), st.integers(0, 4),
+    st.integers(0, 4), st.integers(0, 3),
+    st.one_of(st.just(GaussInt(1, 0)),
+              st.builds(GaussInt, st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+              .filter(lambda w: not w.is_zero())))
+
+
+class TestPlaceOrders:
+    """The integer place orders of product_formula_check against the
+    Gaussian division of gaussian_factor."""
+
+    @given(gauss_products)
+    @example(GaussInt(1, 0))
+    @example(GaussInt(0, -1))
+    @example(GaussInt(2 ** 11, 0))  # 2 only, 2^22 above 2^20
+    @example(GaussInt(0, 3 ** 7))  # inert only
+    @example(GaussInt(5 * 3, 5 * 4))  # 5 (2 + i)^2 = (2 + i)^3 (2 - i): orders 3 and 1
+    @example(GaussInt(10 ** 8, 49))  # a prime norm near 10^16
+    @settings(max_examples=300, deadline=None)
+    def test_orders_match_gaussian_factor(self, z):
+        orders, factors = list(gaussian._place_orders(z.a, z.b)), gaussian_factor(z)[1]
+        assert dict(orders) == factors and len(orders) == len(factors)
+
+
 class TestDenominators:
     def test_unit_place_refused_not_looped_on(self):
         # dividing by the unit 1 never stops; the place is refused when built
@@ -308,6 +340,7 @@ class TestDenominatorOracle:
     @example(GaussRat.make(Fraction(2, 5), Fraction(11, 5)))  # 5; 1 without D Re w, D Im w
     @settings(max_examples=200, deadline=None)
     def test_denom_is_product_of_local_denominators(self, x):
+        assert denom(x) == gaussian._denominator_norm([x])
         assert denom(x) == math.prod(denom_local(x, v) for v in places_over(x.d))
 
     @given(st.tuples(big_gauss_rat, big_gauss_rat, big_gauss_rat, big_gauss_rat))
@@ -421,10 +454,15 @@ class TestProductFormula:
 
     def test_prime_norm_near_10_16_costs_one_primality_test(self, monkeypatch):
         # N(10^8 + 49 i) = 10^16 + 2401 is prime; trial division to its
-        # square root took 10^8 steps
+        # square root took 10^8 steps.  Factoring the norm proves it, and
+        # building its places reads that proof from the cache.  The place
+        # over the denominator 7 is built first, so only the norm counts.
         calls = []
-        is_prime, rho = splitting.is_prime, gaussian._pollard_brent
-        monkeypatch.setattr(splitting, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        is_prime, rho = _primes.is_prime, gaussian._pollard_brent
+        _primes.cached_is_prime.cache_clear()
+        _prime_above.cache_clear()
+        _prime_above(7)
+        monkeypatch.setattr(_primes, "is_prime", lambda n: calls.append(n) or is_prime(n))
         monkeypatch.setattr(gaussian, "_pollard_brent", lambda n: calls.append("rho") or rho(n))
         x = GaussRat.make(Fraction(10 ** 8, 7), Fraction(49, 7))
         assert product_formula_check(x) == 1

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,3 +91,24 @@ def test_run_all_checks_runs_every_suite_and_reports_failure(tmp_path, stub_exit
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode != 0) == script_fails, proc.stdout + proc.stderr
     assert sum(line.startswith("==") for line in proc.stdout.splitlines()) == 8
+
+
+def test_run_all_checks_runs_from_a_checkout_without_treeamp_on_path(tmp_path):
+    # python3 is the running interpreter; no PATH entry holds a treeamp
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python3").symlink_to(sys.executable)
+    path = [str(bin_dir)] + [d for d in os.environ.get("PATH", "").split(os.pathsep)
+                             if d and not (Path(d) / "treeamp").exists()]
+    env = dict(os.environ, PATH=os.pathsep.join(path), PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "run_all_checks.sh"
+    proc = subprocess.run(["bash", str(script), str(tmp_path / "reports")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
+    suites = [shlex.split(line)[1:] for line in script.read_text().splitlines()
+              if line.startswith("run ")]
+    assert len(suites) == 8
+    for name, *argv in suites:
+        report = (tmp_path / "reports" / f"{name}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == recorded[" ".join(argv)]["sha256"], name

@@ -161,6 +161,18 @@ class TestSequenceFieldsAreTuples:
         h, want = LocalHeckeElement(2, [(0, 1)]), LocalHeckeElement(2, ((0, 1),))
         assert h == want and hash(h) == hash(want)
 
+    def test_local_hecke_element_from_nested_lists(self):
+        h, want = LocalHeckeElement(2, [[0, 1], [2, -1]]), LocalHeckeElement(2, ((0, 1), (2, -1)))
+        assert h == want and hash(h) == hash(want)
+        assert h.coeffs == ((0, 1), (2, -1))
+
+    def test_global_hecke_element_from_nested_lists(self):
+        g = GlobalHeckeElement([((), 1), ([[2, 2], [3, 4]], -1), ([(5, 2)], 1)])
+        want = GlobalHeckeElement((((), 1), (((2, 2), (3, 4)), -1), (((5, 2),), 1)))
+        assert g == want and hash(g) == hash(want)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            GlobalHeckeElement([([(5, 2)], 1), ((), 1)])
+
     def test_other_sequence_fields(self):
         assert EigenvalueSequence(2, [1, 6]) == EigenvalueSequence(2, (1, 6))
         assert GlobalHeckeElement([((), 1)]) == GlobalHeckeElement((((), 1),))
