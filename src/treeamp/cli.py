@@ -22,7 +22,6 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -39,10 +38,10 @@ def _encode(obj):
         return obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         return f"{obj:.12g}"
+    if hasattr(obj, "denominator"):  # a Fraction, told apart without importing fractions
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -100,6 +99,7 @@ def _int_at_least(low: int):
 
 
 def _fraction_text(text: str) -> str:
+    from fractions import Fraction
     try:
         Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -163,6 +163,7 @@ def cmd_verify_hecke(args):
 
 
 def cmd_split_density(args):
+    from fractions import Fraction
     from . import splitting
     if args.limit > MAX_SIEVE:
         raise ValueError(f"limit {args.limit} exceeds the cap {MAX_SIEVE}")

@@ -264,7 +264,7 @@ class GaussRat(Value):
         return _reduced(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.a, -self.b, self.d)
+        return _reduced(-self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Squared complex modulus: the normalized archimedean absolute value."""
@@ -279,10 +279,18 @@ class GaussRat(Value):
         return _reduced(self.d * self.a, -self.d * self.b, self.a * self.a + self.b * self.b)
 
 
+_set_a, _set_b, _set_d = GaussRat.a.__set__, GaussRat.b.__set__, GaussRat.d.__set__
+
+
 def _reduced(a: int, b: int, d: int) -> GaussRat:
-    """(a + bi)/d in lowest terms, for d > 0."""
+    """(a + bi)/d in lowest terms, for d > 0.  Dividing by the gcd puts it
+    there, so it is built without GaussRat's check."""
     g = math.gcd(a, b, d)
-    return GaussRat(a // g, b // g, d // g)
+    x = object.__new__(GaussRat)
+    _set_a(x, a // g)
+    _set_b(x, b // g)
+    _set_d(x, d // g)
+    return x
 
 
 def denom_local(x: GaussRat, v: GaussPrime) -> int:

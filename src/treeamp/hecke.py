@@ -10,8 +10,6 @@ coset.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import tree
 from ._value import Value
 from ._primes import check_prime
@@ -151,6 +149,7 @@ def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
     constant is 1, so each new term is solved triangularly, exactly: a
     float seed is read by its binary value.
     """
+    from fractions import Fraction
     if max_j < 2:
         raise ValueError("max_j must be >= 2")
     lam = [Fraction(1), Fraction(lambda_p)]

@@ -89,16 +89,21 @@ def sphere_size(p: int, r: int) -> int:
 
 
 def iter_sphere(p: int, r: int):
-    """Stream all vertices at distance exactly r from the root."""
+    """Stream all vertices at distance exactly r from the root, built without
+    TreeVertex's digit check: each word is a no-backtrack string by construction."""
     check_prime(p)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:
         yield root(p)
         return
+    set_prime, set_word = TreeVertex.prime.__set__, TreeVertex.word.__set__
     for first in range(p + 1):
         for rest in itertools.product(range(p), repeat=r - 1):
-            yield TreeVertex(p, (first,) + rest)
+            v = object.__new__(TreeVertex)
+            set_prime(v, p)
+            set_word(v, (first,) + rest)
+            yield v
 
 
 def distance(v: TreeVertex, w: TreeVertex) -> int:

@@ -383,6 +383,20 @@ class TestIntegerProducts:
             assert z == GaussRat.make(z.re, z.im)
             assert hash(z) == hash(GaussRat.make(z.re, z.im))
 
+    @given(big_gauss_rat, big_gauss_rat, st.integers(-10 ** 6, 10 ** 6),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 60))
+    @example(GaussRat.make(0), GaussRat.make(0), 0, 0, 5, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_unchecked_results_equal_their_checked_rebuild(self, x, y, a, b, d, k):
+        # arithmetic builds through _reduced, skipping GaussRat's check; the rebuild runs it
+        results = [x + y, x - y, x * y, -x, GaussRat.make(x.re, y.im),
+                   gaussian._reduced(a, b, d), gaussian._reduced(k * a, k * b, k * d)]
+        if not y.is_zero():
+            results.append(y.inverse())
+        for z in results:
+            checked = GaussRat(z.a, z.b, z.d)
+            assert z == checked and hash(z) == hash(checked)
+
     @pytest.mark.parametrize("a, b, d", [(2, 4, 2), (1, 0, 0), (1, 0, -1)])
     def test_non_canonical_triple_rejected(self, a, b, d):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -34,3 +35,24 @@ def test_deleted_helpers_stay_deleted():
             for k, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_unchecked_builds_stay_at_their_two_sites():
+    """object.__new__ builds a value without its class's checks.  Only the
+    words iter_sphere streams and the lowest terms _reduced divides out are
+    valid by construction; any other site needs a deliberate edit here."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                sites.append(scope)
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == ["gaussian._reduced", "tree.iter_sphere"]

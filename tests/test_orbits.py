@@ -1,9 +1,10 @@
 import functools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from treeamp import hecke
+from treeamp import hecke, tree
 from treeamp.orbits import (
     OrbitKind,
     OrbitModel,
@@ -67,6 +68,22 @@ class TestBruteForce:
             tracemalloc.stop()
         assert count == orbit_intersect_one_sided(model, 5, j)
         assert peak < 500_000
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_sl2_walks_every_sphere_of_the_ball(self, p, j, monkeypatch):
+        # the sl2 verdicts compare 0 with 0 whatever the walk yields, so count the walk
+        walked = Counter()
+        stream = tree.iter_sphere
+
+        def counting_stream(q, r):
+            for v in stream(q, r):
+                walked[r] += 1
+                yield v
+
+        monkeypatch.setattr(tree, "iter_sphere", counting_stream)
+        assert brute_force_intersect(SL2, p, j, ball_radius=2 * j) == 0
+        assert walked == {r: tree.sphere_size(p, r) for r in range(2 * j + 1)}
 
     def test_small_ball_rejected(self):
         with pytest.raises(ValueError):

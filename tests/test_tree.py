@@ -58,6 +58,16 @@ class TestSphere:
                 # too large to walk here: verify the recursion instead
                 assert expected == p * tree.sphere_size(p, r - 1)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_streamed_vertices_equal_their_checked_rebuild(self, p):
+        # iter_sphere skips TreeVertex's digit check; the rebuild runs it
+        for r in range(5):
+            vertices = list(tree.iter_sphere(p, r))
+            assert len(set(vertices)) == len(vertices) == tree.sphere_size(p, r)
+            for v in vertices:
+                checked = tree.TreeVertex(p, v.word)
+                assert v == checked and hash(v) == hash(checked)
+
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             next(tree.iter_sphere(4, 2))
