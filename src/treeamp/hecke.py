@@ -5,7 +5,8 @@ double-coset indicators.  Convolution is computed from the tree path
 counts, so every identity here is exact integer arithmetic.  Global
 (multi-prime) elements are indexed by support points: finitely
 supported maps prime -> even radius, the empty map being the identity
-coset.
+coset.  Only the tests build global elements, to expand the amplifier;
+its spectral evaluation lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ __all__ = [
     "identity",
     "basic",
     "convolve",
-    "support_size",
     "total_mass",
     "eigenvalue_sequence",
-    "spectral_value",
     "global_assemble",
-    "global_identity",
-    "subtract_identity",
     "norm_inf",
 ]
 
@@ -88,11 +85,6 @@ def basic(p: int, j: int) -> LocalHeckeElement:
     if 2 * j > MAX_RADIUS:
         raise ValueError(f"radius 2j={2 * j} exceeds the cap {MAX_RADIUS}")
     return LocalHeckeElement(p, ((2 * j, 1),))
-
-
-def support_size(f: LocalHeckeElement) -> int:
-    """Number of tree vertices in the support (coefficients ignored)."""
-    return sum(tree.sphere_size(f.prime, r) for r, _ in f.coeffs)
 
 
 def total_mass(f: LocalHeckeElement):
@@ -199,22 +191,6 @@ class GlobalHeckeElement(Value):
             merged[key] = merged.get(key, 0) + c
         return GlobalHeckeElement(tuple(sorted((k, c) for k, c in merged.items() if c != 0)))
 
-    def as_dict(self) -> dict[SupportPoint, int]:
-        return dict(self.coeffs)
-
-    def identity_value(self) -> int:
-        return self.as_dict().get((), 0)
-
-    def primes(self) -> set[int]:
-        return {p for point, _ in self.coeffs for p, _ in point}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def global_identity() -> GlobalHeckeElement:
-    return GlobalHeckeElement.from_dict({(): 1})
-
 
 def global_assemble(parts: dict[int, tuple[LocalHeckeElement, int]]) -> GlobalHeckeElement:
     """Expand (sum_p zeta_p h_p) * (sum_p zeta_p h_p)^* in the support basis.
@@ -248,35 +224,7 @@ def global_assemble(parts: dict[int, tuple[LocalHeckeElement, int]]) -> GlobalHe
     return GlobalHeckeElement.from_dict(out)
 
 
-def subtract_identity(t1: GlobalHeckeElement) -> GlobalHeckeElement:
-    """Remove the identity-coset value: t1 - t1(1) * delta."""
-    out = t1.as_dict()
-    out.pop((), None)
-    return GlobalHeckeElement.from_dict(out)
-
-
 def norm_inf(t: GlobalHeckeElement) -> int:
     """Largest absolute coefficient away from the identity coset."""
     return max((abs(c) for point, c in t.coeffs if point), default=0)
 
-
-def spectral_value(f, spectra: dict[int, EigenvalueSequence]):
-    """Evaluate an element against per-prime eigenvalue sequences.
-
-    Linear in the element; across distinct primes the eigenvalue of a
-    product support point is the product of the local eigenvalues.
-    """
-    if isinstance(f, LocalHeckeElement):
-        if f.prime not in spectra:
-            raise KeyError(f"no eigenvalue sequence for prime {f.prime}")
-        seq = spectra[f.prime]
-        return sum(c * seq.value(r // 2) for r, c in f.coeffs)
-    total = 0
-    for point, c in f.coeffs:
-        term = c
-        for p, r in point:
-            if p not in spectra:
-                raise KeyError(f"no eigenvalue sequence for prime {p}")
-            term = term * spectra[p].value(r // 2)
-        total += term
-    return total

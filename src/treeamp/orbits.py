@@ -9,8 +9,8 @@ apartment crosses each sphere of positive radius in exactly two
 vertices, once per coset translate.
 
 brute_force_intersect checks these closed forms by walking the orbit
-through a ball and testing each point against the support's definition,
-right coordinate at the root and left coordinate at depth 2j.
+through the radius-2j ball and testing each point against the support's
+definition, right coordinate at the root and left coordinate at depth 2j.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def _apartment_points(p: int, max_depth: int) -> list[tree.TreeVertex]:
     return points
 
 
-def brute_force_intersect(model: OrbitModel, p: int, j: int, ball_radius: int) -> int:
-    """Enumerate the orbit inside a ball and count one-sided support hits.
+def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
+    """Enumerate the orbit inside the radius-2j ball and count one-sided support hits.
 
     Independent of the closed form: each orbit point (left, right) is
     tested against the definition of the radius-2j one-sided support,
@@ -89,8 +89,6 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int, ball_radius: int) -
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    if ball_radius < 2 * j:
-        raise ValueError(f"ball radius {ball_radius} too small for j={j}")
 
     def in_support(left: tree.TreeVertex, right: tree.TreeVertex) -> bool:
         return right.is_root() and left.depth() == 2 * j
@@ -99,12 +97,12 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int, ball_radius: int) -
         # diagonal orbit: all (v, v) within the ball
         base = sum(
             1
-            for r in range(ball_radius + 1)
+            for r in range(2 * j + 1)
             for v in tree.iter_sphere(p, r)
             if in_support(v, v)
         )
     else:
-        apartment = _apartment_points(p, ball_radius)
+        apartment = _apartment_points(p, 2 * j)
         base = sum(
             1
             for left in apartment

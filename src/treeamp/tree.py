@@ -28,7 +28,6 @@ from ._primes import check_prime
 __all__ = [
     "TreeVertex",
     "root",
-    "canonical_vertex",
     "iter_sphere",
     "sphere_size",
     "distance",
@@ -70,13 +69,6 @@ class TreeVertex(Value):
 
 def root(p: int) -> TreeVertex:
     return TreeVertex(p, ())
-
-
-def canonical_vertex(p: int, r: int) -> TreeVertex:
-    """The all-zeros vertex at distance r from the root."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return TreeVertex(p, (0,) * r)
 
 
 def sphere_size(p: int, r: int) -> int:

@@ -4,6 +4,8 @@ import pytest
 
 from treeamp import hecke
 
+from oracles import subtract_identity
+
 
 @pytest.fixture
 def materialise():
@@ -15,7 +17,7 @@ def materialise():
     """
     def expand(kept):
         t1 = hecke.global_assemble({c.prime: (hecke.basic(c.prime, c.j), c.phase) for c in kept})
-        return t1, hecke.subtract_identity(t1)
+        return t1, subtract_identity(t1)
     return expand
 
 

@@ -23,7 +23,13 @@ from treeamp.cli import main as cli_main
 from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import is_prime, parse_poly, primes_in, split_primes_in
 
-from oracles import verify_spectral_floor
+from oracles import (
+    identity_value,
+    spectral_value,
+    subtract_identity,
+    support_primes,
+    verify_spectral_floor,
+)
 
 GAUSS = parse_poly("x^2+1")
 SL2 = OrbitModel(OrbitKind.SL2)
@@ -213,16 +219,16 @@ class TestBuildAmplifier:
         assert report.norm_inf == max(2, max(p - 1 for p in report.primes_used))
         assert report.all_pass()
         _, tau = materialise(kept)
-        assert tau.identity_value() == 0
+        assert identity_value(tau) == 0
 
     def test_single_prime_expansion(self):
         # degenerate one-prime window, assembled directly
         p = 13
         h = hecke.basic(p, 1)
-        tau = hecke.subtract_identity(hecke.global_assemble({p: (h, 1)}))
+        tau = subtract_identity(hecke.global_assemble({p: (h, 1)}))
         lam = Fraction(50)
         spectra = {p: hecke.eigenvalue_sequence(p, lam, 4)}
-        assert hecke.spectral_value(tau, spectra) == lam * lam - hecke.support_size(h)
+        assert spectral_value(tau, spectra) == lam * lam - tree.sphere_size(p, 2)
 
     def test_exactness_identity(self):
         _, report = build_amplifier(50, GAUSS, SpectrumModel.tempered(42), SL2)
@@ -295,14 +301,14 @@ class TestSpectralFloor:
     def test_floor_attained_at_zero_system(self, build):
         tau, report = build
         spectra = {p: hecke.eigenvalue_sequence(p, Fraction(0), 4)
-                   for p in tau.primes()}
-        assert hecke.spectral_value(tau, spectra) == -report.c_tau
+                   for p in support_primes(tau)}
+        assert spectral_value(tau, spectra) == -report.c_tau
 
     def test_amplified_spectrum_gives_lambda(self, build):
         tau, report = build
         spectra = {p: hecke.eigenvalue_sequence(p, Fraction(p * (p + 1)), 4)
-                   for p in tau.primes()}
-        assert hecke.spectral_value(tau, spectra) == report.Lambda
+                   for p in support_primes(tau)}
+        assert spectral_value(tau, spectra) == report.Lambda
         assert report.Lambda > 0 >= -report.c_tau
 
 
@@ -327,7 +333,7 @@ ORACLE_ORBITS = {
 def materialised_report(kept, Q, orbit, materialise):
     """The report as the expanded tau gives it, one support point at a time."""
     t1, tau = materialise(kept)
-    tau1_at_identity = t1.identity_value()
+    tau1_at_identity = identity_value(t1)
     lam_sum = sum(abs(c.lam) for c in kept)
     Lambda = lam_sum * lam_sum - tau1_at_identity
     ninf = hecke.norm_inf(tau)
@@ -353,7 +359,7 @@ def materialised_report(kept, Q, orbit, materialise):
         ratio_positivity=ratios[1],
         verdicts={
             "lambda_positive": Lambda > 0,
-            "identity_removed": tau.identity_value() == 0,
+            "identity_removed": identity_value(tau) == 0,
             "norm_inf_decomposition": ninf == per_prime_ninf,
             "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
         },
@@ -383,8 +389,9 @@ class TestClosedFormAgainstMaterialised:
     def test_sweep_never_expands_tau(self, monkeypatch, tmp_path):
         def expanded(*args):
             raise AssertionError("the report must not expand tau")
-        for name in ("global_assemble", "subtract_identity", "norm_inf"):
+        for name in ("global_assemble", "norm_inf"):
             monkeypatch.setattr(hecke, name, expanded)
+        monkeypatch.setattr(hecke.GlobalHeckeElement, "__init__", expanded)
         monkeypatch.setattr(orbits, "count_global_intersections", expanded)
         Qs = [400 * 2 ** k for k in range(6)]
         for spectrum, orbit in ((SpectrumModel.trivial(), SL2),

@@ -210,6 +210,9 @@ BAD_INPUT = {
     "orbit-check-max-j-0": ["orbit-check", "--max-j", "0"],
     "orbit-check-sphere-p7-j4": ["orbit-check", "--primes", "7", "--max-j", "4"],
     "orbit-check-sphere-p13-j3": ["orbit-check", "--primes", "13", "--max-j", "3"],
+    # refused from the radius alone, without building (p+1) p^(2j-1)
+    "orbit-check-max-j-huge-p2": ["orbit-check", "--primes", "2", "--max-j", "100000"],
+    "orbit-check-max-j-huge-p3": ["orbit-check", "--primes", "3", "--max-j", "5000"],
     "denom-check-negative-samples": ["denom-check", "--samples", "-5"],
     "amplifier-q-below-floor": ["amplifier", "--Q", "10"],
     "amplifier-q-descending": ["amplifier", "--Q", "400,200"],
@@ -261,6 +264,20 @@ class TestBadInput:
         line = capsys.readouterr().err.strip()
         assert line.startswith("treeamp: error:")
         assert value in line and str(cli.MAX_SIEVE) in line
+
+    @pytest.mark.parametrize("name,p,j", [
+        ("orbit-check-sphere-p7-j4", 7, 4),
+        ("orbit-check-sphere-p13-j3", 13, 3),
+        ("orbit-check-max-j-huge-p2", 2, 100000),
+        ("orbit-check-max-j-huge-p3", 3, 5000),
+    ])
+    def test_sphere_cap_names_prime_j_and_cap(self, name, p, j, capsys):
+        with pytest.raises(SystemExit):
+            main(BAD_INPUT[name])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("treeamp: error:")
+        assert f"p={p}, j={j}" in lines[0] and str(cli.MAX_SPHERE) in lines[0]
+        assert len(lines[0]) < 120  # the sphere size itself is never printed
 
     @pytest.mark.parametrize("argv,value", [
         (BAD_INPUT["verify-hecke-malformed-primes"], "'abc'"),

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from treeamp import hecke, tree
 
+from oracles import global_identity, identity_value, spectral_value, subtract_identity
+
 PRIMES = [2, 3, 5, 7, 11]
 
 
@@ -33,13 +35,13 @@ class TestBasics:
     def test_identity(self):
         delta = hecke.identity(3)
         assert delta.as_dict() == {0: 1}
-        assert hecke.support_size(delta) == 1
+        assert hecke.total_mass(delta) == 1
 
     def test_basic_support_sizes(self):
         assert hecke.basic(2, 1).as_dict() == {2: 1}
-        assert hecke.support_size(hecke.basic(2, 1)) == 6
+        assert hecke.total_mass(hecke.basic(2, 1)) == 6
         assert hecke.basic(5, 2).as_dict() == {4: 1}
-        assert hecke.support_size(hecke.basic(5, 2)) == 750
+        assert hecke.total_mass(hecke.basic(5, 2)) == 750
 
     def test_j_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -146,7 +148,7 @@ class TestEigenvalues:
         for p in (2, 5):
             seq = hecke.eigenvalue_sequence(p, Fraction(p * (p + 1)), 4)
             assert seq.value(2) == p ** 3 * (p + 1)
-            assert seq.value(2) == hecke.support_size(hecke.basic(p, 2))
+            assert seq.value(2) == tree.sphere_size(p, 4)
 
     def test_lambda_zero_seed(self):
         seq = hecke.eigenvalue_sequence(5, Fraction(0), 2)
@@ -164,7 +166,7 @@ class TestEigenvalues:
             lam = Fraction(rng.randint(-6 * p, 6 * p), rng.randint(1, 4))
             seq = hecke.eigenvalue_sequence(p, lam, 4)
             spectra = {p: seq}
-            lhs = hecke.spectral_value(
+            lhs = spectral_value(
                 hecke.convolve(hecke.basic(p, 2), hecke.basic(p, 2)), spectra)
             assert lhs == seq.value(2) ** 2
 
@@ -191,12 +193,12 @@ class TestEigenvalues:
 class TestSpectralValue:
     def test_identity_evaluates_to_one(self):
         spectra = {2: hecke.eigenvalue_sequence(2, Fraction(1), 2)}
-        assert hecke.spectral_value(hecke.identity(2), spectra) == 1
-        assert hecke.spectral_value(hecke.global_identity(), spectra) == 1
+        assert spectral_value(hecke.identity(2), spectra) == 1
+        assert spectral_value(global_identity(), spectra) == 1
 
     def test_zero_seed(self):
         spectra = {2: hecke.eigenvalue_sequence(2, Fraction(0), 2)}
-        assert hecke.spectral_value(hecke.basic(2, 1), spectra) == 0
+        assert spectral_value(hecke.basic(2, 1), spectra) == 0
 
     def test_multiplicative_over_convolution(self):
         rng = random.Random(11)
@@ -208,12 +210,12 @@ class TestSpectralValue:
                 p, {2 * j: rng.randint(-3, 3) for j in range(3)})
             lam = Fraction(rng.randint(-4 * p, 4 * p), rng.randint(1, 3))
             spectra = {p: hecke.eigenvalue_sequence(p, lam, 4)}
-            assert hecke.spectral_value(hecke.convolve(f, g), spectra) == \
-                hecke.spectral_value(f, spectra) * hecke.spectral_value(g, spectra)
+            assert spectral_value(hecke.convolve(f, g), spectra) == \
+                spectral_value(f, spectra) * spectral_value(g, spectra)
 
     def test_missing_prime_raises(self):
         with pytest.raises(KeyError):
-            hecke.spectral_value(hecke.basic(7, 1), {})
+            spectral_value(hecke.basic(7, 1), {})
 
 
 def off_origin_max(f):
@@ -244,15 +246,15 @@ class TestGlobal:
     def test_cross_coefficients(self):
         t1 = hecke.global_assemble({2: (hecke.basic(2, 1), 1), 3: (hecke.basic(3, 1), 1)})
         cross = tuple(sorted(((2, 2), (3, 2))))
-        assert t1.as_dict()[cross] == 2
+        assert dict(t1.coeffs)[cross] == 2
         t1 = hecke.global_assemble({2: (hecke.basic(2, 1), 1), 3: (hecke.basic(3, 1), -1)})
-        assert t1.as_dict()[cross] == -2
+        assert dict(t1.coeffs)[cross] == -2
 
     def test_identity_value_is_total_support(self):
         parts = {p: (hecke.basic(p, 1), 1) for p in (2, 3, 5)}
         t1 = hecke.global_assemble(parts)
-        assert t1.identity_value() == sum(
-            hecke.support_size(h) for h, _ in parts.values())
+        assert identity_value(t1) == sum(
+            hecke.total_mass(h) for h, _ in parts.values())
 
     def test_duplicate_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -276,9 +278,9 @@ class TestGlobal:
         g = hecke.GlobalHeckeElement.from_dict({((2, 2), (3, 2)): 1, ((3, 2), (2, 2)): 1})
         assert g.coeffs == ((((2, 2), (3, 2)), 2),)
         spectra = {p: hecke.eigenvalue_sequence(p, Fraction(1), 2) for p in (2, 3)}
-        assert hecke.spectral_value(g, spectra) == g.as_dict()[((2, 2), (3, 2))] == 2
+        assert spectral_value(g, spectra) == dict(g.coeffs)[((2, 2), (3, 2))] == 2
         assert hecke.GlobalHeckeElement.from_dict(
-            {((2, 2), (3, 2)): 1, ((3, 2), (2, 2)): -1}).is_zero()
+            {((2, 2), (3, 2)): 1, ((3, 2), (2, 2)): -1}).coeffs == ()
 
     def test_non_basic_rejected(self):
         sq = hecke.convolve(hecke.basic(2, 1), hecke.basic(2, 1))
@@ -286,16 +288,16 @@ class TestGlobal:
             hecke.global_assemble({2: (sq, 1)})
 
     def test_subtract_identity(self):
-        assert hecke.subtract_identity(hecke.global_identity()).is_zero()
+        assert subtract_identity(global_identity()).coeffs == ()
         t1 = hecke.global_assemble({2: (hecke.basic(2, 1), 1)})
-        tau = hecke.subtract_identity(t1)
-        assert tau.identity_value() == 0
-        assert tau.as_dict()[((2, 2),)] == 1  # p - 1 at p = 2
+        tau = subtract_identity(t1)
+        assert identity_value(tau) == 0
+        assert dict(tau.coeffs)[((2, 2),)] == 1  # p - 1 at p = 2
 
     def test_norm_inf(self):
         assert hecke.norm_inf(hecke.GlobalHeckeElement.from_dict({})) == 0
         parts = {p: (hecke.basic(p, 1), 1) for p in (2, 3, 5, 7)}
-        tau = hecke.subtract_identity(hecke.global_assemble(parts))
+        tau = subtract_identity(hecke.global_assemble(parts))
         assert hecke.norm_inf(tau) == max(2, max(p - 1 for p in parts))
 
     def test_self_adjoint_coefficients(self):
@@ -312,4 +314,4 @@ class TestGlobal:
             3: hecke.eigenvalue_sequence(3, Fraction(-2), 4),
         }
         expected = (1 + (-2)) ** 2  # (sum of seed eigenvalues)^2
-        assert hecke.spectral_value(t1, spectra) == expected
+        assert spectral_value(t1, spectra) == expected

@@ -1,16 +1,21 @@
 import ast
-import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
+from treeamp import hecke
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree"]
 
-# Helpers that were deleted; nothing in src/ or scripts/ may name them again.
+# Helpers that were deleted, or moved to the tests' oracles; nothing in src/ or
+# scripts/ may name them again.
 DELETED = ["_round_div", "gauss_gcd", "canonical_associate", "UNITS", r"GaussPrime\.make",
-           "ord_at", "ord_rat", "MAX_PRIME", "adjugate", "_PROVEN_PRIMES"]
+           "ord_at", "ord_rat", "MAX_PRIME", "adjugate", "_PROVEN_PRIMES",
+           "spectral_value", "global_identity", "subtract_identity", "canonical_vertex",
+           "identity_value", "ball_radius"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,6 +40,27 @@ def test_deleted_helpers_stay_deleted():
             for k, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_support_size_left_hecke():
+    # a name search would match LocalChoice.support_size in amplifier.py
+    assert not hasattr(hecke, "support_size")
+
+
+def test_benchmark_tracer_finds_and_restores_every_name():
+    """perfbench/tracer.py wraps library names it looks up with getattr, so
+    deleting one breaks the traced benchmark run; the untraced run never notices."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()  # AttributeError on a name src/ no longer has
+        wrapped = list(tracer._saved)
+        assert [attr for owner, attr, orig in wrapped if getattr(owner, attr) is orig] == []
+    finally:
+        tracer.uninstall()
+    assert [attr for owner, attr, orig in wrapped if getattr(owner, attr) is not orig] == []
 
 
 def test_unchecked_builds_stay_at_their_two_sites():

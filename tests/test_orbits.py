@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 from collections import Counter
 
@@ -13,6 +12,8 @@ from treeamp.orbits import (
     count_global_intersections,
     orbit_intersect_one_sided,
 )
+
+from oracles import subtract_identity
 
 SL2 = OrbitModel(OrbitKind.SL2)
 TORUS = OrbitModel(OrbitKind.MULTIPLICATIVE)
@@ -32,7 +33,7 @@ class TestClosedForm:
         assert orbit_intersect_one_sided(model, 2, 1) == 6
 
     @pytest.mark.parametrize("count", [
-        orbit_intersect_one_sided, functools.partial(brute_force_intersect, ball_radius=2),
+        orbit_intersect_one_sided, brute_force_intersect,
     ], ids=["closed-form", "brute-force"])
     def test_non_prime_rejected(self, count):
         with pytest.raises(ValueError, match="p must be prime, got 4"):
@@ -47,14 +48,14 @@ class TestBruteForce:
     def test_matches_closed_form(self, kind, p, j, index):
         model = OrbitModel(kind, index)
         closed = orbit_intersect_one_sided(model, p, j)
-        assert brute_force_intersect(model, p, j, ball_radius=2 * j) == closed
+        assert brute_force_intersect(model, p, j) == closed
 
     def test_identity_coset_on_apartment(self):
-        assert brute_force_intersect(TORUS, 2, 0, ball_radius=0) == 1
+        assert brute_force_intersect(TORUS, 2, 0) == 1
 
     def test_identity_coset_on_diagonal(self):
         # (root, root) is the one diagonal point in the j = 0 support
-        assert brute_force_intersect(SL2, 3, 0, ball_radius=2) == 1
+        assert brute_force_intersect(SL2, 3, 0) == 1
 
     @pytest.mark.parametrize("model,j", [(SL2, 3), (TORUS, 3), (TORUS, 4)],
                              ids=["sl2-j3", "torus-j3", "torus-j4"])
@@ -62,7 +63,7 @@ class TestBruteForce:
         # the radius-2j sphere at p = 5 has 6 * 5^(2j-1) vertices
         tracemalloc.start()
         try:
-            count = brute_force_intersect(model, 5, j, ball_radius=2 * j)
+            count = brute_force_intersect(model, 5, j)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -82,23 +83,19 @@ class TestBruteForce:
                 yield v
 
         monkeypatch.setattr(tree, "iter_sphere", counting_stream)
-        assert brute_force_intersect(SL2, p, j, ball_radius=2 * j) == 0
+        assert brute_force_intersect(SL2, p, j) == 0
         assert walked == {r: tree.sphere_size(p, r) for r in range(2 * j + 1)}
-
-    def test_small_ball_rejected(self):
-        with pytest.raises(ValueError):
-            brute_force_intersect(TORUS, 2, 2, ball_radius=3)
 
     @pytest.mark.parametrize("model", [SL2, TORUS], ids=["sl2", "torus"])
     def test_negative_j_rejected(self, model):
         with pytest.raises(ValueError, match="j must be >= 0"):
-            brute_force_intersect(model, 2, -1, ball_radius=2)
+            brute_force_intersect(model, 2, -1)
 
 
 class TestGlobalCounts:
     def two_prime_tau(self):
         parts = {2: (hecke.basic(2, 1), 1), 3: (hecke.basic(3, 1), 1)}
-        return hecke.subtract_identity(hecke.global_assemble(parts))
+        return subtract_identity(hecke.global_assemble(parts))
 
     def test_sl2_always_zero(self):
         assert count_global_intersections(SL2, self.two_prime_tau()) == 0
@@ -130,7 +127,7 @@ class TestGlobalCounts:
     @pytest.mark.parametrize("js", [{2: 1}, {2: 1, 3: 1}, {2: 2, 3: 1, 5: 2}])
     def test_amplifier_closed_form_matches_expansion(self, kind, index, js):
         parts = {p: (hecke.basic(p, j), 1) for p, j in js.items()}
-        tau = hecke.subtract_identity(hecke.global_assemble(parts))
+        tau = subtract_identity(hecke.global_assemble(parts))
         squares = []
         for h, _ in parts.values():
             square = hecke.convolve(h, h)

@@ -121,7 +121,7 @@ class TestDistance:
 
 def enumeration_count(p, a, b, r):
     """Oracle: enumerate the radius-a sphere and test distances to 0^r."""
-    y = tree.canonical_vertex(p, r)
+    y = tree.TreeVertex(p, (0,) * r)
     return sum(1 for z in tree.iter_sphere(p, a) if tree.distance(z, y) == b)
 
 
