@@ -10,6 +10,12 @@ which is reported as one line on stderr.
 Each subcommand imports the library modules it runs when it runs:
 importing this module loads none of them, so a process compiles only
 the code its subcommand calls.
+
+run() is the process entry, for ``python -m treeamp.cli`` and the
+installed ``treeamp`` script: it exits with main()'s code and freezes
+the heap on the way out, so the interpreter's exit-time collections
+skip objects that die with the process anyway.  main(argv) has no
+process-wide effect, so tests and scripts may call it in process.
 """
 
 from __future__ import annotations
@@ -17,17 +23,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
-import random
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from . import __version__
-
-if TYPE_CHECKING:
-    from . import orbits
 
 MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
 MAX_SIEVE = 10 ** 6  # largest integer split-density and amplifier may sieve up to
@@ -111,7 +113,7 @@ def _fraction_text(text: str) -> str:
 # Each subcommand returns (config, results, verdicts) for main's envelope.
 
 
-def _orbit_kind(name: str) -> orbits.OrbitKind:
+def _orbit_kind(name: str) -> "orbits.OrbitKind":
     """The OrbitKind whose value is name; ValueError lists the valid names."""
     from .orbits import OrbitKind
     try:
@@ -184,6 +186,7 @@ def cmd_split_density(args):
 
 
 def cmd_denom_check(args):
+    import random
     from . import gaussian
     rng = random.Random(args.seed)
     n = args.samples
@@ -337,5 +340,17 @@ def main(argv=None) -> int:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
+def run() -> None:
+    """Exit the process with main()'s code, freezing the heap first.
+
+    Every object still alive moves to the permanent generation, which
+    the collections during interpreter shutdown do not walk.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

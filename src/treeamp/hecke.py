@@ -60,14 +60,8 @@ class LocalHeckeElement(Value):
     def from_dict(p: int, coeffs: dict[int, int]) -> "LocalHeckeElement":
         return LocalHeckeElement(p, tuple(sorted((r, c) for r, c in coeffs.items() if c != 0)))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
     def __getitem__(self, r: int) -> int:
         return dict(self.coeffs).get(r, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def max_radius(self) -> int:
         return self.coeffs[-1][0] if self.coeffs else 0

@@ -17,14 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING
 
 from . import tree
 from ._value import Value
 from ._primes import check_prime
-
-if TYPE_CHECKING:
-    from .hecke import GlobalHeckeElement
 
 __all__ = [
     "OrbitKind",
@@ -112,7 +108,7 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
     return base * model.index_multiplier
 
 
-def count_global_intersections(model: OrbitModel, tau: GlobalHeckeElement) -> int:
+def count_global_intersections(model: OrbitModel, tau: "hecke.GlobalHeckeElement") -> int:
     """Orbit points inside the support of a globally assembled element.
 
     Each support point is a product of spheres across its primes; the

@@ -1,7 +1,11 @@
+import ast
+import gc
 import hashlib
+import importlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -300,6 +304,67 @@ class TestBadInput:
         assert all(repr(kind.value) in lines[0] for kind in OrbitKind)
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with src on the path, capturing bytes."""
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+
+
+PROCESS_CASES = {
+    "pass": (["orbit-check", "--primes", "2", "--max-j", "1"], 0),
+    "failing-verdict": (["split-density", "--poly", "x^2+1", "--limit", "1000",
+                         "--expected", "0"], 1),
+    "bad-input": (BAD_INPUT["verify-hecke-non-prime"], 2),
+}
+
+
+def stderr_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("wall time: ")]
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv,code", PROCESS_CASES.values(), ids=PROCESS_CASES.keys())
+    def test_process_matches_in_process_main(self, argv, code, capsys):
+        proc = fresh_python("-m", "treeamp.cli", *argv)
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        captured = capsys.readouterr()
+        assert (proc.returncode, in_process) == (code, code)
+        assert proc.stdout == captured.out.encode()
+        err = proc.stderr.decode()
+        assert "Traceback" not in err
+        assert stderr_lines(err) == stderr_lines(captured.err)
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("treeamp: error:")
+
+    @pytest.mark.parametrize("case", ["pass", "bad-input"])
+    def test_run_freezes_the_heap_before_exit(self, case, tmp_path):
+        argv, code = PROCESS_CASES[case]
+        probe = ("import atexit, gc; from treeamp import cli; "
+                 "before = gc.get_freeze_count(); "
+                 "atexit.register(lambda: print(before, gc.get_freeze_count() > 0)); "
+                 "cli.run()")
+        proc = fresh_python("-c", probe, *argv, "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == b"0 True\n"
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run(tmp_path, "oc.json", PROCESS_CASES["pass"][0])[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_main_block_entry(self):
+        # the installed treeamp script and python -m treeamp.cli call one function
+        scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
+        module, func = re.search(r'^treeamp = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+        assert getattr(importlib.import_module(module), func) is cli.run
+        body = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for block in body for stmt in block.body] == [f"{func}()"]
+
+
 def test_finish_names_every_failing_verdict(tmp_path, capsys):
     report = {"config": {"limit": 7, "poly": "x^2 + 1"},
               "verdicts": {"first_bad": False, "fine": True, "second_bad": False}}
@@ -310,13 +375,11 @@ def test_finish_names_every_failing_verdict(tmp_path, capsys):
     assert '{"limit": "7", "poly": "x^2 + 1"}' in fail
 
 
-def run_probe(probe: str, *args: str) -> str:
+def run_probe(probe: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     """Run probe in a fresh interpreter with src on the path; its stdout."""
-    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    proc = fresh_python(*flags, "-c", probe, *args)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().strip()
 
 
 def test_import_loads_no_sympy():
@@ -330,6 +393,13 @@ LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'treeamp'))
 
 def test_import_loads_no_library_module():
     assert run_probe("import sys, treeamp.cli; " + LOADED) == "treeamp treeamp.cli"
+
+
+def test_import_loads_no_typing_or_random():
+    # -S: without site, whose imports may load either module first
+    probe = ("import sys, treeamp.cli, treeamp.orbits; "
+             "print([m for m in ('typing', 'random') if m in sys.modules])")
+    assert run_probe(probe, flags=("-S",)) == "[]"
 
 
 # Tiny flags for each subcommand and the library modules it loads, besides

@@ -34,13 +34,13 @@ def element_pairs(draw):
 class TestBasics:
     def test_identity(self):
         delta = hecke.identity(3)
-        assert delta.as_dict() == {0: 1}
+        assert dict(delta.coeffs) == {0: 1}
         assert hecke.total_mass(delta) == 1
 
     def test_basic_support_sizes(self):
-        assert hecke.basic(2, 1).as_dict() == {2: 1}
+        assert dict(hecke.basic(2, 1).coeffs) == {2: 1}
         assert hecke.total_mass(hecke.basic(2, 1)) == 6
-        assert hecke.basic(5, 2).as_dict() == {4: 1}
+        assert dict(hecke.basic(5, 2).coeffs) == {4: 1}
         assert hecke.total_mass(hecke.basic(5, 2)) == 750
 
     def test_j_zero_rejected(self):
@@ -76,12 +76,12 @@ class TestConvolve:
     @pytest.mark.parametrize("p", PRIMES)
     def test_degree2_identity(self, p):
         got = hecke.convolve(hecke.basic(p, 1), hecke.basic(p, 1))
-        assert got.as_dict() == {0: p * (p + 1), 2: p - 1, 4: 1}
+        assert dict(got.coeffs) == {0: p * (p + 1), 2: p - 1, 4: 1}
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_degree4_identity(self, p):
         got = hecke.convolve(hecke.basic(p, 2), hecke.basic(p, 2))
-        assert got.as_dict() == {
+        assert dict(got.coeffs) == {
             0: p ** 3 * (p + 1),
             2: p * p * (p - 1),
             4: p * (p - 1),
@@ -94,7 +94,7 @@ class TestConvolve:
     def test_matches_bilinear_oracle(self, pair):
         f, g = pair
         got = hecke.convolve(f, g)
-        assert got.as_dict() == bilinear_convolve(f, g)
+        assert dict(got.coeffs) == bilinear_convolve(f, g)
         radii = [r for r, _ in got.coeffs]
         assert radii == sorted(set(radii))
         assert all(c != 0 for _, c in got.coeffs)
@@ -108,8 +108,8 @@ class TestConvolve:
 
     def test_zero_element(self):
         zero = hecke.LocalHeckeElement(5, ())
-        assert hecke.convolve(hecke.basic(5, 2), zero).is_zero()
-        assert hecke.convolve(zero, zero).is_zero()
+        assert hecke.convolve(hecke.basic(5, 2), zero).coeffs == ()
+        assert hecke.convolve(zero, zero).coeffs == ()
 
     def test_identity_element(self):
         f = hecke.LocalHeckeElement.from_dict(3, {2: 5, 4: -1})

@@ -15,7 +15,7 @@ MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree
 DELETED = ["_round_div", "gauss_gcd", "canonical_associate", "UNITS", r"GaussPrime\.make",
            "ord_at", "ord_rat", "MAX_PRIME", "adjugate", "_PROVEN_PRIMES",
            "spectral_value", "global_identity", "subtract_identity", "canonical_vertex",
-           "identity_value", "ball_radius"]
+           "identity_value", "ball_radius", "as_dict"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,6 +45,11 @@ def test_deleted_helpers_stay_deleted():
 def test_support_size_left_hecke():
     # a name search would match LocalChoice.support_size in amplifier.py
     assert not hasattr(hecke, "support_size")
+
+
+def test_local_hecke_element_has_no_test_only_methods():
+    # the tests read coeffs; a name search would match GaussRat.is_zero
+    assert [m for m in ("as_dict", "is_zero") if hasattr(hecke.LocalHeckeElement, m)] == []
 
 
 def test_benchmark_tracer_finds_and_restores_every_name():
