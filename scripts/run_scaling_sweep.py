@@ -20,7 +20,7 @@ from treeamp.splitting import parse_poly
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--Q", type=_int_list, default="50,100,200,400",
+    parser.add_argument("--Q", default="50,100,200,400",
                         help="comma-separated ascending window starts")
     parser.add_argument("--poly", default="x^2+1")
     parser.add_argument("--spectrum", choices=["trivial", "tempered"],
@@ -34,8 +34,9 @@ def main(argv=None) -> int:
         else SpectrumModel.tempered(args.seed)
     orbit = OrbitModel(OrbitKind(args.orbit))
     try:
-        check_windows(args.Q)
-        reports = scaling_sweep(args.Q, parse_poly(args.poly), spectrum, orbit)
+        Qs = _int_list(args.Q)
+        check_windows(Qs)
+        reports = scaling_sweep(Qs, parse_poly(args.poly), spectrum, orbit)
     except ValueError as exc:  # includes AmplifierError
         parser.error(str(exc))
 

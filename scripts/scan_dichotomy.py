@@ -22,14 +22,18 @@ from treeamp.splitting import primes_in
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-prime", type=_int_at_least(2), default=97)
-    parser.add_argument("--threshold", type=_fraction_text, default="1/2",
+    parser.add_argument("--max-prime", default="97")
+    parser.add_argument("--threshold", default="1/2",
                         help="certification threshold as a fraction")
     args = parser.parse_args()
-    threshold = Fraction(args.threshold)
+    try:
+        max_prime = _int_at_least(2)(args.max_prime)
+        threshold = Fraction(_fraction_text(args.threshold))
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"{'p':>4}  {'c_p':>10}  {'lambda*':>12}  certified@{threshold}")
-    for p in primes_in(2, args.max_prime):
+    for p in primes_in(2, max_prime):
         c = dichotomy_constant(p)
         certified = dichotomy_constant_at_least(p, threshold)
         print(f"{p:>4}  {c:>10.6f}  {-c * math.sqrt(p * (p + 1)):>12.6f}  "

@@ -1,33 +1,29 @@
-"""Command-line front end.
+"""Command-line front end: one JSON report per subcommand.
 
-Every subcommand emits a single JSON report whose bytes are a pure
-function of the flags and seed: exact integers are serialized as
-strings (never floats), rationals as "num/den", reals as %.12g strings,
-and wall time goes to stderr only.  Exit code is 0 exactly when every
-verdict in the report passes, 1 when one fails, and 2 on bad input,
-which is reported as one line on stderr.
+Flags come from the COMMANDS table, as ``--flag value``, ``--flag=value``
+or a unique prefix of the flag; the last of a repeated flag wins, and -h
+or --help prints the help.  A report's bytes are a pure function of the
+flags and seed (exact integers as strings, never floats, rationals as
+"num/den", reals as %.12g strings); wall time goes to stderr only.  Exit
+code is 0 when every verdict passes, 1 when one fails, and 2 on bad input,
+which is one line on stderr.  A subcommand imports the library modules it
+runs when it runs, so a process compiles only the code its subcommand calls.
 
-Each subcommand imports the library modules it runs when it runs:
-importing this module loads none of them, so a process compiles only
-the code its subcommand calls.
-
-run() is the process entry, for ``python -m treeamp.cli`` and the
-installed ``treeamp`` script: it exits with main()'s code and freezes
-the heap on the way out, so the interpreter's exit-time collections
-skip objects that die with the process anyway.  main(argv) has no
-process-wide effect, so tests and scripts may call it in process.
+run() is the entry of ``python -m treeamp.cli`` and the ``treeamp``
+script: it exits with main()'s code and freezes the heap first, so the
+exit-time collections skip objects that die with the process anyway.
+main(argv) has no process-wide effect, so tests and scripts may call it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import gc
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -84,10 +80,9 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}")
+        raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
     if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        raise ValueError(f"repeated value in {text!r}")
     return values
 
 
@@ -95,7 +90,7 @@ def _int_at_least(low: int):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise ValueError(f"must be >= {low}, got {value}")
         return value
     return integer
 
@@ -105,7 +100,7 @@ def _fraction_text(text: str) -> str:
     try:
         Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+        raise ValueError(f"not a fraction: {text!r}") from None
     return text
 
 
@@ -263,6 +258,8 @@ def check_windows(Qs: list[int]) -> None:
 
 def cmd_amplifier(args):
     from . import amplifier, orbits, splitting
+    if args.spectrum not in ("trivial", "tempered"):
+        raise ValueError(f"unknown spectrum {args.spectrum!r} (choose from 'trivial', 'tempered')")
     Qs = args.Q
     check_windows(Qs)
     poly = splitting.parse_poly(args.poly)
@@ -277,67 +274,70 @@ def cmd_amplifier(args):
     return config, results, verdicts
 
 
-# ---------------------------------------------------------------------------
+# name -> (function, help, {flag: (convert, default text, or None, or ... if required)})
+
+COMMANDS = {
+    "verify-hecke": (cmd_verify_hecke, "convolution identity and algebra checks", {
+        "--primes": (_int_list, "2,3,5,7,11"), "--max-radius": (_int_at_least(2), "8")}),
+    "split-density": (cmd_split_density, "empirical complete-splitting density", {
+        "--poly": (str, ...), "--limit": (int, "100000"), "--expected": (_fraction_text, None)}),
+    "denom-check": (cmd_denom_check, "denominator and product-formula sweeps", {
+        "--samples": (_int_at_least(1), "1000"), "--seed": (int, "0")}),
+    "orbit-check": (cmd_orbit_check, "orbit intersection closed form vs enumeration", {
+        "--orbit": (str, "torus"), "--index": (_int_at_least(1), "1"),
+        "--primes": (_int_list, "2,3,5"), "--max-j": (_int_at_least(1), "3")}),
+    "amplifier": (cmd_amplifier, "build amplifiers over a Q sweep and report ratios", {
+        "--Q": (_int_list, "50,100,200,400"), "--spectrum": (str, "trivial"), "--seed": (int, "42"),
+        "--poly": (str, "x^2+1"), "--orbit": (str, "sl2"), "--index": (_int_at_least(1), "1")}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treeamp",
-        description="exact verification suites for tree Hecke convolution, "
-                    "denominators, prime splitting, and amplifier assembly",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="write the report here, not to stdout")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    add = functools.partial(sub.add_parser, parents=[common])
-    orbit_help = "orbit shape, an orbits.OrbitKind value (default %(default)s)"
-
-    vh = add("verify-hecke", help="convolution identity and algebra checks")
-    vh.add_argument("--primes", type=_int_list, default="2,3,5,7,11")
-    vh.add_argument("--max-radius", type=_int_at_least(2), default=8)
-    vh.set_defaults(func=cmd_verify_hecke)
-
-    sd = add("split-density", help="empirical complete-splitting density")
-    sd.add_argument("--poly", required=True)
-    sd.add_argument("--limit", type=int, default=10 ** 5)
-    sd.add_argument("--expected", type=_fraction_text, default=None,
-                    help="expected density as a fraction, e.g. 1/2")
-    sd.set_defaults(func=cmd_split_density)
-
-    dc = add("denom-check", help="denominator and product-formula sweeps")
-    dc.add_argument("--samples", type=_int_at_least(1), default=1000)
-    dc.add_argument("--seed", type=int, default=0)
-    dc.set_defaults(func=cmd_denom_check)
-
-    oc = add("orbit-check", help="orbit intersection closed form vs enumeration")
-    oc.add_argument("--orbit", default="torus", help=orbit_help)
-    oc.add_argument("--index", type=_int_at_least(1), default=1)
-    oc.add_argument("--primes", type=_int_list, default="2,3,5")
-    oc.add_argument("--max-j", type=_int_at_least(1), default=3)
-    oc.set_defaults(func=cmd_orbit_check)
-
-    am = add("amplifier", help="build amplifiers over a Q sweep and report ratios")
-    am.add_argument("--Q", type=_int_list, default="50,100,200,400")
-    am.add_argument("--poly", default="x^2+1")
-    am.add_argument("--spectrum", choices=["trivial", "tempered"], default="trivial")
-    am.add_argument("--seed", type=int, default=42)
-    am.add_argument("--orbit", default="sl2", help=orbit_help)
-    am.add_argument("--index", type=_int_at_least(1), default=1)
-    am.set_defaults(func=cmd_amplifier)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv's flags as attributes, with the subcommand's function as func."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS and not command.startswith("-"):
+        raise ValueError(f"expected a subcommand ({', '.join(COMMANDS)}), got {command!r}")
+    func, about, flags = COMMANDS.get(command, (None, "subcommands:", {}))
+    flags = {**flags, "--out": (str, None)} if func else {}  # --out: the report's path
+    values = {flag: default if default in (None, ...) else convert(default)
+              for flag, (convert, default) in flags.items()}
+    names, tokens = [*flags, "-h", "--help"], iter(argv[1:] if func else argv)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        found = [name] if name in names else \
+            [flag for flag in names if len(name) > 2 and flag.startswith(name)]
+        if len(found) != 1:
+            raise ValueError(f"ambiguous flag {name} could be {', '.join(found)}" if found
+                             else f"unrecognized argument {token!r}")
+        if (flag := found[0]) in ("-h", "--help"):
+            print(f"usage: treeamp {command if func else 'SUBCOMMAND'} [--FLAG VALUE ...]", about,
+                  *(f"  {row:<14} {'required' if entry[1] is ... else entry[1]}"
+                    for row, entry in (flags or COMMANDS).items()), sep="\n")
+            sys.exit(0)
+        text = text if eq else next(tokens, "-")
+        if not eq and text.startswith("-") and not text[1:].isdigit():  # a flag, not a number
+            raise ValueError(f"argument {flag}: expected a value")
+        try:
+            values[flag] = flags[flag][0](text)
+        except ValueError as exc:
+            raise ValueError(f"argument {flag}: {exc}") from None
+    if missing := [flag for flag, value in values.items() if value is ...]:
+        raise ValueError(f"argument {missing[0]} is required")
+    return SimpleNamespace(func=func, subcommand=command,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        started = time.monotonic()
         config, results, verdicts = args.func(args)
         report = {"tool_version": __version__, "command": args.subcommand,
                   "config": config, "results": results, "verdicts": verdicts}
         return finish(report, args.out, started)
     except (ValueError, OSError) as exc:  # ValueError includes AmplifierError
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        sys.stderr.write(f"treeamp: error: {exc}\n")
+        sys.exit(2)
 
 
 def run() -> None:

@@ -188,6 +188,29 @@ class TestDeterminism:
         _, b = run(tmp_path, "s2.json", base + ["--seed", "2"])
         assert a != b
 
+    @pytest.mark.parametrize("argv", ALL_CHECKS.values(), ids=ALL_CHECKS.keys())
+    def test_equals_spelling_matches_recorded_digest(self, argv, capsys):
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        want = recorded["cli_suites"][" ".join(argv)]
+        joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        assert len(joined) < len(argv)
+        code = main(joined)
+        stdout = capsys.readouterr().out
+        assert (code, hashlib.sha256(stdout.encode()).hexdigest()) == \
+            (want["exit"], want["sha256"])
+
+    def test_unique_prefix_matches_full_flag(self, tmp_path):
+        argv = ALL_CHECKS["verify-hecke"]
+        abbreviated = ["--max-r" if token == "--max-radius" else token for token in argv]
+        assert abbreviated != argv
+        assert run(tmp_path, "full.json", argv) == run(tmp_path, "short.json", abbreviated)
+
+    def test_repeated_flag_last_wins(self, tmp_path):
+        # the first values alone would be refused by the sphere cap
+        repeated = ["orbit-check", "--primes", "7", "--max-j", "5", "--primes", "2", "--max-j=1"]
+        argv = ["orbit-check", "--primes", "2", "--max-j", "1"]
+        assert run(tmp_path, "last.json", repeated) == run(tmp_path, "once.json", argv)
+
     def test_stdout_matches_file(self, tmp_path, capsys):
         argv = ["orbit-check", "--primes", "2", "--max-j", "1"]
         code = main(argv)
@@ -241,6 +264,13 @@ BAD_INPUT = {
                            "--out", "missing/report.json"],
     "out-is-directory": ["verify-hecke", "--primes", "2", "--max-radius", "2",
                          "--out", "a-directory"],
+    "unknown-flag": ["verify-hecke", "--bogus", "2"],
+    "ambiguous-prefix": ["amplifier", "--s", "1"],  # --seed or --spectrum
+    "flag-without-value": ["verify-hecke", "--max-radius", "4", "--primes"],
+    "split-density-without-poly": ["split-density", "--limit", "100"],
+    "stray-positional": ["verify-hecke", "2,3"],
+    "no-subcommand": [],
+    "unknown-spectrum": ["amplifier", "--spectrum", "warm"],
 }
 
 
@@ -254,7 +284,8 @@ class TestBadInput:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err.splitlines()[-1]
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("treeamp: error:"), captured.err
         assert "Traceback" not in captured.err
         assert list(tmp_path.rglob("*.tmp")) == []
 
@@ -294,6 +325,21 @@ class TestBadInput:
         assert value in line
         assert "_int_list" not in line
 
+    @pytest.mark.parametrize("name,words", [
+        ("unknown-flag", ["--bogus"]),
+        ("ambiguous-prefix", ["--s", "--seed", "--spectrum"]),
+        ("flag-without-value", ["--primes"]),
+        ("split-density-without-poly", ["--poly"]),
+        ("stray-positional", ["'2,3'"]),
+        ("no-subcommand", ["verify-hecke", "amplifier"]),
+        ("unknown-spectrum", ["'warm'", "'trivial'", "'tempered'"]),
+    ])
+    def test_usage_error_names_the_flag_or_text(self, name, words, capsys):
+        with pytest.raises(SystemExit):
+            main(BAD_INPUT[name])
+        line = capsys.readouterr().err
+        assert all(word in line for word in words), line
+
     @pytest.mark.parametrize("name", ["orbit-check-unknown-orbit", "amplifier-unknown-orbit"])
     def test_unknown_orbit_names_it_and_every_kind(self, name, capsys):
         with pytest.raises(SystemExit):
@@ -302,6 +348,39 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("treeamp: error:")
         assert "'cone'" in lines[0]
         assert all(repr(kind.value) in lines[0] for kind in OrbitKind)
+
+
+# Every subcommand's flags and the default text its help shows.
+HELP_DEFAULTS = {
+    "verify-hecke": {"--primes": "2,3,5,7,11", "--max-radius": "8"},
+    "split-density": {"--poly": "required", "--limit": "100000", "--expected": "None"},
+    "denom-check": {"--samples": "1000", "--seed": "0"},
+    "orbit-check": {"--orbit": "torus", "--index": "1", "--primes": "2,3,5", "--max-j": "3"},
+    "amplifier": {"--Q": "50,100,200,400", "--poly": "x^2+1", "--spectrum": "trivial",
+                  "--seed": "42", "--orbit": "sl2", "--index": "1"},
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_top_level_lists_every_subcommand(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        names = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+        assert names == set(HELP_DEFAULTS)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", HELP_DEFAULTS)
+    def test_subcommand_lists_every_flag_with_its_default(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = dict(line.split() for line in captured.out.splitlines() if line.startswith("  "))
+        assert rows == {**HELP_DEFAULTS[command], "--out": "None"}
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -395,6 +474,12 @@ def test_import_loads_no_library_module():
     assert run_probe("import sys, treeamp.cli; " + LOADED) == "treeamp treeamp.cli"
 
 
+def test_import_loads_no_argparse_or_gettext():
+    probe = ("import sys, treeamp.cli; "
+             "print([m for m in ('argparse', 'gettext') if m in sys.modules])")
+    assert run_probe(probe) == "[]"
+
+
 def test_import_loads_no_typing_or_random():
     # -S: without site, whose imports may load either module first
     probe = ("import sys, treeamp.cli, treeamp.orbits; "
@@ -426,10 +511,10 @@ def test_subcommand_loads_only_what_it_runs(command, tmp_path):
 
 @pytest.mark.parametrize("command", SUBCOMMAND_LOADS)
 def test_subcommand_imports_no_dataclasses(command, tmp_path):
-    # nor fractions, where the subcommand builds no rational
+    # nor the argument parser, nor fractions where the subcommand builds no rational
     flags, _ = SUBCOMMAND_LOADS[command]
-    absent = ["dataclasses", "fractions"] if command in ("verify-hecke", "orbit-check") \
-        else ["dataclasses"]
+    absent = ["dataclasses", "argparse", "gettext"] + \
+        (["fractions"] if command in ("verify-hecke", "orbit-check") else [])
     probe = ("import sys; from treeamp.cli import main; main(sys.argv[1:]); "
              f"print([m for m in {absent!r} if m in sys.modules])")
     assert run_probe(probe, command, *flags, "--out", str(tmp_path / "r.json")) == "[]"
@@ -460,12 +545,15 @@ EDGE_VALUES = {
 
 @st.composite
 def cli_argv(draw):
+    # each flag spelled --flag value or --flag=value, and sometimes an unknown flag
     command = draw(st.sampled_from(sorted(EDGE_VALUES)))
     argv = [command]
     for flag, values in EDGE_VALUES[command].items():
         value = draw(st.sampled_from(values))
         if value is not None:
-            argv += [flag, value]
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
     return argv
 
 
