@@ -7,7 +7,8 @@ trend quantities (Lambda * log^2 Q / Q^(2+ell), normInf / Q^(ell-1),
 and the positivity ratio rescaled by Q^(1+ell/2) / log Q).
 
 Exits 0 when every window passes its verdicts, 1 when one fails, and 2
-with a one-line error on bad input, like the treeamp CLI.
+on bad input, after argparse's usage block, whose last line is the
+error; unlike the treeamp CLI, that is more than one line.
 """
 
 import argparse

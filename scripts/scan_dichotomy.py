@@ -8,7 +8,8 @@ whether c_p >= threshold, decided by one exact rational comparison.
 c_p decreases toward sqrt(2) - 1 ~ 0.4142 as p grows, crossing below
 1/2 at p = 5.
 
-Exits 2 with a one-line error on bad input, like the treeamp CLI.
+On bad input it exits 2 after argparse's usage block, whose last line
+is the error; unlike the treeamp CLI, that is more than one line.
 """
 
 import argparse

@@ -4,10 +4,13 @@ Flags come from the COMMANDS table, as ``--flag value``, ``--flag=value``
 or a unique prefix of the flag; the last of a repeated flag wins, and -h
 or --help prints the help.  A report's bytes are a pure function of the
 flags and seed (exact integers as strings, never floats, rationals as
-"num/den", reals as %.12g strings); wall time goes to stderr only.  Exit
-code is 0 when every verdict passes, 1 when one fails, and 2 on bad input,
-which is one line on stderr.  A subcommand imports the library modules it
-runs when it runs, so a process compiles only the code its subcommand calls.
+"num/den", reals as %.12g strings), written by _dump as json.dumps(indent=2,
+sort_keys=True) would, without the json package; wall time goes to stderr
+only.  --out replaces a regular file, or a symlink's target, whole through
+<file>.tmp, and writes to a FIFO or device in place.  Exit code is 0 when
+every verdict passes, 1 when one fails, and 2 on bad input, which is one
+line on stderr.  A subcommand imports the library modules it runs when it
+runs, so a process compiles only the code its subcommand calls.
 
 run() is the entry of ``python -m treeamp.cli`` and the ``treeamp``
 script: it exits with main()'s code and freezes the heap first, so the
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import json
 import os
+import stat
 import sys
 import time
 from types import SimpleNamespace
@@ -31,36 +34,67 @@ MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
 MAX_SIEVE = 10 ** 6  # largest integer split-density and amplifier may sieve up to
 
 
-def _encode(obj):
-    if isinstance(obj, bool):
-        return obj
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(c: str) -> str:
+    n = ord(c)
+    if n > 0xFFFF:  # a UTF-16 surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return _ESCAPES.get(c) or (c if 31 < n < 127 else f"\\u{n:04x}")
+
+
+def _dump(obj, pad: str | None) -> str:
+    """obj as JSON text with sorted keys, integers as strings, rationals as
+    "num/den" and reals as %.12g strings: indented two spaces past pad, or
+    on one line when pad is None."""
+    if isinstance(obj, str):  # escaped as json's ensure_ascii escapes it
+        if not (obj.isascii() and obj.isprintable()) or '"' in obj or "\\" in obj:
+            obj = "".join(map(_escape, obj))
+        return f'"{obj}"'
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj)
+        return f'"{obj!s}"'
     if isinstance(obj, float):
-        return f"{obj:.12g}"
+        return f'"{obj:.12g}"'
     if hasattr(obj, "denominator"):  # a Fraction, told apart without importing fractions
-        return f"{obj.numerator}/{obj.denominator}"
+        return f'"{obj.numerator}/{obj.denominator}"'
+    inner = None if pad is None else pad + "  "
     if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
+        ends, items = "{}", [f"{_dump(k, None)}: {_dump(v, inner)}"
+                             for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+    elif isinstance(obj, (list, tuple)):
+        ends, items = "[]", [_dump(v, inner) for v in obj]
+    else:
+        raise TypeError(f"cannot write a {type(obj).__name__} in a report")
+    if pad is None or not items:
+        return ends[0] + ", ".join(items) + ends[1]
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
 def write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_encode(report), indent=2, sort_keys=True) + "\n"
-    if out_path:
-        tmp = out_path + ".tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, out_path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
-    else:
+    text = _dump(report, "") + "\n"
+    if not out_path:
         sys.stdout.write(text)
+        return
+    path = os.path.realpath(out_path)  # a symlink's target, so the link stays a link
+    with contextlib.suppress(FileNotFoundError):  # a new path is made below
+        if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO or device: written in place
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def finish(report: dict, out_path: str | None, started: float) -> int:
@@ -68,7 +102,7 @@ def finish(report: dict, out_path: str | None, started: float) -> int:
     print(f"wall time: {time.monotonic() - started:.3f}s", file=sys.stderr)
     failing = [k for k, v in report["verdicts"].items() if v is False]
     if failing:
-        config = json.dumps(_encode(report["config"]), sort_keys=True)
+        config = _dump(report["config"], None)
         print(f"FAIL: {', '.join(failing)} with config {config}", file=sys.stderr)
         return 1
     return 0
@@ -187,9 +221,15 @@ def cmd_denom_check(args):
     n = args.samples
     one, zero = gaussian.GaussRat(1, 0), gaussian.GaussRat(0, 0)
 
+    def randint(lo, hi, getrandbits=rng.getrandbits):  # rng.randint's draws, minus its calls
+        width = hi - lo + 1
+        while (r := getrandbits(width.bit_length())) >= width:
+            pass
+        return lo + r
+
     def draw():  # a/b + (c/d)i, drawn in the order a, b, c, d
-        a, b = rng.randint(-30, 30), rng.randint(1, 12)
-        c, d = rng.randint(-30, 30), rng.randint(1, 12)
+        a, b = randint(-30, 30), randint(1, 12)
+        c, d = randint(-30, 30), randint(1, 12)
         return gaussian._reduced(a * d, c * b, b * d)
 
     submult_add = submult_mul = product_one = arch_floor = True
@@ -207,7 +247,7 @@ def cmd_denom_check(args):
         # random unimodular integral matrix: product of elementary shears
         k = gaussian.Mat2.identity()
         for _ in range(4):
-            s = gaussian.GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))
+            s = gaussian.GaussRat(randint(-3, 3), randint(-3, 3))
             shear = gaussian.Mat2((one, s, zero, one)) if rng.random() < 0.5 \
                 else gaussian.Mat2((one, zero, s, one))
             k = k * shear

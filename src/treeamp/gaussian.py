@@ -96,9 +96,19 @@ class GaussPrime(Value):
         object.__setattr__(self, "residue_size", residue_size)
 
 
+def _place(generator: GaussInt, residue_size: int) -> GaussPrime:
+    """The GaussPrime of a canonical generator over a rational prime the
+    caller has proved, built without GaussPrime's check."""
+    v = object.__new__(GaussPrime)
+    GaussPrime.generator.__set__(v, generator)
+    GaussPrime.residue_size.__set__(v, residue_size)
+    return v
+
+
 @lru_cache(maxsize=None)
 def _prime_above(p: int) -> tuple[GaussPrime, ...]:
-    """The primes of Z[i] over a rational prime p.
+    """The primes of Z[i] over a rational prime p, which the caller has
+    proved prime, so _place builds them unchecked.
 
     For p = 1 mod 4, take t^2 = -1 mod p with t < p/2.  Integer Euclid
     on (p, t) reaches a first remainder x < sqrt(p), and p = x^2 + y^2
@@ -106,9 +116,9 @@ def _prime_above(p: int) -> tuple[GaussPrime, ...]:
     x - yi are canonical; the first place is the one dividing t + i.
     """
     if p == 2:
-        return (GaussPrime(GaussInt(1, 1), 2),)
+        return (_place(GaussInt(1, 1), 2),)
     if p % 4 == 3:
-        return (GaussPrime(GaussInt(p, 0), p * p),)
+        return (_place(GaussInt(p, 0), p * p),)
     a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)  # a non-residue
     t = pow(a, (p - 1) // 4, p)
     t = min(t, p - t)
@@ -118,7 +128,7 @@ def _prime_above(p: int) -> tuple[GaussPrime, ...]:
     y = math.isqrt(p - x * x)  # the remainder after x, so x > y > 0
     # x + yi divides t + i exactly when x = yt mod p, as i = -t at that place
     pi = GaussInt(x, y if (x - y * t) % p == 0 else -y)
-    return (GaussPrime(pi, p), GaussPrime(pi.conj(), p))
+    return (_place(pi, p), _place(pi.conj(), p))
 
 
 def _divide_out(z: GaussInt, v: GaussPrime) -> tuple[int, GaussInt]:
@@ -372,6 +382,14 @@ def product_formula_check(x: GaussRat) -> Fraction:
 # 2x2 matrices
 
 
+def _dot(x: GaussRat, y: GaussRat, z: GaussRat, w: GaussRat) -> GaussRat:
+    """x*y + z*w, formed over the one denominator x.d*y.d*z.d*w.d and put in
+    lowest terms by a single _reduced, where two products and a sum take three."""
+    xy, zw = x.d * y.d, z.d * w.d
+    return _reduced((x.a * y.a - x.b * y.b) * zw + (z.a * w.a - z.b * w.b) * xy,
+                    (x.a * y.b + x.b * y.a) * zw + (z.a * w.b + z.b * w.a) * xy, xy * zw)
+
+
 class Mat2(Value):
     """A 2x2 matrix over Q(i), entries row-major."""
 
@@ -404,7 +422,7 @@ class Mat2(Value):
     def __mul__(self, o: "Mat2") -> "Mat2":
         a, b, c, d = self.entries
         e, f, g, h = o.entries
-        return Mat2((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        return Mat2((_dot(a, e, b, g), _dot(a, f, b, h), _dot(c, e, d, g), _dot(c, f, d, h)))
 
     def det(self) -> GaussRat:
         a, b, c, d = self.entries

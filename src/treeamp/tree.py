@@ -90,12 +90,11 @@ def iter_sphere(p: int, r: int):
         yield root(p)
         return
     set_prime, set_word = TreeVertex.prime.__set__, TreeVertex.word.__set__
-    for first in range(p + 1):
-        for rest in itertools.product(range(p), repeat=r - 1):
-            v = object.__new__(TreeVertex)
-            set_prime(v, p)
-            set_word(v, (first,) + rest)
-            yield v
+    for word in itertools.product(range(p + 1), *[range(p)] * (r - 1)):
+        v = object.__new__(TreeVertex)
+        set_prime(v, p)
+        set_word(v, word)
+        yield v
 
 
 def distance(v: TreeVertex, w: TreeVertex) -> int:

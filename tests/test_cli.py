@@ -7,16 +7,18 @@ import os
 import random
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from treeamp import cli, gaussian
+from treeamp import _primes, cli, gaussian
 from treeamp.cli import main
 from treeamp.gaussian import GaussRat, Mat2
 from treeamp.orbits import OrbitKind
@@ -108,6 +110,19 @@ class TestDenomCheck:
         code, _ = run(tmp_path, "dc.json", ["denom-check", "--samples", "60", "--seed", str(seed)])
         assert code == 0
         assert seen == fraction_denom_check_inputs(seed, 60)
+
+
+    def test_seed_0_runs_no_primality_test(self, tmp_path, monkeypatch):
+        # every place is over a prime that trial division proved; none is tested again
+        gaussian._prime_above.cache_clear()
+        _primes.cached_is_prime.cache_clear()
+        tested = []
+        is_prime = _primes.is_prime
+        monkeypatch.setattr(_primes, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        code, _ = run(tmp_path, "dc.json", ["denom-check", "--seed", "0"])
+        assert code == 0
+        assert tested == []
+        assert gaussian._prime_above.cache_info().misses > 0  # the places were built
 
 
 class TestOrbitCheck:
@@ -211,6 +226,20 @@ class TestDeterminism:
         argv = ["orbit-check", "--primes", "2", "--max-j", "1"]
         assert run(tmp_path, "last.json", repeated) == run(tmp_path, "once.json", argv)
 
+    def test_every_other_recorded_report_matches_its_digest(self, capsys):
+        # the denom-check and tempered seeds that run_all_checks.sh does not run
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
+        others = {argv: want for argv, want in recorded.items()
+                  if argv.split() not in ALL_CHECKS.values()}
+        assert len(others) == 62
+        mismatched = []
+        for argv, want in others.items():
+            code = main(argv.split())
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            if (code, digest) != (want["exit"], want["sha256"]):
+                mismatched.append(argv)
+        assert mismatched == []
+
     def test_stdout_matches_file(self, tmp_path, capsys):
         argv = ["orbit-check", "--primes", "2", "--max-j", "1"]
         code = main(argv)
@@ -218,6 +247,91 @@ class TestDeterminism:
         stdout = capsys.readouterr().out
         _, filed = run(tmp_path, "oc.json", argv)
         assert stdout.encode() == filed
+
+
+def json_encoded(obj):
+    """The report as the writer handed it to json.dumps before it wrote
+    JSON itself: the input of the json oracle."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return f"{obj:.12g}"
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {str(k): json_encoded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_encoded(v) for v in obj]
+    return obj
+
+
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 300, 2 ** 300)
+    | st.floats() | st.fractions() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.integers() | st.booleans(), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(report_values)
+@example({"\x00\x1f\x7f\"\\\b\f\n\r\t/ \xe9\u2028\uffff\U0001f600\U0010ffff":
+          [(), {}, -0.0, float("inf"), float("nan"), 10 ** 40, Fraction(-1, 3)],
+          1: "int key", "1": "str key", True: None})
+@settings(max_examples=100, deadline=None)
+def test_report_writer_matches_json(obj):
+    encoded = json_encoded(obj)
+    assert cli._dump(obj, "") == json.dumps(encoded, indent=2, sort_keys=True)
+    assert cli._dump(obj, None) == json.dumps(encoded, sort_keys=True)
+
+
+class TestOutPath:
+    ARGV = ["orbit-check", "--primes", "2", "--max-j", "1"]
+
+    def report(self, capsys) -> bytes:
+        assert main(self.ARGV) == 0
+        return capsys.readouterr().out.encode()
+
+    def test_regular_file_is_replaced_whole(self, tmp_path, capsys):
+        out, old = tmp_path / "r.json", tmp_path / "old.json"
+        out.write_text("old report")
+        os.link(out, old)  # a second name for the file --out replaces
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        assert out.read_bytes() == self.report(capsys)
+        assert old.read_text() == "old report"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "r.json"]
+
+    def test_symlink_stays_and_its_target_is_replaced_whole(self, tmp_path, capsys):
+        target, link, old = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "old.json"
+        target.write_text("old report")
+        os.link(target, old)  # a second name for the file the link names
+        link.symlink_to(target)
+        assert main(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.report(capsys)
+        assert old.read_text() == "old report"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "old.json",
+                                                              "target.json"]
+
+    def test_dangling_symlink_gets_its_target_made(self, tmp_path, capsys):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == self.report(capsys)
+
+    def test_fifo_reader_gets_the_bytes(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(self.ARGV + ["--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got == [self.report(capsys)]
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 BAD_INPUT = {
@@ -511,9 +625,9 @@ def test_subcommand_loads_only_what_it_runs(command, tmp_path):
 
 @pytest.mark.parametrize("command", SUBCOMMAND_LOADS)
 def test_subcommand_imports_no_dataclasses(command, tmp_path):
-    # nor the argument parser, nor fractions where the subcommand builds no rational
+    # nor the argument parser, nor json, nor fractions where the subcommand builds no rational
     flags, _ = SUBCOMMAND_LOADS[command]
-    absent = ["dataclasses", "argparse", "gettext"] + \
+    absent = ["dataclasses", "argparse", "gettext", "json"] + \
         (["fractions"] if command in ("verify-hecke", "orbit-check") else [])
     probe = ("import sys; from treeamp.cli import main; main(sys.argv[1:]); "
              f"print([m for m in {absent!r} if m in sys.modules])")

@@ -163,10 +163,12 @@ class TestFactorization:
         with pytest.raises(ValueError):
             GaussPrime(generator, residue_size)
 
-    def test_every_place_below_2000_builds(self):
-        for p in splitting.primes_in(2, 2000):
+    def test_every_place_below_10_4_equals_its_checked_build(self):
+        # _prime_above skips GaussPrime's check, primality test included; the rebuild runs it
+        for p in splitting.primes_in(2, 10 ** 4):
             for v in _prime_above(p):
-                assert GaussPrime(v.generator, v.residue_size) == v
+                checked = GaussPrime(v.generator, v.residue_size)
+                assert v == checked and hash(v) == hash(checked), p
 
     @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
     @settings(max_examples=300, deadline=None)
@@ -432,6 +434,16 @@ class TestIntegerProducts:
         e, f, g, h = n.entries
         want = [dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)]
         assert [(x.re, x.im) for x in (m * n).entries] == want
+        assert (m * n).entries == (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def test_mat2_product_reduces_each_entry_once(self, monkeypatch):
+        m = Mat2.make([[Fraction(-7, 12), Fraction(5, 8)], [3, Fraction(1, 6)]])
+        n = Mat2.make([[Fraction(3, 10), 2], [Fraction(-4, 15), Fraction(1, 6)]])
+        calls = []
+        reduced = gaussian._reduced
+        monkeypatch.setattr(gaussian, "_reduced", lambda *abd: calls.append(abd) or reduced(*abd))
+        m * n
+        assert len(calls) == 4
 
 
 class TestMat2:

@@ -68,10 +68,11 @@ def test_benchmark_tracer_finds_and_restores_every_name():
     assert [attr for owner, attr, orig in wrapped if getattr(owner, attr) is not orig] == []
 
 
-def test_unchecked_builds_stay_at_their_two_sites():
+def test_unchecked_builds_stay_at_their_three_sites():
     """object.__new__ builds a value without its class's checks.  Only the
-    words iter_sphere streams and the lowest terms _reduced divides out are
-    valid by construction; any other site needs a deliberate edit here."""
+    words iter_sphere streams, the lowest terms _reduced divides out and the
+    places _place builds for _prime_above over a proved prime are valid by
+    construction; any other site needs a deliberate edit here."""
     sites = []
 
     def visit(node, scope):
@@ -86,4 +87,4 @@ def test_unchecked_builds_stay_at_their_two_sites():
 
     for path in sorted((ROOT / "src").rglob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert sites == ["gaussian._reduced", "tree.iter_sphere"]
+    assert sites == ["gaussian._place", "gaussian._reduced", "tree.iter_sphere"]

@@ -21,6 +21,18 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def assert_usage_error(proc: subprocess.CompletedProcess, name: str) -> str:
+    """argparse's form: exit 2, its usage block, then one error line; that line."""
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith(f"usage: {name}") and len(lines) >= 2, proc.stderr
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith(f"{name}: error: ")
+    return lines[-1]
+
+
 def test_scan_dichotomy_certifies_2_and_3_at_half():
     proc = run_script("scan_dichotomy.py", "--max-prime", "13", "--threshold", "1/2")
     assert proc.returncode == 0, proc.stderr
@@ -33,10 +45,7 @@ def test_scan_dichotomy_certifies_2_and_3_at_half():
                                         ("--max-prime", "-5"), ("--max-prime", "x")])
 def test_scan_dichotomy_rejects_bad_flags(flag, value):
     proc = run_script("scan_dichotomy.py", flag, value)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr.splitlines()[-1]
+    assert value in assert_usage_error(proc, "scan_dichotomy.py")
 
 
 @pytest.mark.parametrize("orbit,spectrum", [("sl2", "trivial"), ("torus", "tempered")])
@@ -52,20 +61,14 @@ def test_run_scaling_sweep_tabulates_each_window(orbit, spectrum):
 @pytest.mark.parametrize("q", ["5", "50,50", "abc", "400,200", ""])
 def test_run_scaling_sweep_rejects_bad_q(q):
     proc = run_script("run_scaling_sweep.py", "--Q", q)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr.splitlines()[-1]
+    assert_usage_error(proc, "run_scaling_sweep.py")
     assert "_int_list" not in proc.stderr
 
 
 def test_run_scaling_sweep_refuses_a_window_above_the_sieve_cap():
     proc = run_script("run_scaling_sweep.py", "--Q", "500001")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    line = proc.stderr.splitlines()[-1]
-    assert "error:" in line and "500001" in line and str(MAX_SIEVE) in line
+    line = assert_usage_error(proc, "run_scaling_sweep.py")
+    assert "500001" in line and str(MAX_SIEVE) in line
 
 
 def test_run_scaling_sweep_exits_1_on_a_failed_verdict():

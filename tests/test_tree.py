@@ -58,6 +58,12 @@ class TestSphere:
                 # too large to walk here: verify the recursion instead
                 assert expected == p * tree.sphere_size(p, r - 1)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_words_stream_in_lexicographic_order(self, p):
+        for r in range(5):
+            words = [v.word for v in tree.iter_sphere(p, r)]
+            assert words == sorted(w for w in bfs_distances(p, (), r) if len(w) == r)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_streamed_vertices_equal_their_checked_rebuild(self, p):
         # iter_sphere skips TreeVertex's digit check; the rebuild runs it
