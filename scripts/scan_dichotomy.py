@@ -8,33 +8,38 @@ whether c_p >= threshold, decided by one exact rational comparison.
 c_p decreases toward sqrt(2) - 1 ~ 0.4142 as p grows, crossing below
 1/2 at p = 5.
 
-On bad input it exits 2 after argparse's usage block, whose last line
-is the error; unlike the treeamp CLI, that is more than one line.
+The bound may not exceed treeamp's sieve cap.  On bad input it exits 2
+with one line on stderr.
 """
 
-import argparse
 import math
+import sys
 from fractions import Fraction
 
+from treeamp import cli
 from treeamp.amplifier import dichotomy_constant, dichotomy_constant_at_least
-from treeamp.cli import _fraction_text, _int_at_least
 from treeamp.splitting import primes_in
 
 
+def _max_prime(text: str) -> int:
+    if (value := cli._int_at_least(2)(text)) > cli.MAX_SIEVE:
+        raise ValueError(f"{value} exceeds the sieve cap {cli.MAX_SIEVE}")
+    return value
+
+
+FLAGS = {"--max-prime": (_max_prime, "97"), "--threshold": (cli._fraction_text, "1/2")}
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-prime", default="97")
-    parser.add_argument("--threshold", default="1/2",
-                        help="certification threshold as a fraction")
-    args = parser.parse_args()
     try:
-        max_prime = _int_at_least(2)(args.max_prime)
-        threshold = Fraction(_fraction_text(args.threshold))
+        args = cli.read_flags(FLAGS, sys.argv[1:], "scan_dichotomy.py", __doc__)
     except ValueError as exc:
-        parser.error(str(exc))
+        sys.stderr.write(f"scan_dichotomy.py: error: {exc}\n")
+        return 2
+    threshold = Fraction(args.threshold)
 
     print(f"{'p':>4}  {'c_p':>10}  {'lambda*':>12}  certified@{threshold}")
-    for p in primes_in(2, max_prime):
+    for p in primes_in(2, args.max_prime):
         c = dichotomy_constant(p)
         certified = dichotomy_constant_at_least(p, threshold)
         print(f"{p:>4}  {c:>10.6f}  {-c * math.sqrt(p * (p + 1)):>12.6f}  "

@@ -1,7 +1,7 @@
-"""Immutable value classes: a subclass names its fields in __slots__ (or in
-_fields, keeping a __dict__) and sets them in __init__, after its checks,
-with object.__setattr__.  Equality and hashing compare the field tuple
-within one class, and pickle and copy go back through __init__.
+"""Immutable value classes: a subclass names its fields in __slots__ and
+sets them in __init__, after its checks, with object.__setattr__.
+Equality and hashing compare the field tuple within one class, and
+pickle and copy go back through __init__.
 """
 
 from operator import attrgetter
@@ -11,9 +11,8 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
-        get = attrgetter(*fields)
-        cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -24,7 +23,7 @@ class Value:
         return hash(self._values)
 
     def __repr__(self):
-        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values))
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):

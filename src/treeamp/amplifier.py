@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from bisect import bisect_left
 from fractions import Fraction
 from numbers import Rational
 
@@ -50,7 +49,6 @@ class AmplifierError(ValueError):
 class SpectrumKind(enum.Enum):
     TRIVIAL = "trivial"
     TEMPERED_RANDOM = "tempered"
-    EXPLICIT = "explicit"
 
 
 class SpectrumModel(Value):
@@ -58,21 +56,14 @@ class SpectrumModel(Value):
 
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
     draws uniformly from [-3p, 3p], deterministically per (seed, p) so the
-    draw does not depend on which window the prime appears in.  EXPLICIT
-    takes a fixed map, kept sorted by prime and searched by bisection.
+    draw does not depend on which window the prime appears in.
     """
 
-    __slots__ = ("kind", "seed", "values")
+    __slots__ = ("kind", "seed")
 
-    def __init__(self, kind: SpectrumKind, seed: int = 0,
-                 values: tuple[tuple[int, Fraction], ...] = ()):
-        values = tuple(values)
-        primes = [p for p, _ in values]
-        if any(a >= b for a, b in zip(primes, primes[1:])):
-            raise ValueError(f"explicit values must be strictly ascending by prime, got {primes}")
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, kind: SpectrumKind, seed: int = 0):
+        object.__setattr__(self, "kind", SpectrumKind(kind))
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "values", values)
 
     @staticmethod
     def trivial() -> "SpectrumModel":
@@ -82,23 +73,12 @@ class SpectrumModel(Value):
     def tempered(seed: int) -> "SpectrumModel":
         return SpectrumModel(SpectrumKind.TEMPERED_RANDOM, seed=seed)
 
-    @staticmethod
-    def explicit(values: dict[int, Fraction]) -> "SpectrumModel":
-        items = tuple(sorted((p, Fraction(v)) for p, v in values.items()))
-        return SpectrumModel(SpectrumKind.EXPLICIT, values=items)
-
     def lambda_p(self, p: int):
         if self.kind is SpectrumKind.TRIVIAL:
             return Fraction(p * (p + 1))
-        if self.kind is SpectrumKind.TEMPERED_RANDOM:
-            rng = random.Random(f"{self.seed}:{p}")
-            # rational draw with step p/1000 keeps downstream arithmetic exact
-            return Fraction(rng.randint(-3000, 3000) * p, 1000)
-        # values is sorted by prime, and (p,) sorts just before (p, v)
-        i = bisect_left(self.values, (p,))
-        if i == len(self.values) or self.values[i][0] != p:
-            raise KeyError(f"explicit spectrum has no value at p={p}")
-        return self.values[i][1]
+        rng = random.Random(f"{self.seed}:{p}")
+        # rational draw with step p/1000 keeps downstream arithmetic exact
+        return Fraction(rng.randint(-3000, 3000) * p, 1000)
 
 
 class LocalChoice(Value):
@@ -196,28 +176,21 @@ def _local_square(p: int, ell: int) -> list[int]:
 
 
 class AmplifierReport(Value):
-    """One amplifier window; the CLI reports every field but verdicts.
-    Mutable and unhashable, as scaling_sweep fills the last three fields later."""
+    """One amplifier window, unhashable as verdicts is a dict; the CLI reports all but verdicts."""
 
-    _fields = ("Q", "ell", "primes_used", "Lambda", "tau1_at_identity", "c_tau", "norm_inf",
-               "intersection_count", "ratio_intersections", "ratio_positivity", "verdicts",
-               "lambda_scaled", "norm_inf_scaled", "positivity_scaled")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    __slots__ = ("Q", "ell", "primes_used", "Lambda", "tau1_at_identity", "c_tau", "norm_inf",
+                 "intersection_count", "ratio_intersections", "ratio_positivity", "verdicts",
+                 "lambda_scaled", "norm_inf_scaled", "positivity_scaled")
 
-    def __init__(self, Q: int, ell: int, primes_used: list[int], Lambda: Fraction,
+    def __init__(self, Q: int, ell: int, primes_used: tuple[int, ...], Lambda: Fraction,
                  tau1_at_identity: int, c_tau: int, norm_inf: int, intersection_count: int,
                  ratio_intersections: float, ratio_positivity: float, verdicts: dict[str, bool],
-                 lambda_scaled: float | None = None, norm_inf_scaled: float | None = None,
-                 positivity_scaled: float | None = None):
-        vars(self).update(zip(self._fields, (
-            Q, ell, primes_used, Lambda, tau1_at_identity, c_tau, norm_inf, intersection_count,
-            ratio_intersections, ratio_positivity, verdicts,
-            lambda_scaled, norm_inf_scaled, positivity_scaled)))
-
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
+                 lambda_scaled: float, norm_inf_scaled: float, positivity_scaled: float):
+        for name, value in zip(self.__slots__, (
+                Q, ell, tuple(primes_used), Lambda, tau1_at_identity, c_tau, norm_inf,
+                intersection_count, ratio_intersections, ratio_positivity,
+                dict(verdicts), lambda_scaled, norm_inf_scaled, positivity_scaled)):
+            object.__setattr__(self, name, value)
 
 
 def build_amplifier(
@@ -235,6 +208,16 @@ def build_amplifier(
     split prime costs one pick_local call, and no Hecke element is built.
     Lambda = (sum |lambda_p|)^2 - tau1(1) is summed as integers over the
     lcm of the eigenvalue denominators, and only the result is a Fraction.
+
+    lambda_scaled = Lambda log^2 Q / Q^(2+ell) assumes the tempered size
+    |lambda_p| ~ sqrt(|support|).  A spectrum with |lambda_p| ~ |support|,
+    such as the trivial one, gives Lambda ~ Q^(2+2 ell) / log^2 Q, so its
+    lambda_scaled grows with Q.
+
+    positivity_scaled = (c_tau/Lambda) Q^(1+ell/2) / log Q is not flat.
+    With n ~ Q/(2 log Q) primes kept, c_tau ~ n Q^ell, so c_tau/Lambda
+    ~ 1/n on a tempered spectrum and the value grows like Q^(ell/2); on
+    the trivial one it falls like 1/Q.  The flat normaliser is Q/log Q.
     """
     if Q < 11:
         raise AmplifierError("Q must be >= 11")
@@ -259,13 +242,9 @@ def build_amplifier(
     ninf = max(cross, max(max(s[1:]) for s in squares))
     intersections = orbits.count_amplifier_intersections(orbit, squares)
 
-    lambda_positive = Lambda > 0
-    if lambda_positive:
-        ratio_intersections = float(ninf) * intersections / float(Lambda)
-        ratio_positivity = c_tau / float(Lambda)
-    else:
-        ratio_intersections = float("inf")
-        ratio_positivity = float("inf")
+    lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
+    ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
+    ratio_positivity = c_tau / Lambda_f if lambda_positive else math.inf
 
     # Each verdict checks a report value against an independent formula:
     # h_p * h_p at the origin is the sphere size, and its largest
@@ -277,7 +256,8 @@ def build_amplifier(
             ninf == max(cross, max((c.prime - 1) * c.prime ** (c.ell - 2) for c in kept)),
         "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
     }
-    report = AmplifierReport(
+    logq = math.log(Q)
+    return kept, AmplifierReport(
         Q=Q,
         ell=ell,
         primes_used=[c.prime for c in kept],
@@ -289,8 +269,10 @@ def build_amplifier(
         ratio_intersections=ratio_intersections,
         ratio_positivity=ratio_positivity,
         verdicts=verdicts,
+        lambda_scaled=Lambda_f * logq * logq / Q ** (2 + ell),
+        norm_inf_scaled=ninf / Q ** (ell - 1),
+        positivity_scaled=ratio_positivity * Q ** (1 + ell / 2) / logq,
     )
-    return kept, report
 
 
 def scaling_sweep(
@@ -299,27 +281,7 @@ def scaling_sweep(
     spectrum: SpectrumModel,
     orbit: orbits.OrbitModel,
 ) -> list[AmplifierReport]:
-    """Build one amplifier per Q and attach normalized trend quantities.
-
-    lambda_scaled = Lambda log^2 Q / Q^(2+ell) assumes the tempered size
-    |lambda_p| ~ sqrt(|support|).  A spectrum with |lambda_p| ~ |support|,
-    such as the trivial one, gives Lambda ~ Q^(2+2 ell) / log^2 Q, so its
-    lambda_scaled grows with Q.
-
-    positivity_scaled = (c_tau/Lambda) Q^(1+ell/2) / log Q is not flat.
-    With n ~ Q/(2 log Q) primes kept, c_tau ~ n Q^ell, so c_tau/Lambda
-    ~ 1/n on a tempered spectrum and the value grows like Q^(ell/2); on
-    the trivial one it falls like 1/Q.  The flat normaliser is Q/log Q.
-    """
+    """One amplifier report per Q, for strictly ascending Qs."""
     if any(a >= b for a, b in zip(Qs, Qs[1:])):
         raise AmplifierError(f"Q values must be strictly ascending, got {list(Qs)}")
-    reports = []
-    for Q in Qs:
-        _, report = build_amplifier(Q, f, spectrum, orbit)
-        logq = math.log(Q)
-        ell = report.ell
-        report.lambda_scaled = float(report.Lambda) * logq * logq / Q ** (2 + ell)
-        report.norm_inf_scaled = report.norm_inf / Q ** (ell - 1)
-        report.positivity_scaled = report.ratio_positivity * Q ** (1 + ell / 2) / logq
-        reports.append(report)
-    return reports
+    return [build_amplifier(Q, f, spectrum, orbit)[1] for Q in Qs]

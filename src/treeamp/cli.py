@@ -1,15 +1,16 @@
 """Command-line front end: one JSON report per subcommand.
 
-Flags come from the COMMANDS table, as ``--flag value``, ``--flag=value``
-or a unique prefix of the flag; the last of a repeated flag wins, and -h
-or --help prints the help.  A report's bytes are a pure function of the
-flags and seed (exact integers as strings, never floats, rationals as
-"num/den", reals as %.12g strings), written by _dump as json.dumps(indent=2,
-sort_keys=True) would, without the json package; wall time goes to stderr
-only.  --out replaces a regular file, or a symlink's target, whole through
-<file>.tmp, and writes to a FIFO or device in place.  Exit code is 0 when
-every verdict passes, 1 when one fails, and 2 on bad input, which is one
-line on stderr.  A subcommand imports the library modules it runs when it
+read_flags reads the flags of a COMMANDS entry, or of a script's table,
+as ``--flag value``, ``--flag=value`` or a unique prefix of the flag; the
+last of a repeated flag wins, and -h or --help prints the help.  A
+report's bytes are a pure function of the flags and seed (exact integers
+as strings, never floats, rationals as "num/den", reals as %.12g
+strings), written by _dump as json.dumps(indent=2, sort_keys=True)
+would, without the json package; wall time goes to stderr only.  --out
+replaces a regular file, or a symlink's target, whole through <file>.tmp,
+and writes to a FIFO or device in place.  Exit code is 0 when every
+verdict passes, 1 when one fails, and 2 on bad input, which is one line
+on stderr.  A subcommand imports the library modules it runs when it
 runs, so a process compiles only the code its subcommand calls.
 
 run() is the entry of ``python -m treeamp.cli`` and the ``treeamp``
@@ -142,14 +143,13 @@ def _fraction_text(text: str) -> str:
 # Each subcommand returns (config, results, verdicts) for main's envelope.
 
 
-def _orbit_kind(name: str) -> "orbits.OrbitKind":
-    """The OrbitKind whose value is name; ValueError lists the valid names."""
-    from .orbits import OrbitKind
+def _kind(kinds: type, noun: str, name: str):
+    """The member of the enum kinds whose value is name; ValueError lists the valid names."""
     try:
-        return OrbitKind(name)
+        return kinds(name)
     except ValueError:
-        known = ", ".join(repr(kind.value) for kind in OrbitKind)
-        raise ValueError(f"unknown orbit {name!r} (choose from {known})") from None
+        known = ", ".join(repr(kind.value) for kind in kinds)
+        raise ValueError(f"unknown {noun} {name!r} (choose from {known})") from None
 
 
 def cmd_verify_hecke(args):
@@ -267,7 +267,7 @@ def cmd_denom_check(args):
 
 def cmd_orbit_check(args):
     from . import orbits, tree
-    model = orbits.OrbitModel(_orbit_kind(args.orbit), args.index)
+    model = orbits.OrbitModel(_kind(orbits.OrbitKind, "orbit", args.orbit), args.index)
     primes = args.primes
     # sphere_size(p, r) >= 2^r, so every radius from MAX_SPHERE.bit_length() on
     # is over the cap; clamping there keeps a huge --max-j from building the power
@@ -289,25 +289,17 @@ def cmd_orbit_check(args):
     return config, results, verdicts
 
 
-def check_windows(Qs: list[int]) -> None:
-    """ValueError unless every window [Q, 2Q] ends within the sieve cap."""
-    for Q in Qs:
-        if 2 * Q > MAX_SIEVE:
-            raise ValueError(f"Q={Q} sieves up to 2Q = {2 * Q}, above the cap {MAX_SIEVE}")
-
-
 def cmd_amplifier(args):
     from . import amplifier, orbits, splitting
-    if args.spectrum not in ("trivial", "tempered"):
-        raise ValueError(f"unknown spectrum {args.spectrum!r} (choose from 'trivial', 'tempered')")
+    spectrum = amplifier.SpectrumModel(
+        _kind(amplifier.SpectrumKind, "spectrum", args.spectrum), args.seed)
     Qs = args.Q
-    check_windows(Qs)
+    if over := [Q for Q in Qs if 2 * Q > MAX_SIEVE]:
+        raise ValueError(f"Q={over[0]} sieves up to 2Q = {2 * over[0]}, above the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
-    spectrum = amplifier.SpectrumModel.trivial() if args.spectrum == "trivial" \
-        else amplifier.SpectrumModel.tempered(args.seed)
-    orbit = orbits.OrbitModel(_orbit_kind(args.orbit), args.index)
+    orbit = orbits.OrbitModel(_kind(orbits.OrbitKind, "orbit", args.orbit), args.index)
     reports = amplifier.scaling_sweep(Qs, poly, spectrum, orbit)
-    results = [{k: v for k, v in vars(rep).items() if k != "verdicts"} for rep in reports]
+    results = [{k: getattr(rep, k) for k in rep.__slots__ if k != "verdicts"} for rep in reports]
     verdicts = {f"Q{rep.Q}_{name}": ok for rep in reports for name, ok in rep.verdicts.items()}
     config = {"Q": Qs, "poly": str(poly), "spectrum": args.spectrum,
               "seed": args.seed, "orbit": args.orbit, "index": args.index}
@@ -332,16 +324,12 @@ COMMANDS = {
 }
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """argv's flags as attributes, with the subcommand's function as func."""
-    command = argv[0] if argv else ""
-    if command not in COMMANDS and not command.startswith("-"):
-        raise ValueError(f"expected a subcommand ({', '.join(COMMANDS)}), got {command!r}")
-    func, about, flags = COMMANDS.get(command, (None, "subcommands:", {}))
-    flags = {**flags, "--out": (str, None)} if func else {}  # --out: the report's path
+def read_flags(flags: dict, tokens: list[str], usage: str, about: str) -> SimpleNamespace:
+    """tokens read through a {flag: (convert, default)} table, as attributes named by the
+    flags; -h or --help prints usage, about and each flag's default, and exits 0."""
     values = {flag: default if default in (None, ...) else convert(default)
               for flag, (convert, default) in flags.items()}
-    names, tokens = [*flags, "-h", "--help"], iter(argv[1:] if func else argv)
+    names, tokens = [*flags, "-h", "--help"], iter(tokens)
     for token in tokens:
         name, eq, text = token.partition("=")
         found = [name] if name in names else \
@@ -350,9 +338,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             raise ValueError(f"ambiguous flag {name} could be {', '.join(found)}" if found
                              else f"unrecognized argument {token!r}")
         if (flag := found[0]) in ("-h", "--help"):
-            print(f"usage: treeamp {command if func else 'SUBCOMMAND'} [--FLAG VALUE ...]", about,
-                  *(f"  {row:<14} {'required' if entry[1] is ... else entry[1]}"
-                    for row, entry in (flags or COMMANDS).items()), sep="\n")
+            print(f"usage: {usage} [--FLAG VALUE ...]", about,
+                  *(f"  {row:<14} {'required' if default is ... else default}"
+                    for row, (_, default) in flags.items()), sep="\n")
             sys.exit(0)
         text = text if eq else next(tokens, "-")
         if not eq and text.startswith("-") and not text[1:].isdigit():  # a flag, not a number
@@ -363,8 +351,22 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             raise ValueError(f"argument {flag}: {exc}") from None
     if missing := [flag for flag, value in values.items() if value is ...]:
         raise ValueError(f"argument {missing[0]} is required")
-    return SimpleNamespace(func=func, subcommand=command,
-                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+    return SimpleNamespace(**{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv's flags as attributes, with the subcommand's function as func."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        if not command.startswith("-"):
+            raise ValueError(f"expected a subcommand ({', '.join(COMMANDS)}), got {command!r}")
+        # with no flags, argv[0] is help, which exits, or an error, which raises
+        read_flags({}, argv, "treeamp SUBCOMMAND", "\n".join(
+            ["subcommands:", *(f"  {name:<14} {entry[1]}" for name, entry in COMMANDS.items())]))
+    func, about, flags = COMMANDS[command]
+    args = read_flags({**flags, "--out": (str, None)}, argv[1:], f"treeamp {command}", about)
+    args.func, args.subcommand = func, command
+    return args
 
 
 def main(argv=None) -> int:

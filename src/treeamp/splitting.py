@@ -49,16 +49,6 @@ __all__ = [
 MAX_DEGREE = 8  # parse_poly refuses higher degrees before building coefficients
 
 
-def sieve(limit: int) -> bytearray:
-    """Bit-per-byte primality table for 0..limit inclusive."""
-    table = bytearray([1]) * (limit + 1)
-    table[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if table[i]:
-            table[i * i:: i] = bytes(len(range(i * i, limit + 1, i)))
-    return table
-
-
 def _prime_table(lo: int, hi: int) -> bytearray:
     """Segmented sieve for 2 <= lo: byte i is 1 iff lo + i is prime.
 
@@ -67,9 +57,9 @@ def _prime_table(lo: int, hi: int) -> bytearray:
     """
     if hi < lo:
         return bytearray()
-    base = sieve(isqrt(hi))
+    base = _prime_table(2, isqrt(hi))
     table = bytearray([1]) * (hi - lo + 1)
-    for p in compress(range(len(base)), base):
+    for p in compress(range(2, len(base) + 2), base):
         start = max(p * p, -(-lo // p) * p) - lo
         table[start:: p] = bytes(len(range(start, len(table), p)))
     return table

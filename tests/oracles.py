@@ -1,13 +1,23 @@
 """Test-only oracles over the expanded Hecke objects of treeamp.hecke.
 
 The amplifier report is computed from per-prime closed forms; these
-evaluate the expanded tau it is checked against.
+evaluate the expanded tau it is checked against.  FixedSpectrum stands
+in for a SpectrumModel where a test needs chosen seed eigenvalues.
 """
 
 import random
 from fractions import Fraction
 
 from treeamp import hecke
+
+
+class FixedSpectrum:
+    """Seed eigenvalues from a {prime: value} map; lambda_p is all that
+    build_amplifier reads of a spectrum, and a prime outside the map raises
+    KeyError."""
+
+    def __init__(self, values: dict[int, Fraction]):
+        self.lambda_p = dict(values).__getitem__
 
 
 def global_identity() -> hecke.GlobalHeckeElement:

@@ -11,7 +11,6 @@ from treeamp.amplifier import (
     AmplifierError,
     AmplifierReport,
     LocalChoice,
-    SpectrumKind,
     SpectrumModel,
     build_amplifier,
     dichotomy_constant,
@@ -24,6 +23,7 @@ from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import is_prime, parse_poly, primes_in, split_primes_in
 
 from oracles import (
+    FixedSpectrum,
     identity_value,
     spectral_value,
     subtract_identity,
@@ -123,46 +123,6 @@ class TestPickLocalAgainstFractionOracle:
             pick_local(p, seed)
 
 
-class TestExplicitSpectrum:
-    def test_missing_prime_names_it(self):
-        spectrum = SpectrumModel.explicit({5: Fraction(1), 13: Fraction(2)})
-        assert spectrum.lambda_p(13) == 2
-        for p in (2, 7, 17):
-            with pytest.raises(KeyError, match=f"explicit spectrum has no value at p={p}"):
-                spectrum.lambda_p(p)
-
-    @pytest.mark.parametrize("values", [((7, 1), (5, 1)), ((5, 1), (5, 2))],
-                             ids=["descending", "repeated"])
-    def test_unsorted_values_rejected(self, values):
-        # bisection needs the primes strictly ascending
-        with pytest.raises(ValueError, match="strictly ascending by prime"):
-            SpectrumModel(SpectrumKind.EXPLICIT, values=values)
-
-    def test_window_reads_logarithmically_many_values(self):
-        class CountingValues(tuple):
-            """A values tuple that counts the entries read from it."""
-            reads = 0
-
-            def __getitem__(self, i):
-                self.reads += 1
-                return tuple.__getitem__(self, i)
-
-            def __iter__(self):
-                return (self[i] for i in range(len(self)))
-
-        Q = 3200
-        primes = split_primes_in(GAUSS, Q, 2 * Q)
-        values = CountingValues(sorted((p, Fraction(-p, 2)) for p in primes))
-        spectrum = SpectrumModel(SpectrumKind.EXPLICIT, values=values)
-        values.reads = 0
-        _, report = build_amplifier(Q, GAUSS, spectrum, SL2)
-        assert report == build_amplifier(Q, GAUSS, explicit_half(Q), SL2)[1]
-        n = len(primes)
-        # a binary search and the entry it finds per prime; a dict rebuilt
-        # per prime would read n^2
-        assert n > 100 and values.reads <= n * (n.bit_length() + 3)
-
-
 class TestDichotomyConstant:
     @pytest.mark.parametrize("p", [2, 3])
     def test_small_primes_certified_at_half(self, p):
@@ -208,7 +168,7 @@ class TestDichotomyConstant:
 class TestBuildAmplifier:
     def test_trivial_spectrum_q50(self, materialise):
         kept, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
-        assert report.primes_used == [53, 61, 73, 89, 97]
+        assert report.primes_used == (53, 61, 73, 89, 97)
         s = sum(p * (p + 1) for p in report.primes_used)
         assert report.tau1_at_identity == s
         assert report.c_tau == s
@@ -217,7 +177,7 @@ class TestBuildAmplifier:
         assert report.intersection_count == 0
         assert report.ratio_intersections == 0
         assert report.norm_inf == max(2, max(p - 1 for p in report.primes_used))
-        assert report.all_pass()
+        assert all(report.verdicts.values())
         _, tau = materialise(kept)
         assert identity_value(tau) == 0
 
@@ -277,11 +237,11 @@ class TestBuildAmplifier:
         assert calls == {"pick_local": sum(len(split_primes_in(GAUSS, Q, 2 * Q)) for Q in Qs)}
 
     def test_negative_lambda_reported_not_raised(self):
-        # adversarial explicit spectrum: every seed sits just under the
+        # adversarial fixed spectrum: every seed sits just under the
         # radius-2 cutoff, so the radius-4 eigenvalues stay near -p^2/4
         # and the main term loses to the identity mass
         primes = [53, 61, 73, 89, 97]
-        spectrum = SpectrumModel.explicit({p: Fraction(-p, 2) for p in primes})
+        spectrum = FixedSpectrum({p: Fraction(-p, 2) for p in primes})
         _, report = build_amplifier(50, GAUSS, spectrum, SL2)
         assert not report.verdicts["lambda_positive"]
         assert report.ratio_positivity == float("inf")
@@ -314,7 +274,7 @@ class TestSpectralFloor:
 
 def explicit_half(Q):
     """Seeds -p/2, just under the radius-2 cutoff: every prime takes j = 2."""
-    return SpectrumModel.explicit({p: Fraction(-p, 2) for p in split_primes_in(GAUSS, Q, 2 * Q)})
+    return FixedSpectrum({p: Fraction(-p, 2) for p in split_primes_in(GAUSS, Q, 2 * Q)})
 
 
 ORACLE_SPECTRA = {
@@ -346,9 +306,10 @@ def materialised_report(kept, Q, orbit, materialise):
         ratios = (float(ninf) * intersections / float(Lambda), tau1_at_identity / float(Lambda))
     else:
         ratios = (float("inf"), float("inf"))
+    ell, logq = kept[0].ell, math.log(Q)
     return AmplifierReport(
         Q=Q,
-        ell=kept[0].ell,
+        ell=ell,
         primes_used=[c.prime for c in kept],
         Lambda=Lambda,
         tau1_at_identity=tau1_at_identity,
@@ -363,6 +324,9 @@ def materialised_report(kept, Q, orbit, materialise):
             "norm_inf_decomposition": ninf == per_prime_ninf,
             "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
         },
+        lambda_scaled=float(Lambda) * logq * logq / Q ** (2 + ell),
+        norm_inf_scaled=ninf / Q ** (ell - 1),
+        positivity_scaled=ratios[1] * Q ** (1 + ell / 2) / logq,
     )
 
 
@@ -380,10 +344,10 @@ class TestClosedFormAgainstMaterialised:
         # [11, 22] holds the split primes 13 and 17; one picks j = 1 and
         # the other j = 2, so the tie keeps only p = 13 and tau has no
         # cross terms
-        spectrum = SpectrumModel.explicit({13: Fraction(13 * 14), 17: Fraction(0)})
+        spectrum = FixedSpectrum({13: Fraction(13 * 14), 17: Fraction(0)})
         model = ORACLE_ORBITS[orbit]
         kept, report = build_amplifier(11, GAUSS, spectrum, model)
-        assert report.primes_used == [13]
+        assert report.primes_used == (13,)
         assert report == materialised_report(kept, 11, model, materialise)
 
     def test_sweep_never_expands_tau(self, monkeypatch, tmp_path):
@@ -398,7 +362,7 @@ class TestClosedFormAgainstMaterialised:
                                 (SpectrumModel.tempered(42), TORUS)):
             reports = scaling_sweep(Qs, GAUSS, spectrum, orbit)
             assert [r.Q for r in reports] == Qs
-            assert all(r.all_pass() for r in reports)
+            assert all(ok for r in reports for ok in r.verdicts.values())
         out = str(tmp_path / "report.json")
         for flags in (["--spectrum", "trivial", "--orbit", "sl2"],
                       ["--spectrum", "tempered", "--seed", "42", "--orbit", "torus"]):

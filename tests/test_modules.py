@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from treeamp import hecke
+from treeamp import amplifier, hecke, splitting
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree"]
@@ -30,6 +30,21 @@ def test_no_module_imports_dataclasses():
     pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
     assert [path.name for path in sorted((ROOT / "src" / "treeamp").glob("*.py"))
             if pattern.search(path.read_text())] == []
+
+
+def test_no_file_imports_argparse():
+    pattern = re.compile(r"^\s*(?:import|from)\s+argparse\b", re.MULTILINE)
+    assert [path.name for folder in ("src", "scripts")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if pattern.search(path.read_text())] == []
+
+
+def test_test_only_spectrum_and_second_sieve_stay_deleted():
+    # "sieve" and "explicit" are words in docstrings, so no name search
+    assert not hasattr(splitting, "sieve")
+    assert not hasattr(amplifier.SpectrumModel, "explicit")
+    assert not hasattr(amplifier.SpectrumKind, "EXPLICIT")
+    assert not hasattr(amplifier.AmplifierReport, "all_pass")
 
 
 def test_deleted_helpers_stay_deleted():

@@ -300,7 +300,7 @@ def test_splits_completely_never_sieves(monkeypatch):
     # and x^3-2 takes its one modular power
     p = 10 ** 18 + 3
     assert is_prime(p)
-    monkeypatch.setattr(splitting, "sieve", refuse)
+    monkeypatch.setattr(splitting, "_prime_table", refuse)
     for text in ("x^2+1", "x^3-2"):
         f = parse_poly(text)
         assert splits_completely(f, p) == _frobenius_fixes_x(f.coeffs, p)

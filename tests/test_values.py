@@ -3,8 +3,8 @@
 Each class keeps the behaviour of a frozen dataclass: field-wise equality
 within one class only, hash of the field tuple, the Name(field=value)
 repr, no assignment or deletion, and pickle and copy round-trips that go
-back through the constructor's checks.  AmplifierReport is the mutable,
-unhashable exception.
+back through the constructor's checks.  AmplifierReport is the same but
+unhashable, as its verdicts field is a dict of its own.
 """
 
 import copy
@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from treeamp.amplifier import AmplifierReport, LocalChoice, SpectrumKind, SpectrumModel
+from treeamp.amplifier import (AmplifierReport, LocalChoice, SpectrumKind, SpectrumModel,
+                               scaling_sweep)
 from treeamp.gaussian import GaussInt, GaussPrime, GaussRat, Mat2
 from treeamp.hecke import EigenvalueSequence, GlobalHeckeElement, LocalHeckeElement
 from treeamp.orbits import OrbitKind, OrbitModel
-from treeamp.splitting import IntPoly
+from treeamp.splitting import IntPoly, parse_poly
 from treeamp.tree import TreeVertex
 
 R = GaussRat(1, 2, 3)
@@ -47,10 +48,8 @@ FROZEN = {
         "GlobalHeckeElement(coeffs=(((), 4), (((5, 2),), 2), (((5, 2), (13, 2)), -2)))"),
     "OrbitModel": (lambda: OrbitModel(OrbitKind.MULTIPLICATIVE, 2), (OrbitKind.MULTIPLICATIVE, 2),
                    "OrbitModel(kind=<OrbitKind.MULTIPLICATIVE: 'torus'>, index_multiplier=2)"),
-    "SpectrumModel": (lambda: SpectrumModel.explicit({5: Fraction(1, 2)}),
-                      (SpectrumKind.EXPLICIT, 0, ((5, Fraction(1, 2)),)),
-                      "SpectrumModel(kind=<SpectrumKind.EXPLICIT: 'explicit'>, seed=0, "
-                      "values=((5, Fraction(1, 2)),))"),
+    "SpectrumModel": (lambda: SpectrumModel.tempered(7), (SpectrumKind.TEMPERED_RANDOM, 7),
+                      "SpectrumModel(kind=<SpectrumKind.TEMPERED_RANDOM: 'tempered'>, seed=7)"),
     "LocalChoice": (lambda: LocalChoice(5, 2, 4, Fraction(-30), -1, True),
                     (5, 2, 4, Fraction(-30), -1, True),
                     "LocalChoice(prime=5, j=2, ell=4, lam=Fraction(-30, 1), phase=-1, "
@@ -68,13 +67,8 @@ TAMPERED = {
     "EigenvalueSequence": (EigenvalueSequence, (4, ())),
     "GlobalHeckeElement": (GlobalHeckeElement, (((((5, 0),), 1),),)),
     "OrbitModel": (OrbitModel, (OrbitKind.SL2, 0)),
-    "SpectrumModel": (SpectrumModel, (SpectrumKind.EXPLICIT, 0, ((7, 1), (5, 1)))),
+    "SpectrumModel": (SpectrumModel, ("explicit", 0)),
 }
-
-
-def report(**scaled):
-    return AmplifierReport(50, 2, [53, 61], Fraction(7, 2), 3, 3, 2, 0, 0.0, 0.5,
-                           {"lambda_positive": True}, **scaled)
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -112,6 +106,44 @@ class TestFrozen:
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
 
 
+def report(lambda_scaled=1.0):
+    return AmplifierReport(50, 2, [53, 61], Fraction(7, 2), 3, 3, 2, 0, 0.0, 0.5,
+                           {"lambda_positive": True}, lambda_scaled, 0.25, 2.5)
+
+
+class TestAmplifierReport:
+    def test_field_wise_equality_and_unhashable(self):
+        assert report() == report() and report() != report(lambda_scaled=2.0)
+        assert report() != report()._values
+        with pytest.raises(TypeError):
+            hash(report())
+
+    def test_assignment_and_deletion_raise(self):
+        rep = report()
+        for field in ("Q", "verdicts", "lambda_scaled"):
+            with pytest.raises(AttributeError):
+                setattr(rep, field, None)
+            with pytest.raises(AttributeError):
+                delattr(rep, field)
+        with pytest.raises(AttributeError):
+            rep.extra = 1
+        assert rep == report()
+
+    def test_repr(self):
+        assert repr(report()) == (
+            "AmplifierReport(Q=50, ell=2, primes_used=(53, 61), Lambda=Fraction(7, 2), "
+            "tau1_at_identity=3, c_tau=3, norm_inf=2, intersection_count=0, "
+            "ratio_intersections=0.0, ratio_positivity=0.5, "
+            "verdicts={'lambda_positive': True}, lambda_scaled=1.0, norm_inf_scaled=0.25, "
+            "positivity_scaled=2.5)")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        rep = report()
+        for other in (pickle.loads(pickle.dumps(rep)), copy.copy(rep), copy.deepcopy(rep)):
+            assert type(other) is AmplifierReport and other == rep and other is not rep
+            assert other.verdicts is not rep.verdicts
+
+
 class Tampered:
     """Pickles as a call to cls(*args), as a value class does."""
 
@@ -140,10 +172,9 @@ def test_keywords_and_defaults():
     assert GaussRat(1, 0) == GaussRat(a=1, b=0, d=1)
     assert OrbitModel(OrbitKind.SL2) == OrbitModel(kind=OrbitKind.SL2, index_multiplier=1)
     assert SpectrumModel(SpectrumKind.TEMPERED_RANDOM, seed=3) == \
-        SpectrumModel(SpectrumKind.TEMPERED_RANDOM, 3, ())
+        SpectrumModel(SpectrumKind.TEMPERED_RANDOM, 3)
     assert SpectrumModel(SpectrumKind.TRIVIAL).seed == 0
     assert TreeVertex(prime=2, word=()) == TreeVertex(2, ())
-    assert report().lambda_scaled is None
 
 
 class TestSequenceFieldsAreTuples:
@@ -176,36 +207,22 @@ class TestSequenceFieldsAreTuples:
     def test_other_sequence_fields(self):
         assert EigenvalueSequence(2, [1, 6]) == EigenvalueSequence(2, (1, 6))
         assert GlobalHeckeElement([((), 1)]) == GlobalHeckeElement((((), 1),))
-        assert SpectrumModel(SpectrumKind.EXPLICIT, values=[(5, 1)]) == \
-            SpectrumModel(SpectrumKind.EXPLICIT, values=((5, 1),))
-        hash(SpectrumModel(SpectrumKind.EXPLICIT, values=[(5, 1)]))
+        args = (50, 2, [53], Fraction(1), 1, 1, 2, 0, 0.0, 1.0, [("lambda_positive", True)],
+                1.0, 1.0, 1.0)
+        rep = AmplifierReport(*args)
+        assert rep.primes_used == (53,) and rep.verdicts == {"lambda_positive": True}
+        assert rep == AmplifierReport(*args[:-4], {"lambda_positive": True}, *args[-3:])
+        assert rep != AmplifierReport(*args[:-1], 2.0)
 
     def test_eigenvalue_sequence_checks_its_prime(self):
         with pytest.raises(ValueError, match="p must be prime, got 4"):
             EigenvalueSequence(4, ())
 
 
-class TestAmplifierReport:
-    def test_field_wise_equality_and_unhashable(self):
-        assert report() == report() and report() != report(lambda_scaled=1.0)
-        with pytest.raises(TypeError):
-            hash(report())
-
-    def test_mutable_with_every_field_in_vars(self):
-        rep = report()
-        rep.lambda_scaled = 2.5
-        assert rep == report(lambda_scaled=2.5)
-        assert list(vars(rep)) == re.findall(r"(\w+)=", repr(report()))
-
-    def test_repr(self):
-        assert repr(report()) == (
-            "AmplifierReport(Q=50, ell=2, primes_used=[53, 61], Lambda=Fraction(7, 2), "
-            "tau1_at_identity=3, c_tau=3, norm_inf=2, intersection_count=0, "
-            "ratio_intersections=0.0, ratio_positivity=0.5, "
-            "verdicts={'lambda_positive': True}, lambda_scaled=None, norm_inf_scaled=None, "
-            "positivity_scaled=None)")
-
-    def test_pickle_and_deepcopy_round_trip(self):
-        rep = report(positivity_scaled=0.25)
+def test_swept_report_pickles_and_copies():
+    reports = scaling_sweep([50, 100], parse_poly("x^2+1"), SpectrumModel.tempered(42),
+                            OrbitModel(OrbitKind.MULTIPLICATIVE))
+    for rep in reports:
         for other in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
             assert other == rep and other is not rep
+    assert reports[0] != reports[1]
