@@ -1,7 +1,7 @@
 """Immutable value classes: a subclass names its fields in __slots__ and
 sets them in __init__, after its checks, with object.__setattr__.
 Equality and hashing compare the field tuple within one class, and
-pickle and copy go back through __init__.
+pickle and copy go back through __init__.  exact takes a number exactly.
 """
 
 from operator import attrgetter
@@ -34,3 +34,12 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._values
+
+
+def exact(x):
+    """x as a Fraction, a float by its binary value; ValueError names an x with none."""
+    from fractions import Fraction
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError, ZeroDivisionError):  # an infinity, a NaN, "1/0"
+        raise ValueError(f"expected a finite rational, got {x!r}") from None

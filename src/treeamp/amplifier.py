@@ -17,11 +17,12 @@ from __future__ import annotations
 import enum
 import math
 import random
+import threading
 from fractions import Fraction
 from numbers import Rational
 
 from . import orbits, splitting, tree
-from ._value import Value
+from ._value import Value, exact
 
 __all__ = [
     "PICK_THRESHOLD",
@@ -51,12 +52,20 @@ class SpectrumKind(enum.Enum):
     TEMPERED_RANDOM = "tempered"
 
 
+class _Generator(threading.local):
+    def __init__(self):  # one tempered-draw generator per thread, reseeded by each draw
+        self.rng = random.Random()
+
+
+_generator = _Generator()
+
+
 class SpectrumModel(Value):
     """Synthetic eigenvalue assignment for the radius-2 operators.
 
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
-    draws uniformly from [-3p, 3p], deterministically per (seed, p) so the
-    draw does not depend on which window the prime appears in.
+    draws random.Random(f"{seed}:{p}").randint(-3000, 3000) * p / 1000, a
+    value of (seed, p) alone, on one generator per thread reseeded per draw.
     """
 
     __slots__ = ("kind", "seed")
@@ -76,9 +85,11 @@ class SpectrumModel(Value):
     def lambda_p(self, p: int):
         if self.kind is SpectrumKind.TRIVIAL:
             return Fraction(p * (p + 1))
-        rng = random.Random(f"{self.seed}:{p}")
-        # rational draw with step p/1000 keeps downstream arithmetic exact
-        return Fraction(rng.randint(-3000, 3000) * p, 1000)
+        rng = _generator.rng
+        rng.seed(f"{self.seed}:{p}")
+        while (r := rng.getrandbits(13)) >= 6001:  # rng.randint(-3000, 3000), minus its calls
+            pass
+        return Fraction((r - 3000) * p, 1000)  # the step p/1000 keeps the arithmetic exact
 
 
 class LocalChoice(Value):
@@ -90,16 +101,19 @@ class LocalChoice(Value):
 
     def __init__(self, prime: int, j: int, ell: int, lam: Fraction, phase: int,
                  guarantee_met: bool):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "guarantee_met", guarantee_met)
+        _set_prime(self, prime)
+        _set_j(self, j)
+        _set_ell(self, ell)
+        _set_lam(self, lam)
+        _set_phase(self, phase)
+        _set_guarantee_met(self, guarantee_met)
 
     def support_size(self) -> int:
         return tree.sphere_size(self.prime, 2 * self.j)
 
+
+_set_prime, _set_j, _set_ell, _set_lam, _set_phase, _set_guarantee_met = (
+    getattr(LocalChoice, field).__set__ for field in LocalChoice.__slots__)
 
 # PICK_THRESHOLD = t_num / t_den, squared once for the integer comparison
 _T_NUM2 = PICK_THRESHOLD.numerator ** 2
@@ -132,7 +146,7 @@ def dichotomy_constant_at_least(p: int, t: Rational) -> bool:
     c_p sqrt(p(p+1)) is the positive root of u^2 + (2p-1) u - p(p+1).
     """
     s1 = tree.sphere_size(p, 2)  # p(p+1); rejects a non-prime p
-    t = Fraction(t)
+    t = exact(t)
     if t <= 0:
         return True
     if t >= 1:
@@ -159,7 +173,7 @@ def pick_local(p: int, lambda_p) -> LocalChoice:
     c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
     decreases to sqrt(2) - 1, the sharp uniform constant.
     """
-    seed = lambda_p if isinstance(lambda_p, Fraction) else Fraction(lambda_p)
+    seed = lambda_p if isinstance(lambda_p, Fraction) else exact(lambda_p)
     n, d = seed.numerator, seed.denominator
     s1 = tree.sphere_size(p, 2)  # p(p+1); rejects a non-prime p
     if _at_least_threshold(n, d, s1):

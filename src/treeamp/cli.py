@@ -131,11 +131,8 @@ def _int_at_least(low: int):
 
 
 def _fraction_text(text: str) -> str:
-    from fractions import Fraction
-    try:
-        Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a fraction: {text!r}") from None
+    from ._value import exact
+    exact(text)  # ValueError names a text that is not a fraction
     return text
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._primes import cached_is_prime
-from ._value import Value
+from ._value import Value, exact
 
 __all__ = [
     "GaussInt",
@@ -252,7 +252,7 @@ class GaussRat(Value):
 
     @staticmethod
     def make(re, im=0) -> "GaussRat":
-        re, im = Fraction(re), Fraction(im)
+        re, im = exact(re), exact(im)
         return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
                         re.denominator * im.denominator)
 
@@ -475,7 +475,7 @@ def certify_commuting(a: Mat2, b: Mat2, arch_bound: Fraction) -> CommutatorVerdi
     entry x would violate denom(x) * |x|^2 >= 1 unless it is zero, so the
     commutator is forced to vanish.
     """
-    arch_bound = Fraction(arch_bound)
+    arch_bound = exact(arch_bound)
     c = commutator(a, b)
     actual = c.max_arch_norm()
     if actual > arch_bound:

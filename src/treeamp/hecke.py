@@ -12,7 +12,7 @@ its spectral evaluation lives in tests/oracles.py.
 from __future__ import annotations
 
 from . import tree
-from ._value import Value
+from ._value import Value, exact
 from ._primes import check_prime
 
 __all__ = [
@@ -135,10 +135,9 @@ def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
     constant is 1, so each new term is solved triangularly, exactly: a
     float seed is read by its binary value.
     """
-    from fractions import Fraction
     if max_j < 2:
         raise ValueError("max_j must be >= 2")
-    lam = [Fraction(1), Fraction(lambda_p)]
+    lam = [exact(1), exact(lambda_p)]
     for j in range(1, max_j):
         # lambda_p * lam[j] = sum_k N(2, 2j, 2k) lam[k], top term k = j+1 has N = 1
         acc = lam[1] * lam[j]

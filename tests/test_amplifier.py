@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -34,6 +37,73 @@ from oracles import (
 GAUSS = parse_poly("x^2+1")
 SL2 = OrbitModel(OrbitKind.SL2)
 TORUS = OrbitModel(OrbitKind.MULTIPLICATIVE)
+
+
+def oracle_draw(seed, p):
+    """The tempered draw as SpectrumModel documents it: a fresh generator per (seed, p)."""
+    return Fraction(random.Random(f"{seed}:{p}").randint(-3000, 3000) * p, 1000)
+
+
+class TestTemperedDraw:
+    @given(st.integers(-2 ** 80, 2 ** 80), st.sampled_from(primes_in(2, 10 ** 6)))
+    @settings(max_examples=300, deadline=None)
+    # the first 13-bit output is >= 6001, so the rejection loop draws again
+    @example(-7, 5)
+    @example(0, 11)
+    @example(0, 13)  # the second output is rejected too
+    @example(2 ** 64 + 1, 2)
+    @example(2 ** 64 + 1, 3)
+    @example(0, 999983)
+    def test_equals_a_fresh_generator(self, seed, p):
+        assert SpectrumModel.tempered(seed).lambda_p(p) == oracle_draw(seed, p)
+
+    def test_concurrent_threads_draw_the_serial_values(self):
+        primes = primes_in(2, 20000)
+        spectrum = SpectrumModel.tempered(42)
+        serial = [oracle_draw(42, p) for p in primes]
+        names = "abcd"  # more threads than cores
+        start, got = threading.Barrier(len(names)), {}
+
+        def draw(name):
+            start.wait(timeout=60)
+            got[name] = [spectrum.lambda_p(p) for p in primes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(name,)) for name in names]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {name: serial for name in names}
+
+    def test_sweep_constructs_no_generator(self, monkeypatch):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        reports = scaling_sweep([50, 100, 200], GAUSS, SpectrumModel.tempered(42), TORUS)
+        assert len(reports) == 3 and built == []
+
+
+class TestNonFiniteSeedRefused:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda value: pick_local(5, value),
+        lambda value: hecke.eigenvalue_sequence(5, value, 3),
+        lambda value: dichotomy_constant_at_least(5, value),
+    ], ids=["pick_local", "eigenvalue_sequence", "dichotomy_constant_at_least"])
+    def test_value_error_names_the_value(self, call, value):
+        with pytest.raises(ValueError, match=f"got {value!r}$"):
+            call(value)
 
 
 class TestPickLocal:

@@ -528,6 +528,19 @@ class TestCommutator:
         assert commutator(a, a).is_zero()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda value: GaussRat.make(value),
+    lambda value: GaussRat.make(0, value),
+    lambda value: Mat2.make([[value, 0], [0, 1]]),
+    lambda value: certify_commuting(Mat2.make([[1, 0], [0, 1]]), Mat2.make([[1, 0], [0, 1]]),
+                                    value),
+], ids=["make-re", "make-im", "Mat2.make", "certify_commuting"])
+def test_non_finite_value_refused_by_name(call, value):
+    with pytest.raises(ValueError, match=f"got {value!r}$"):
+        call(value)
+
+
 class TestCertifier:
     def test_commuting_diagonal_pair(self):
         a = Mat2.make([[2, 0], [0, 3]])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -118,3 +119,41 @@ def test_run_all_checks_runs_from_a_checkout_without_treeamp_on_path(tmp_path):
     for name, *argv in suites:
         report = (tmp_path / "reports" / f"{name}.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == recorded[" ".join(argv)]["sha256"], name
+
+
+def supported_pythons() -> list[str]:
+    """This interpreter plus every pyenv CPython 3.10 or later, by its version directory."""
+    pythons = [sys.executable]
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    for exe in sorted(versions.glob("3.*/bin/python3")):
+        minor = re.match(r"3\.(\d+)", exe.parent.parent.name)
+        if (minor and int(minor[1]) >= 10
+                and exe.resolve() not in {Path(p).resolve() for p in pythons}):
+            pythons.append(str(exe))
+    return pythons
+
+
+def test_check_pythons_matches_every_recorded_report_on_every_supported_python():
+    pythons = supported_pythons()
+    proc = run_script("check_pythons.py", *pythons)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    n = 8 * len(pythons)
+    assert proc.stdout.splitlines() == [f"{n} of {n} reports match under "
+                                        f"{len(pythons)} interpreter(s)"]
+
+
+def test_check_pythons_reports_each_mismatch(tmp_path):
+    fake = tmp_path / "python"
+    fake.write_text("#!/bin/sh\nexit 3\n")
+    fake.chmod(0o755)
+    proc = run_script("check_pythons.py", str(fake))
+    assert proc.returncode == 1
+    *lines, summary = proc.stdout.splitlines()
+    assert len(lines) == 8 and all(line.startswith(f"{fake}: ") for line in lines)
+    assert all(line.endswith(", recorded 0") for line in lines)
+    assert summary == "0 of 8 reports match under 1 interpreter(s)"
+
+
+def test_check_pythons_needs_an_interpreter():
+    proc = run_script("check_pythons.py")
+    assert_usage_error(proc, "check_pythons.py")
