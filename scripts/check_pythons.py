@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the recorded CLI reports under other Python interpreters.
+"""Check the recorded CLI reports and amplifier sweeps under other Python interpreters.
 
 Usage: check_pythons.py PYTHON [PYTHON ...]
 
@@ -7,12 +7,17 @@ Runs the eight suites of scripts/run_all_checks.sh under each
 interpreter as `PYTHON -m treeamp.cli ...` with PYTHONPATH set to this
 checkout's src, and compares each exit code and the sha256 of each
 report on stdout with perfbench/expected.json, which it only reads.
-The reports pin CPython behaviour, such as the draws of random.Random,
-so every supported Python must give the same bytes.
+It also runs the two seed-0 configurations of perfbench's
+amplifier_sweep (trivial/sl2 and tempered/torus, Q = 400 ... 12800)
+under each interpreter, and compares every window with its recorded
+values through perfbench's own check.  The reports pin CPython
+behaviour, such as the draws of random.Random, so every supported
+Python must give the same bytes and the same windows.
 
-Prints one line per mismatch, then a summary line.  Exits 0 when every
-report matches, 1 on any mismatch, and 2 with one stderr line when no
-interpreter is given.  Uses the standard library only.
+Prints one line per mismatch, then a summary line that counts each
+sweep as one report.  Exits 0 when everything matches, 1 on any
+mismatch, and 2 with one stderr line when no interpreter is given.
+Uses the standard library only.
 """
 
 import hashlib
@@ -25,6 +30,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SWEEPS = range(2)  # the configurations of amplifier_ops in perfbench/workloads.py
+# prints the configuration's name, then one line per window that differs from its record
+SWEEP = """import sys, workloads
+op = workloads.amplifier_ops(0, workloads.load_expected())[int(sys.argv[1])]
+print(op.label, *(f"{name}: {why}" for name, why in op.check(op.call()).items()), sep="\\n")
+"""
 
 
 def suites() -> list[list[str]]:
@@ -33,20 +44,41 @@ def suites() -> list[list[str]]:
     return [shlex.split(line)[2:] for line in lines if line.startswith("run ")]
 
 
+def run(python: str, args: list[str], what: str, *path: Path):
+    """The finished process, or the line saying why it did not run."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path)),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        return subprocess.run([python, *args], capture_output=True, cwd=ROOT, env=env,
+                              timeout=120)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        return f"{python}: {what}: did not run: {exc}"
+
+
 def mismatch(python: str, argv: list[str], recorded: dict) -> str | None:
     """None when the suite's exit code and report bytes match the record, else why not."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    try:
-        proc = subprocess.run([python, "-m", "treeamp.cli", *argv], capture_output=True,
-                              cwd=ROOT, env=env, timeout=120)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return f"{python}: {' '.join(argv)}: did not run: {exc}"
-    want = recorded[" ".join(argv)]
+    what, want = " ".join(argv), recorded[" ".join(argv)]
+    proc = run(python, ["-m", "treeamp.cli", *argv], what, ROOT / "src")
+    if isinstance(proc, str):
+        return proc
     if proc.returncode != want["exit"]:
-        return f"{python}: {' '.join(argv)}: exit {proc.returncode}, recorded {want['exit']}"
+        return f"{python}: {what}: exit {proc.returncode}, recorded {want['exit']}"
     if hashlib.sha256(proc.stdout).hexdigest() != want["sha256"]:
-        return f"{python}: {' '.join(argv)}: report differs from the recorded sha256"
+        return f"{python}: {what}: report differs from the recorded sha256"
     return None
+
+
+def sweep_mismatch(python: str, index: int) -> str | None:
+    """None when amplifier_sweep configuration `index` reproduces every recorded
+    window, else why not."""
+    what = f"amplifier_sweep configuration {index}"
+    proc = run(python, ["-c", SWEEP, str(index)], what, ROOT / "src", ROOT / "perfbench")
+    if isinstance(proc, str):
+        return proc
+    if proc.returncode != 0:
+        return f"{python}: {what}: exit {proc.returncode}, expected 0"
+    name, *bad = proc.stdout.decode().splitlines()
+    return f"{python}: {name}: {'; '.join(bad)}" if bad else None
 
 
 def main() -> int:
@@ -55,9 +87,10 @@ def main() -> int:
         sys.stderr.write("check_pythons.py: error: usage: check_pythons.py PYTHON [PYTHON ...]\n")
         return 2
     recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
-    jobs = [(python, argv) for python in pythons for argv in suites()]
+    jobs = [(mismatch, python, argv, recorded) for python in pythons for argv in suites()]
+    jobs += [(sweep_mismatch, python, index) for python in pythons for index in SWEEPS]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        found = [m for m in pool.map(lambda job: mismatch(*job, recorded), jobs) if m]
+        found = [m for m in pool.map(lambda job: job[0](*job[1:]), jobs) if m]
     for line in found:
         print(line)
     print(f"{len(jobs) - len(found)} of {len(jobs)} reports match under "

@@ -7,10 +7,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
 # (Sorenson and Webster, Math. Comp. 86 (2017))
 _MR_LIMIT = 3317044064679887385961981
+# psi_2, the least strong pseudoprime to bases 2 and 3 (Pomerance, Selfridge
+# and Wagstaff, Math. Comp. 35 (1980)): below it those two bases decide
+_PSI_2 = 1373653
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the prime bases 2..41.
+    """Deterministic Miller-Rabin with the prime bases 2..41, or only 2 and 3
+    below psi_2 = _PSI_2.
 
     Exact for n < psi_13 = _MR_LIMIT (about 3.3e24); n >= psi_13 raises
     ValueError rather than risk a pseudoprime.
@@ -27,7 +31,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:2] if n < _PSI_2 else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -1,10 +1,11 @@
 """Immutable value classes: a subclass names its fields in __slots__ and
 sets them in __init__, after its checks, with object.__setattr__.
 Equality and hashing compare the field tuple within one class, and
-pickle and copy go back through __init__.  exact takes a number exactly.
+pickle and copy go back through __init__.  exact takes a number exactly,
+and integer takes an integer.
 """
 
-from operator import attrgetter
+from operator import attrgetter, index
 
 
 class Value:
@@ -43,3 +44,11 @@ def exact(x):
         return Fraction(x)
     except (OverflowError, ValueError, ZeroDivisionError):  # an infinity, a NaN, "1/0"
         raise ValueError(f"expected a finite rational, got {x!r}") from None
+
+
+def integer(x, name: str) -> int:
+    """x as an int by operator.index, so True is 1; ValueError names the x that has none."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None

@@ -22,7 +22,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import orbits, splitting, tree
-from ._value import Value, exact
+from ._value import Value, exact, integer
 
 __all__ = [
     "PICK_THRESHOLD",
@@ -66,13 +66,16 @@ class SpectrumModel(Value):
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
     draws random.Random(f"{seed}:{p}").randint(-3000, 3000) * p / 1000, a
     value of (seed, p) alone, on one generator per thread reseeded per draw.
+    seeds(primes) draws a batch as unreduced integer pairs, lambda_p(p) one
+    as a Fraction.  The seed is taken by operator.index, so tempered(True)
+    is tempered(1), and tempered(1.0) is refused.
     """
 
     __slots__ = ("kind", "seed")
 
     def __init__(self, kind: SpectrumKind, seed: int = 0):
         object.__setattr__(self, "kind", SpectrumKind(kind))
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", integer(seed, "seed"))
 
     @staticmethod
     def trivial() -> "SpectrumModel":
@@ -82,14 +85,20 @@ class SpectrumModel(Value):
     def tempered(seed: int) -> "SpectrumModel":
         return SpectrumModel(SpectrumKind.TEMPERED_RANDOM, seed=seed)
 
-    def lambda_p(self, p: int):
+    def seeds(self, primes) -> list[tuple[int, int]]:
+        """Each prime's seed eigenvalue as an unreduced (numerator, denominator > 0)."""
         if self.kind is SpectrumKind.TRIVIAL:
-            return Fraction(p * (p + 1))
-        rng = _generator.rng
-        rng.seed(f"{self.seed}:{p}")
-        while (r := rng.getrandbits(13)) >= 6001:  # rng.randint(-3000, 3000), minus its calls
-            pass
-        return Fraction((r - 3000) * p, 1000)  # the step p/1000 keeps the arithmetic exact
+            return [(p * (p + 1), 1) for p in primes]
+        rng, seed, out = _generator.rng, self.seed, []
+        for p in primes:
+            rng.seed(f"{seed}:{p}")
+            while (r := rng.getrandbits(13)) >= 6001:  # rng.randint(-3000, 3000), minus its calls
+                pass
+            out.append(((r - 3000) * p, 1000))  # the step p/1000 keeps the arithmetic exact
+        return out
+
+    def lambda_p(self, p: int) -> Fraction:
+        return Fraction(*self.seeds((p,))[0])
 
 
 class LocalChoice(Value):
@@ -101,19 +110,12 @@ class LocalChoice(Value):
 
     def __init__(self, prime: int, j: int, ell: int, lam: Fraction, phase: int,
                  guarantee_met: bool):
-        _set_prime(self, prime)
-        _set_j(self, j)
-        _set_ell(self, ell)
-        _set_lam(self, lam)
-        _set_phase(self, phase)
-        _set_guarantee_met(self, guarantee_met)
+        for name, value in zip(self.__slots__, (prime, j, ell, lam, phase, guarantee_met)):
+            object.__setattr__(self, name, value)
 
     def support_size(self) -> int:
         return tree.sphere_size(self.prime, 2 * self.j)
 
-
-_set_prime, _set_j, _set_ell, _set_lam, _set_phase, _set_guarantee_met = (
-    getattr(LocalChoice, field).__set__ for field in LocalChoice.__slots__)
 
 # PICK_THRESHOLD = t_num / t_den, squared once for the integer comparison
 _T_NUM2 = PICK_THRESHOLD.numerator ** 2
@@ -154,34 +156,39 @@ def dichotomy_constant_at_least(p: int, t: Rational) -> bool:
     return (2 * p - 1) ** 2 * t * t <= s1 * (1 - t * t) ** 2
 
 
-def pick_local(p: int, lambda_p) -> LocalChoice:
-    """Choose between the radius-2 and radius-4 operators.
+def _pick(p: int, n: int, d: int) -> tuple[int, int, int, bool]:
+    """The dichotomy at a prime p on the seed n/d, d > 0: (j, num, den, met).
 
-    The seed is taken exactly, a float by its binary value, and the
-    choice is made on its numerator n and denominator d > 0.  Takes j=1
-    when |lambda_p| clears PICK_THRESHOLD * sqrt(p(p+1)), decided as
-    4 n^2 >= p(p+1) d^2 for the threshold 1/2, and then reuses the seed
-    as the eigenvalue.  Else takes j=2 with the radius-4 eigenvalue
-    lambda_p^2 - (p-1) lambda_p - p(p+1) = (n^2 - (p-1) n d - p(p+1) d^2) / d^2,
-    read off the degree-2 identity T_2 * T_2 = T_4 + (p-1) T_2 +
-    p(p+1) T_0 (hecke.eigenvalue_sequence is its test oracle), and
-    decides its guarantee by the same integer comparison.  Only the
-    j=2 eigenvalue is built as a new Fraction.  The j=2 guarantee is
-    recorded rather than asserted: there is a narrow band of seed
-    eigenvalues just under the j=1 cutoff where neither normalized
+    j=1 when |n/d| >= PICK_THRESHOLD * sqrt(p(p+1)), decided as
+    4 n^2 >= p(p+1) d^2, keeping the seed as the eigenvalue num/den.  Else
+    j=2 with the radius-4 eigenvalue (n^2 - (p-1) n d - p(p+1) d^2) / d^2,
+    read off T_2 * T_2 = T_4 + (p-1) T_2 + p(p+1) T_0 (hecke.eigenvalue_sequence
+    is its test oracle), and its guarantee met by the same integer comparison.
+    """
+    s1 = p * (p + 1)  # sphere_size(p, 2)
+    if _at_least_threshold(n, d, s1):
+        return 1, n, d, True
+    d2 = d * d
+    num = n * n - (p - 1) * n * d - s1 * d2
+    return 2, num, d2, _at_least_threshold(num, d2, s1 * p * p)
+
+
+def pick_local(p: int, lambda_p) -> LocalChoice:
+    """Choose between the radius-2 and radius-4 operators, by _pick.
+
+    The seed is taken exactly, a float by its binary value.  A j=1 choice
+    keeps it, and only a j=2 eigenvalue is built as a new Fraction.  The
+    j=2 guarantee is recorded rather than asserted: there is a narrow band
+    of seed eigenvalues just under the j=1 cutoff where neither normalized
     eigenvalue reaches 1/2.  The per-prime minimax constant
     c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
     decreases to sqrt(2) - 1, the sharp uniform constant.
     """
     seed = lambda_p if isinstance(lambda_p, Fraction) else exact(lambda_p)
-    n, d = seed.numerator, seed.denominator
-    s1 = tree.sphere_size(p, 2)  # p(p+1); rejects a non-prime p
-    if _at_least_threshold(n, d, s1):
-        return LocalChoice(p, 1, 2, seed, -1 if n < 0 else 1, True)
-    d2 = d * d
-    num = n * n - (p - 1) * n * d - s1 * d2
-    met = _at_least_threshold(num, d2, s1 * p * p)  # sphere_size(p, 4) = p^3 (p+1)
-    return LocalChoice(p, 2, 4, Fraction(num, d2), -1 if num < 0 else 1, met)
+    tree.sphere_size(p, 2)  # rejects a non-prime p
+    j, num, den, met = _pick(p, seed.numerator, seed.denominator)
+    return LocalChoice(p, j, 2 * j, seed if j == 1 else Fraction(num, den),
+                       -1 if num < 0 else 1, met)
 
 
 def _local_square(p: int, ell: int) -> list[int]:
@@ -207,21 +214,68 @@ class AmplifierReport(Value):
             object.__setattr__(self, name, value)
 
 
-def build_amplifier(
-    Q: int,
-    f: splitting.IntPoly,
-    spectrum: SpectrumModel,
-    orbit: orbits.OrbitModel,
-) -> tuple[list[LocalChoice], AmplifierReport]:
+def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
+            orbit: orbits.OrbitModel) -> tuple[list[tuple], AmplifierReport]:
+    """The picks (p, j, num, den, met) kept in [Q, 2Q], and the report on them:
+    one _pick per split prime on its integer seed, and only Lambda a Fraction."""
+    if Q < 11:
+        raise AmplifierError("Q must be >= 11")
+    primes = splitting.split_primes_in(f, Q, 2 * Q)
+    if len(primes) < 2:
+        raise AmplifierError(f"need at least 2 split primes in [{Q}, {2 * Q}], found {len(primes)}")
+    by_j = {1: [], 2: []}
+    for p, (n, d) in zip(primes, spectrum.seeds(primes)):
+        j, num, den, met = _pick(p, n, d)
+        by_j[j].append((p, j, num, den, met))
+    # keep the majority class; on a tie the smaller support wins
+    j = 1 if len(by_j[1]) >= len(by_j[2]) else 2
+    ell, kept = 2 * j, by_j[j]  # nonempty: at least two primes were picked
+    kept_primes = [k[0] for k in kept]
+    squares = [_local_square(p, ell) for p in kept_primes]
+    tau1_at_identity = sum(s[0] for s in squares)
+    c_tau = tau1_at_identity  # tau1 is self-adjoint
+    den = math.lcm(*{k[3] for k in kept})
+    lam_sum = sum(abs(num) * (den // d) for _, _, num, d, _ in kept)
+    Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
+    n = len(kept)
+    cross = 2 if n >= 2 else 0  # |2 zeta_p zeta_q|
+    ninf = max(cross, max(max(s[1:]) for s in squares))
+    intersections = orbits.count_amplifier_intersections(orbit, squares)
+    lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
+    ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
+    ratio_positivity = c_tau / Lambda_f if lambda_positive else math.inf
+
+    # Each verdict checks a report value against an independent formula:
+    # h_p * h_p at the origin is the sphere size, and its largest
+    # off-origin value, at radius 2, is (p - 1) p^(2j - 2).
+    verdicts = {
+        "lambda_positive": lambda_positive,
+        "identity_removed": tau1_at_identity == sum(tree.sphere_size(p, ell) for p in kept_primes),
+        "norm_inf_decomposition":
+            ninf == max(cross, max((p - 1) * p ** (ell - 2) for p in kept_primes)),
+        "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
+    }
+    logq = math.log(Q)
+    return kept, AmplifierReport(  # the fields in __slots__ order
+        Q, ell, kept_primes, Lambda, tau1_at_identity, c_tau, ninf, intersections,
+        ratio_intersections, ratio_positivity, verdicts,
+        Lambda_f * logq * logq / Q ** (2 + ell),  # lambda_scaled
+        ninf / Q ** (ell - 1),  # norm_inf_scaled
+        ratio_positivity * Q ** (1 + ell / 2) / logq)  # positivity_scaled
+
+
+def build_amplifier(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
+                    orbit: orbits.OrbitModel) -> tuple[list[LocalChoice], AmplifierReport]:
     """Pick the amplifier over split primes in [Q, 2Q] and report on it.
 
     tau is never expanded: same-prime terms put s_p = h_p * h_p on
     one-prime points and cross terms put 2 zeta_p zeta_q on one point per
-    pair, so each report value is a closed form in the s_p.
-    hecke.global_assemble expands tau from the returned choices.  Each
-    split prime costs one pick_local call, and no Hecke element is built.
+    pair, so each report value is a closed form in the s_p.  It returns one
+    LocalChoice per kept prime, from which hecke.global_assemble expands
+    tau.  Each split prime costs one integer seed from spectrum.seeds and
+    one pick, the dichotomy of pick_local, and no Hecke element is built.
     Lambda = (sum |lambda_p|)^2 - tau1(1) is summed as integers over the
-    lcm of the eigenvalue denominators, and only the result is a Fraction.
+    lcm of the eigenvalue denominators, and only Lambda is a Fraction.
 
     lambda_scaled = Lambda log^2 Q / Q^(2+ell) assumes the tempered size
     |lambda_p| ~ sqrt(|support|).  A spectrum with |lambda_p| ~ |support|,
@@ -233,69 +287,15 @@ def build_amplifier(
     ~ 1/n on a tempered spectrum and the value grows like Q^(ell/2); on
     the trivial one it falls like 1/Q.  The flat normaliser is Q/log Q.
     """
-    if Q < 11:
-        raise AmplifierError("Q must be >= 11")
-    primes = splitting.split_primes_in(f, Q, 2 * Q)
-    if len(primes) < 2:
-        raise AmplifierError(f"need at least 2 split primes in [{Q}, {2 * Q}], found {len(primes)}")
-    by_ell = {2: [], 4: []}
-    for c in (pick_local(p, spectrum.lambda_p(p)) for p in primes):
-        by_ell[c.ell].append(c)
-    # keep the majority class; on a tie the smaller support wins
-    ell = 2 if len(by_ell[2]) >= len(by_ell[4]) else 4
-    kept = by_ell[ell]  # nonempty: at least two primes were picked
-    squares = [_local_square(c.prime, ell) for c in kept]
-
-    tau1_at_identity = sum(s[0] for s in squares)
-    c_tau = tau1_at_identity  # tau1 is self-adjoint
-    den = math.lcm(*(c.lam.denominator for c in kept))
-    lam_sum = sum(abs(c.lam.numerator) * (den // c.lam.denominator) for c in kept)
-    Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
-    n = len(kept)
-    cross = 2 if n >= 2 else 0  # |2 zeta_p zeta_q|
-    ninf = max(cross, max(max(s[1:]) for s in squares))
-    intersections = orbits.count_amplifier_intersections(orbit, squares)
-
-    lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
-    ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
-    ratio_positivity = c_tau / Lambda_f if lambda_positive else math.inf
-
-    # Each verdict checks a report value against an independent formula:
-    # h_p * h_p at the origin is the sphere size, and its largest
-    # off-origin value, at radius 2, is (p - 1) p^(2j - 2).
-    verdicts = {
-        "lambda_positive": lambda_positive,
-        "identity_removed": tau1_at_identity == sum(c.support_size() for c in kept),
-        "norm_inf_decomposition":
-            ninf == max(cross, max((c.prime - 1) * c.prime ** (c.ell - 2) for c in kept)),
-        "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
-    }
-    logq = math.log(Q)
-    return kept, AmplifierReport(
-        Q=Q,
-        ell=ell,
-        primes_used=[c.prime for c in kept],
-        Lambda=Lambda,
-        tau1_at_identity=tau1_at_identity,
-        c_tau=c_tau,
-        norm_inf=ninf,
-        intersection_count=intersections,
-        ratio_intersections=ratio_intersections,
-        ratio_positivity=ratio_positivity,
-        verdicts=verdicts,
-        lambda_scaled=Lambda_f * logq * logq / Q ** (2 + ell),
-        norm_inf_scaled=ninf / Q ** (ell - 1),
-        positivity_scaled=ratio_positivity * Q ** (1 + ell / 2) / logq,
-    )
+    kept, report = _window(Q, f, spectrum, orbit)
+    return [LocalChoice(p, j, 2 * j, Fraction(num, den), -1 if num < 0 else 1, met)
+            for p, j, num, den, met in kept], report
 
 
-def scaling_sweep(
-    Qs: list[int],
-    f: splitting.IntPoly,
-    spectrum: SpectrumModel,
-    orbit: orbits.OrbitModel,
-) -> list[AmplifierReport]:
-    """One amplifier report per Q, for strictly ascending Qs."""
+def scaling_sweep(Qs: list[int], f: splitting.IntPoly, spectrum: SpectrumModel,
+                  orbit: orbits.OrbitModel) -> list[AmplifierReport]:
+    """One amplifier report per Q, for strictly ascending Qs: the reports of
+    build_amplifier, computed without its LocalChoices."""
     if any(a >= b for a, b in zip(Qs, Qs[1:])):
         raise AmplifierError(f"Q values must be strictly ascending, got {list(Qs)}")
-    return [build_amplifier(Q, f, spectrum, orbit)[1] for Q in Qs]
+    return [_window(Q, f, spectrum, orbit)[1] for Q in Qs]

@@ -12,12 +12,16 @@ from treeamp import hecke
 
 
 class FixedSpectrum:
-    """Seed eigenvalues from a {prime: value} map; lambda_p is all that
-    build_amplifier reads of a spectrum, and a prime outside the map raises
-    KeyError."""
+    """Seed eigenvalues from a {prime: value} map.  Like a SpectrumModel,
+    seeds(primes) gives them as integer pairs (numerator, denominator > 0),
+    which is what build_amplifier reads, and lambda_p(p) as one Fraction; a
+    prime outside the map raises KeyError."""
 
     def __init__(self, values: dict[int, Fraction]):
-        self.lambda_p = dict(values).__getitem__
+        self.lambda_p = {p: Fraction(v) for p, v in values.items()}.__getitem__
+
+    def seeds(self, primes) -> list[tuple[int, int]]:
+        return [(v.numerator, v.denominator) for v in map(self.lambda_p, primes)]
 
 
 def global_identity() -> hecke.GlobalHeckeElement:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -57,6 +58,22 @@ class TestTemperedDraw:
     def test_equals_a_fresh_generator(self, seed, p):
         assert SpectrumModel.tempered(seed).lambda_p(p) == oracle_draw(seed, p)
 
+    @given(st.integers(-2 ** 80, 2 ** 80),
+           st.lists(st.sampled_from(primes_in(2, 10 ** 6)), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    @example(0, [11, 13, 11])
+    def test_seeds_are_the_draws(self, seed, primes):
+        spectrum = SpectrumModel.tempered(seed)
+        pairs = spectrum.seeds(primes)
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
+        assert [Fraction(n, d) for n, d in pairs] == [spectrum.lambda_p(p) for p in primes] \
+            == [oracle_draw(seed, p) for p in primes]
+
+    def test_trivial_seeds(self):
+        spectrum, primes = SpectrumModel.trivial(), primes_in(2, 100)
+        assert spectrum.seeds(primes) == [(p * (p + 1), 1) for p in primes]
+        assert [spectrum.lambda_p(p) for p in primes] == [Fraction(p * (p + 1)) for p in primes]
+
     def test_concurrent_threads_draw_the_serial_values(self):
         primes = primes_in(2, 20000)
         spectrum = SpectrumModel.tempered(42)
@@ -92,6 +109,21 @@ class TestTemperedDraw:
         monkeypatch.setattr(random, "Random", CountingRandom)
         reports = scaling_sweep([50, 100, 200], GAUSS, SpectrumModel.tempered(42), TORUS)
         assert len(reports) == 3 and built == []
+
+
+class TestSeedIsAnInteger:
+    @pytest.mark.parametrize("seed", [1.0, "1", Fraction(1), None], ids=repr)
+    def test_non_integer_refused(self, seed):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            SpectrumModel.tempered(seed)
+
+    def test_bool_seed_is_its_integer(self):
+        # equal models must draw alike, and the draw formats the seed
+        flag, one = SpectrumModel.tempered(True), SpectrumModel.tempered(1)
+        assert flag == one and hash(flag) == hash(one) and type(flag.seed) is int
+        primes = primes_in(2, 200)
+        assert flag.seeds(primes) == one.seeds(primes)
 
 
 class TestNonFiniteSeedRefused:
@@ -179,6 +211,19 @@ class TestPickLocalAgainstFractionOracle:
         got = pick_local(p, seed)
         assert got == fraction_pick_local(p, seed)
         assert type(got.lam) is Fraction
+
+    @given(st.sampled_from(SMALL_PRIMES), st.fractions(), st.integers(1, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    # tempered draws arrive as (k p, 1000), unreduced, either side of the cutoff
+    @example(2, Fraction(612 * 2, 1000), 8)
+    @example(2, Fraction(613 * 2, 1000), 2)
+    @example(1999, Fraction(500 * 1999, 1000), 2)
+    def test_pick_on_unreduced_seeds(self, p, seed, k):
+        want = fraction_pick_local(p, seed)
+        j, num, den, met = amplifier._pick(p, k * seed.numerator, k * seed.denominator)
+        assert den > 0
+        assert (j, Fraction(num, den), -1 if num < 0 else 1, met) == \
+            (want.j, want.lam, want.phase, want.guarantee_met)
 
     def test_j1_choice_keeps_the_seed(self):
         seed = Fraction(7 * 8)
@@ -278,7 +323,8 @@ class TestBuildAmplifier:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count pick_local, hecke.convolve, hecke.basic and every LocalHeckeElement built."""
+        """Count _pick, hecke.convolve, hecke.basic and every LocalHeckeElement
+        and LocalChoice built."""
         calls = Counter()
 
         def counting(name, fn):
@@ -287,24 +333,49 @@ class TestBuildAmplifier:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(amplifier, "pick_local", counting("pick_local", amplifier.pick_local))
+        monkeypatch.setattr(amplifier, "_pick", counting("_pick", amplifier._pick))
         for name in ("convolve", "basic"):
             monkeypatch.setattr(hecke, name, counting(name, getattr(hecke, name)))
-        monkeypatch.setattr(hecke.LocalHeckeElement, "__init__",
-                            counting("LocalHeckeElement", hecke.LocalHeckeElement.__init__))
+        for cls in (hecke.LocalHeckeElement, LocalChoice):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
         return calls
 
     @pytest.mark.parametrize("spectrum", ["trivial", "tempered42", "explicit-half"])
     def test_one_pick_per_split_prime_and_no_hecke_element(self, spectrum, calls):
         Q = 800
-        build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
-        assert calls == {"pick_local": len(split_primes_in(GAUSS, Q, 2 * Q))}
+        kept, _ = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
+        assert calls == {"_pick": len(split_primes_in(GAUSS, Q, 2 * Q)), "LocalChoice": len(kept)}
 
     @pytest.mark.parametrize("spectrum", ["trivial", "tempered42"])
     def test_sweep_builds_no_hecke_element(self, spectrum, calls):
+        # nor a LocalChoice: the sweep keeps each pick as integers
         Qs = [400 * 2 ** k for k in range(6)]
         scaling_sweep(Qs, GAUSS, ORACLE_SPECTRA[spectrum](Qs[0]), TORUS)
-        assert calls == {"pick_local": sum(len(split_primes_in(GAUSS, Q, 2 * Q)) for Q in Qs)}
+        assert calls == {"_pick": sum(len(split_primes_in(GAUSS, Q, 2 * Q)) for Q in Qs)}
+
+    def test_sweep_makes_no_fraction_but_lambda(self, monkeypatch):
+        made = Counter()
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made[cls] += 1
+            return real_new(cls, *args, **kwargs)
+
+        Qs = [400, 800]
+        expected = scaling_sweep(Qs, GAUSS, SpectrumModel.tempered(42), TORUS)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        reports = scaling_sweep(Qs, GAUSS, SpectrumModel.tempered(42), TORUS)
+        monkeypatch.undo()
+        assert reports == expected
+        assert made == {Fraction: len(Qs)}
+
+    def test_fixed_spectrum_refuses_a_missing_prime(self):
+        spectrum = FixedSpectrum({13: Fraction(1, 2)})
+        assert spectrum.seeds([13]) == [(1, 2)] and spectrum.lambda_p(13) == Fraction(1, 2)
+        for call in (lambda: spectrum.seeds([13, 17]), lambda: spectrum.lambda_p(17),
+                     lambda: build_amplifier(11, GAUSS, spectrum, SL2)):
+            with pytest.raises(KeyError, match="17"):
+                call()
 
     def test_negative_lambda_reported_not_raised(self):
         # adversarial fixed spectrum: every seed sits just under the

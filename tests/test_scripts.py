@@ -134,10 +134,11 @@ def supported_pythons() -> list[str]:
 
 
 def test_check_pythons_matches_every_recorded_report_on_every_supported_python():
+    # eight CLI suites and two amplifier sweeps per interpreter
     pythons = supported_pythons()
     proc = run_script("check_pythons.py", *pythons)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    n = 8 * len(pythons)
+    n = 10 * len(pythons)
     assert proc.stdout.splitlines() == [f"{n} of {n} reports match under "
                                         f"{len(pythons)} interpreter(s)"]
 
@@ -149,9 +150,37 @@ def test_check_pythons_reports_each_mismatch(tmp_path):
     proc = run_script("check_pythons.py", str(fake))
     assert proc.returncode == 1
     *lines, summary = proc.stdout.splitlines()
-    assert len(lines) == 8 and all(line.startswith(f"{fake}: ") for line in lines)
-    assert all(line.endswith(", recorded 0") for line in lines)
-    assert summary == "0 of 8 reports match under 1 interpreter(s)"
+    assert len(lines) == 10 and all(line.startswith(f"{fake}: ") for line in lines)
+    assert all(line.endswith(", recorded 0") for line in lines[:8])
+    assert lines[8:] == [f"{fake}: amplifier_sweep configuration {i}: exit 3, expected 0"
+                         for i in (0, 1)]
+    assert summary == "0 of 10 reports match under 1 interpreter(s)"
+
+
+def test_check_pythons_catches_a_drifted_generator(tmp_path):
+    # an interpreter whose Mersenne Twister gives other bits: the tempered
+    # suite and the tempered sweep differ, and the rest still match, as
+    # denom-check reports only its verdicts
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import random\n"
+        "class Drifted(random.Random):\n"
+        "    def getrandbits(self, k):\n"
+        "        return super().getrandbits(k) ^ 1\n"
+        "random.Random = Drifted\n")
+    fake = tmp_path / "python"
+    fake.write_text(f'#!/bin/sh\nPYTHONPATH="{site}:$PYTHONPATH" exec {sys.executable} "$@"\n')
+    fake.chmod(0o755)
+    proc = run_script("check_pythons.py", str(fake))
+    assert proc.returncode == 1
+    *lines, summary = proc.stdout.splitlines()
+    assert [line.split(": ")[1] for line in lines] == [
+        "amplifier --Q 50,100,200,400 --spectrum tempered --seed 42 --orbit torus",
+        "amplifier tempered seed=42 torus",
+    ]
+    assert "amplifier tempered seed=42 torus Q=400: differs from the record in " in lines[1]
+    assert summary == "8 of 10 reports match under 1 interpreter(s)"
 
 
 def test_check_pythons_needs_an_interpreter():

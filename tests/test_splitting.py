@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeamp import splitting, tree
+from treeamp import _primes, splitting, tree
 from treeamp.splitting import (
     MAX_DEGREE,
     IntPoly,
@@ -52,6 +52,31 @@ class TestParse:
                 parse_poly(text)
 
 
+WITNESSES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def thirteen_base_test(n: int) -> bool:
+    """Miller-Rabin to all 13 bases 2..41 at every size: the oracle of the
+    two-base test below psi_2."""
+    if n in WITNESSES_13:
+        return True
+    return n > 41 and all(n % a and strong_probable_prime(n, a) for a in WITNESSES_13)
+
+
 class TestPrimality:
     def test_small(self):
         assert [n for n in range(2, 30) if is_prime(n)] == \
@@ -67,6 +92,35 @@ class TestPrimality:
         assert psi12 == 399165290221 * 798330580441
         assert not is_prime(psi12)
         assert is_prime(2 ** 61 - 1)
+
+    def test_psi2_rejected(self):
+        # the least strong pseudoprime to the bases 2 and 3, where the
+        # two-base test stops; base 5 exposes it
+        psi2 = _primes._PSI_2
+        assert psi2 == 1373653 == 829 * 1657
+        assert [strong_probable_prime(psi2, a) for a in (2, 3, 5)] == [True, True, False]
+        assert not is_prime(psi2)
+
+    def test_psi2_cutoff_off_by_one_is_caught(self, monkeypatch):
+        # two bases up to and including psi_2 would call it prime
+        monkeypatch.setattr(_primes, "_PSI_2", _primes._PSI_2 + 1)
+        assert is_prime(1373653)
+
+    @given(st.one_of(st.integers(2, 10 ** 7),
+                     st.integers(1373653 - 10 ** 4, 1373653 + 10 ** 4)))
+    @settings(max_examples=500, deadline=None)
+    # strong pseudoprimes to base 2 that base 3 exposes, below psi_2
+    @example(2047)
+    @example(3277)
+    @example(8321)
+    @example(1373652)
+    @example(1373653)
+    @example(1373654)
+    # strong pseudoprimes to the bases 2 and 3 above psi_2
+    @example(1530787)
+    @example(5173601)
+    def test_agrees_with_thirteen_bases_around_psi2(self, n):
+        assert is_prime(n) == thirteen_base_test(n)
 
     def test_psi13_and_beyond_raise(self):
         # psi_13 passes every base 2..41, so no answer is given from there up
