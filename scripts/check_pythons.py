@@ -3,31 +3,32 @@
 
 Usage: check_pythons.py PYTHON [PYTHON ...]
 
-Runs the eight suites of scripts/run_all_checks.sh under each
-interpreter as `PYTHON -m treeamp.cli ...` with PYTHONPATH set to this
-checkout's src, and compares each exit code and the sha256 of each
-report on stdout with perfbench/expected.json, which it only reads.
-It also runs the two seed-0 configurations of perfbench's
-amplifier_sweep (trivial/sl2 and tempered/torus, Q = 400 ... 12800)
-under each interpreter, and compares every window with its recorded
-values through perfbench's own check.  The reports pin CPython
+Runs the eight suites of treeamp.cli.SUITES, which `treeamp check`
+runs, under each interpreter as `PYTHON -m treeamp.cli ...`, one process
+per suite with PYTHONPATH set to this checkout's src, and compares each
+exit code and the sha256 of each report on stdout with
+perfbench/expected.json, which it only reads.  It also runs the two
+seed-0 configurations of perfbench's amplifier_sweep (trivial/sl2 and
+tempered/torus, Q = 400 ... 12800) under each interpreter, and compares
+every window with its recorded values through perfbench's own check.  The reports pin CPython
 behaviour, such as the draws of random.Random, so every supported
 Python must give the same bytes and the same windows.
 
 Prints one line per mismatch, then a summary line that counts each
 sweep as one report.  Exits 0 when everything matches, 1 on any
 mismatch, and 2 with one stderr line when no interpreter is given.
-Uses the standard library only.
+Uses the standard library and treeamp.cli only.
 """
 
 import hashlib
 import json
 import os
-import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+from treeamp.cli import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEPS = range(2)  # the configurations of amplifier_ops in perfbench/workloads.py
@@ -36,12 +37,6 @@ SWEEP = """import sys, workloads
 op = workloads.amplifier_ops(0, workloads.load_expected())[int(sys.argv[1])]
 print(op.label, *(f"{name}: {why}" for name, why in op.check(op.call()).items()), sep="\\n")
 """
-
-
-def suites() -> list[list[str]]:
-    """The argv (without --out) of each suite in scripts/run_all_checks.sh."""
-    lines = (ROOT / "scripts" / "run_all_checks.sh").read_text().splitlines()
-    return [shlex.split(line)[2:] for line in lines if line.startswith("run ")]
 
 
 def run(python: str, args: list[str], what: str, *path: Path):
@@ -87,7 +82,7 @@ def main() -> int:
         sys.stderr.write("check_pythons.py: error: usage: check_pythons.py PYTHON [PYTHON ...]\n")
         return 2
     recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
-    jobs = [(mismatch, python, argv, recorded) for python in pythons for argv in suites()]
+    jobs = [(mismatch, python, argv, recorded) for python in pythons for argv in SUITES.values()]
     jobs += [(sweep_mismatch, python, index) for python in pythons for index in SWEEPS]
     with ThreadPoolExecutor(max_workers=2) as pool:
         found = [m for m in pool.map(lambda job: job[0](*job[1:]), jobs) if m]

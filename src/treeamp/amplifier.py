@@ -217,7 +217,21 @@ class AmplifierReport(Value):
 def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
             orbit: orbits.OrbitModel) -> tuple[list[tuple], AmplifierReport]:
     """The picks (p, j, num, den, met) kept in [Q, 2Q], and the report on them:
-    one _pick per split prime on its integer seed, and only Lambda a Fraction."""
+    one _pick per split prime on its integer seed, and only Lambda a Fraction.
+
+    norm_inf is the largest off-origin value of the squares h_p * h_p.  The
+    cross points, where tau is 2 zeta_p zeta_q of absolute value 2, never
+    win: every kept p >= Q >= 11, so the squares reach
+    (p - 1) p^(ell - 2) >= 10 > 2.
+
+    The torus meets each of the ell nonzero positive radii of each square
+    twice and each of the n(n-1)/2 pair points 2 * 2 times, which gives
+    2 m n (n + ell - 1) points for index multiplier m.  intersection_bound
+    checks the count against that, which is at most 2 ell m n^2 as
+    (ell - 1)(n - 1) >= 0.  The bound 4 m n^2 holds only when
+    n >= ell - 1 (n = 2 and ell = 4 give 20 m against 16 m), and wherever
+    it holds, 2 m n (n + ell - 1) is no looser.
+    """
     if Q < 11:
         raise AmplifierError("Q must be >= 11")
     primes = splitting.split_primes_in(f, Q, 2 * Q)
@@ -238,8 +252,7 @@ def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
     lam_sum = sum(abs(num) * (den // d) for _, _, num, d, _ in kept)
     Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
     n = len(kept)
-    cross = 2 if n >= 2 else 0  # |2 zeta_p zeta_q|
-    ninf = max(cross, max(max(s[1:]) for s in squares))
+    ninf = max(max(s[1:]) for s in squares)
     intersections = orbits.count_amplifier_intersections(orbit, squares)
     lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
     ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
@@ -251,9 +264,8 @@ def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
     verdicts = {
         "lambda_positive": lambda_positive,
         "identity_removed": tau1_at_identity == sum(tree.sphere_size(p, ell) for p in kept_primes),
-        "norm_inf_decomposition":
-            ninf == max(cross, max((p - 1) * p ** (ell - 2) for p in kept_primes)),
-        "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
+        "norm_inf_decomposition": ninf == max((p - 1) * p ** (ell - 2) for p in kept_primes),
+        "intersection_bound": intersections <= 2 * orbit.index_multiplier * n * (n + ell - 1),
     }
     logq = math.log(Q)
     return kept, AmplifierReport(  # the fields in __slots__ order

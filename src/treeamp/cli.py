@@ -13,6 +13,12 @@ verdict passes, 1 when one fails, and 2 on bad input, which is one line
 on stderr.  A subcommand imports the library modules it runs when it
 runs, so a process compiles only the code its subcommand calls.
 
+check runs every SUITES entry through main in one process, writing
+<dir>/<name>.json for the directory --out names (default reports) and two
+lines per suite on stdout, ``== name`` and then ``ok -> path`` or
+``FAILED (see path)``.  It runs every suite even after one fails, and
+exits 1 when any failed.
+
 run() is the entry of ``python -m treeamp.cli`` and the ``treeamp``
 script: it exits with main()'s code and freezes the heap first, so the
 exit-time collections skip objects that die with the process anyway.
@@ -303,7 +309,26 @@ def cmd_amplifier(args):
     return config, results, verdicts
 
 
-# name -> (function, help, {flag: (convert, default text, or None, or ... if required)})
+def cmd_check(args) -> int:
+    """Each SUITES entry through main, its report at <args.out>/<name>.json; 1 if any failed."""
+    outdir, failed = args.out, 0
+    os.makedirs(outdir, exist_ok=True)
+    for name, argv in SUITES.items():
+        path = f"{outdir}/{name}.json"
+        print(f"== {name}", flush=True)  # stdout so far precedes the suite's stderr lines
+        try:
+            code = main([*argv, "--out", path])
+        except SystemExit as exc:  # bad input to one suite fails that suite only
+            code = exc.code
+        failed += code != 0
+        print(f"   ok -> {path}" if code == 0 else f"   FAILED (see {path})")
+    if failed:
+        print(f"{failed} suite(s) failed")
+    return 1 if failed else 0
+
+
+# name -> (function, help, {flag: (convert, default text, or None, or ... if required)});
+# --out is every subcommand's, and an entry may give it another default
 
 COMMANDS = {
     "verify-hecke": (cmd_verify_hecke, "convolution identity and algebra checks", {
@@ -318,7 +343,23 @@ COMMANDS = {
     "amplifier": (cmd_amplifier, "build amplifiers over a Q sweep and report ratios", {
         "--Q": (_int_list, "50,100,200,400"), "--spectrum": (str, "trivial"), "--seed": (int, "42"),
         "--poly": (str, "x^2+1"), "--orbit": (str, "sl2"), "--index": (_int_at_least(1), "1")}),
+    "check": (cmd_check, "run every suite, writing --out DIR/<name>.json", {
+        "--out": (str, "reports")}),
 }
+
+# name -> argv of each suite check runs, in the order it runs them; no argv
+# holds a space, so each is its text split, as perfbench/expected.json keys it
+SUITES = {name: text.split() for name, text in {
+    "verify-hecke": "verify-hecke --primes 2,3,5,7,11 --max-radius 8",
+    "split-density-quad": "split-density --poly x^2+1 --limit 100000 --expected 1/2",
+    "split-density-cube": "split-density --poly x^3-2 --limit 100000 --expected 1/6",
+    "denom-check": "denom-check --samples 1000 --seed 0",
+    "orbit-check-sl2": "orbit-check --orbit sl2 --primes 2,3,5 --max-j 3",
+    "orbit-check-torus": "orbit-check --orbit torus --primes 2,3,5 --max-j 3",
+    "amplifier-trivial": "amplifier --Q 50,100,200,400 --spectrum trivial --orbit sl2",
+    "amplifier-tempered": "amplifier --Q 50,100,200,400 --spectrum tempered --seed 42 "
+                          "--orbit torus",
+}.items()}
 
 
 def read_flags(flags: dict, tokens: list[str], usage: str, about: str) -> SimpleNamespace:
@@ -361,7 +402,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         read_flags({}, argv, "treeamp SUBCOMMAND", "\n".join(
             ["subcommands:", *(f"  {name:<14} {entry[1]}" for name, entry in COMMANDS.items())]))
     func, about, flags = COMMANDS[command]
-    args = read_flags({**flags, "--out": (str, None)}, argv[1:], f"treeamp {command}", about)
+    args = read_flags({**flags, "--out": flags.get("--out", (str, None))}, argv[1:],
+                      f"treeamp {command}", about)
     args.func, args.subcommand = func, command
     return args
 
@@ -369,6 +411,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.func is cmd_check:  # each suite writes its own report
+            return cmd_check(args)
         started = time.monotonic()
         config, results, verdicts = args.func(args)
         report = {"tool_version": __version__, "command": args.subcommand,

@@ -387,6 +387,13 @@ class TestBuildAmplifier:
         assert not report.verdicts["lambda_positive"]
         assert report.ratio_positivity == float("inf")
 
+    def test_lambda_just_above_0_is_positive(self):
+        # both seeds clear the radius-2 cutoff: (10 + 121/10)^2 - 13*14 - 17*18
+        spectrum = FixedSpectrum({13: 10, 17: Fraction(121, 10)})
+        _, report = build_amplifier(11, GAUSS, spectrum, SL2)
+        assert report.Lambda == Fraction(41, 100)
+        assert report.verdicts["lambda_positive"]
+
 
 class TestSpectralFloor:
     @pytest.fixture
@@ -439,7 +446,7 @@ def materialised_report(kept, Q, orbit, materialise):
     Lambda = lam_sum * lam_sum - tau1_at_identity
     ninf = hecke.norm_inf(tau)
     intersections = orbits.count_global_intersections(orbit, tau)
-    n = len(kept)
+    n, ell, logq = len(kept), kept[0].ell, math.log(Q)
     squares = [hecke.convolve(h, h) for h in (hecke.basic(c.prime, c.j) for c in kept)]
     per_prime_ninf = max(2 if n >= 2 else 0,
                          max(abs(coeff) for s in squares for r, coeff in s.coeffs if r > 0))
@@ -447,7 +454,6 @@ def materialised_report(kept, Q, orbit, materialise):
         ratios = (float(ninf) * intersections / float(Lambda), tau1_at_identity / float(Lambda))
     else:
         ratios = (float("inf"), float("inf"))
-    ell, logq = kept[0].ell, math.log(Q)
     return AmplifierReport(
         Q=Q,
         ell=ell,
@@ -463,7 +469,7 @@ def materialised_report(kept, Q, orbit, materialise):
             "lambda_positive": Lambda > 0,
             "identity_removed": identity_value(tau) == 0,
             "norm_inf_decomposition": ninf == per_prime_ninf,
-            "intersection_bound": intersections <= 4 * orbit.index_multiplier * n * n,
+            "intersection_bound": intersections <= 2 * orbit.index_multiplier * n * (n + ell - 1),
         },
         lambda_scaled=float(Lambda) * logq * logq / Q ** (2 + ell),
         norm_inf_scaled=ninf / Q ** (ell - 1),
@@ -490,6 +496,15 @@ class TestClosedFormAgainstMaterialised:
         kept, report = build_amplifier(11, GAUSS, spectrum, model)
         assert report.primes_used == (13,)
         assert report == materialised_report(kept, 11, model, materialise)
+
+    def test_two_radius_4_primes_meet_the_torus_within_the_bound(self, materialise):
+        # 29 keeps its seed at j = 1 and 37, 41 drop to j = 2, so n = 2 at
+        # ell = 4: the torus meets 2 n (n + ell - 1) = 20 points, above 4 n^2
+        spectrum = FixedSpectrum({29: 870, 37: 0, 41: 0})
+        kept, report = build_amplifier(25, GAUSS, spectrum, TORUS)
+        assert (report.primes_used, report.ell, report.intersection_count) == ((37, 41), 4, 20)
+        assert report.verdicts["intersection_bound"]
+        assert report == materialised_report(kept, 25, TORUS, materialise)
 
     def test_sweep_never_expands_tau(self, monkeypatch, tmp_path):
         def expanded(*args):

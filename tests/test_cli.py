@@ -6,7 +6,6 @@ import json
 import os
 import random
 import re
-import shlex
 import stat
 import subprocess
 import sys
@@ -159,18 +158,16 @@ class TestAmplifier:
         report = json.loads(raw)
         assert int(report["results"][0]["intersection_count"]) > 0
 
-
-def run_all_checks_suites() -> dict[str, list[str]]:
-    """name -> argv (without --out) of each suite in scripts/run_all_checks.sh."""
-    suites = {}
-    for line in (ROOT / "scripts" / "run_all_checks.sh").read_text().splitlines():
-        if line.startswith("run "):
-            _, name, *argv = shlex.split(line)
-            suites[name] = argv
-    return suites
-
-
-ALL_CHECKS = run_all_checks_suites()
+    def test_torus_window_with_two_radius_4_primes_passes(self, tmp_path):
+        # [11, 22] keeps 13 and 17 at ell = 4: 2 (n + ell - 1) = 10 points
+        # per pair of primes, more than the 4 n^2 = 8 the bound once allowed
+        code, raw = run(tmp_path, "amp3.json",
+                        ["amplifier", "--Q", "11", "--spectrum", "tempered",
+                         "--seed", "12", "--orbit", "torus"])
+        assert code == 0
+        first = json.loads(raw)["results"][0]
+        assert (first["ell"], first["primes_used"], first["intersection_count"]) == \
+            ("4", ["13", "17"], "20")
 
 
 class TestDeterminism:
@@ -188,7 +185,7 @@ class TestDeterminism:
         _, second = run(tmp_path, f"{name}-b.json", argv)
         assert first == second
 
-    @pytest.mark.parametrize("argv", ALL_CHECKS.values(), ids=ALL_CHECKS.keys())
+    @pytest.mark.parametrize("argv", cli.SUITES.values(), ids=cli.SUITES.keys())
     def test_run_all_checks_report_matches_recorded_digest(self, argv, capsys):
         recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         want = recorded["cli_suites"][" ".join(argv)]
@@ -203,7 +200,7 @@ class TestDeterminism:
         _, b = run(tmp_path, "s2.json", base + ["--seed", "2"])
         assert a != b
 
-    @pytest.mark.parametrize("argv", ALL_CHECKS.values(), ids=ALL_CHECKS.keys())
+    @pytest.mark.parametrize("argv", cli.SUITES.values(), ids=cli.SUITES.keys())
     def test_equals_spelling_matches_recorded_digest(self, argv, capsys):
         recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         want = recorded["cli_suites"][" ".join(argv)]
@@ -215,7 +212,7 @@ class TestDeterminism:
             (want["exit"], want["sha256"])
 
     def test_unique_prefix_matches_full_flag(self, tmp_path):
-        argv = ALL_CHECKS["verify-hecke"]
+        argv = cli.SUITES["verify-hecke"]
         abbreviated = ["--max-r" if token == "--max-radius" else token for token in argv]
         assert abbreviated != argv
         assert run(tmp_path, "full.json", argv) == run(tmp_path, "short.json", abbreviated)
@@ -227,10 +224,10 @@ class TestDeterminism:
         assert run(tmp_path, "last.json", repeated) == run(tmp_path, "once.json", argv)
 
     def test_every_other_recorded_report_matches_its_digest(self, capsys):
-        # the denom-check and tempered seeds that run_all_checks.sh does not run
+        # the denom-check and tempered seeds that check does not run
         recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
         others = {argv: want for argv, want in recorded.items()
-                  if argv.split() not in ALL_CHECKS.values()}
+                  if argv.split() not in cli.SUITES.values()}
         assert len(others) == 62
         mismatched = []
         for argv, want in others.items():
@@ -247,6 +244,64 @@ class TestDeterminism:
         stdout = capsys.readouterr().out
         _, filed = run(tmp_path, "oc.json", argv)
         assert stdout.encode() == filed
+
+
+class TestCheck:
+    def check_lines(self, outdir, names, failed=()) -> list[str]:
+        """check's stdout for suites run in the order of names."""
+        lines = []
+        for name in names:
+            path = f"{outdir}/{name}.json"
+            lines += [f"== {name}",
+                      f"   FAILED (see {path})" if name in failed else f"   ok -> {path}"]
+        return lines + ([f"{len(failed)} suite(s) failed"] if failed else [])
+
+    def test_every_report_matches_its_digest_in_either_order(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # one process runs the table, then the table reversed: no suite
+        # leaves state behind that changes a later suite's bytes
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
+        table = dict(cli.SUITES)
+        for order, suites in (("forward", table), ("reverse", dict(reversed(table.items())))):
+            monkeypatch.setattr(cli, "SUITES", suites)
+            outdir = tmp_path / order
+            assert main(["check", "--out", str(outdir)]) == 0
+            assert capsys.readouterr().out.splitlines() == self.check_lines(outdir, suites)
+            assert sorted(p.name for p in outdir.iterdir()) == sorted(f"{n}.json" for n in table)
+            for name, argv in table.items():
+                digest = hashlib.sha256((outdir / f"{name}.json").read_bytes()).hexdigest()
+                assert digest == recorded[" ".join(argv)]["sha256"], (order, name)
+
+    def test_reports_go_to_reports_by_default(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "SUITES", {"orbit": ["orbit-check", "--primes", "2",
+                                                      "--max-j", "1"]})
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out.splitlines() == self.check_lines("reports", ["orbit"])
+        assert [p.name for p in (tmp_path / "reports").iterdir()] == ["orbit.json"]
+
+    @pytest.mark.parametrize("outcome", ["false-verdict", "bad-input"])
+    def test_a_failed_suite_fails_check_after_every_suite_ran(self, outcome, tmp_path, capsys,
+                                                              monkeypatch):
+        def denom_check(args):
+            if outcome == "bad-input":
+                raise ValueError("refused")
+            return {}, {}, {"always": False}
+        monkeypatch.setitem(cli.COMMANDS, "denom-check",
+                            (denom_check, *cli.COMMANDS["denom-check"][1:]))
+        assert main(["check", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == self.check_lines(tmp_path, cli.SUITES,
+                                                             failed=["denom-check"])
+        if outcome == "false-verdict":
+            assert "FAIL: always with config {}" in captured.err
+            assert json.loads((tmp_path / "denom-check.json").read_text())["verdicts"] == \
+                {"always": False}
+        else:
+            assert "treeamp: error: refused" in captured.err.splitlines()
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == {f"{n}.json" for n in cli.SUITES} - (
+            {"denom-check.json"} if outcome == "bad-input" else set())
 
 
 def json_encoded(obj):
@@ -385,6 +440,8 @@ BAD_INPUT = {
     "stray-positional": ["verify-hecke", "2,3"],
     "no-subcommand": [],
     "unknown-spectrum": ["amplifier", "--spectrum", "warm"],
+    "check-unknown-flag": ["check", "--bogus"],
+    "check-out-is-a-file": ["check", "--out", "a-directory/file"],
 }
 
 
@@ -392,6 +449,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
     def test_exits_2_with_error_line(self, argv, capsys, tmp_path, monkeypatch):
         (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-directory" / "file").write_text("")
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -464,7 +522,8 @@ class TestBadInput:
         assert all(repr(kind.value) in lines[0] for kind in OrbitKind)
 
 
-# Every subcommand's flags and the default text its help shows.
+# Every subcommand's flags and the default text its help shows; --out
+# defaults to None unless listed.
 HELP_DEFAULTS = {
     "verify-hecke": {"--primes": "2,3,5,7,11", "--max-radius": "8"},
     "split-density": {"--poly": "required", "--limit": "100000", "--expected": "None"},
@@ -472,6 +531,7 @@ HELP_DEFAULTS = {
     "orbit-check": {"--orbit": "torus", "--index": "1", "--primes": "2,3,5", "--max-j": "3"},
     "amplifier": {"--Q": "50,100,200,400", "--poly": "x^2+1", "--spectrum": "trivial",
                   "--seed": "42", "--orbit": "sl2", "--index": "1"},
+    "check": {"--out": "reports"},
 }
 
 
@@ -494,7 +554,7 @@ class TestHelp:
         captured = capsys.readouterr()
         assert captured.err == ""
         rows = dict(line.split() for line in captured.out.splitlines() if line.startswith("  "))
-        assert rows == {**HELP_DEFAULTS[command], "--out": "None"}
+        assert rows == {"--out": "None", **HELP_DEFAULTS[command]}
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:

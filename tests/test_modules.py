@@ -1,11 +1,12 @@
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from treeamp import amplifier, hecke, splitting
+from treeamp import amplifier, cli, hecke, splitting
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree"]
@@ -81,6 +82,17 @@ def test_benchmark_tracer_finds_and_restores_every_name():
     finally:
         tracer.uninstall()
     assert [attr for owner, attr, orig in wrapped if getattr(owner, attr) is not orig] == []
+
+
+def test_benchmark_suite_table_is_cli_suites(monkeypatch):
+    """perfbench/workloads.py keeps its own copy of the suites that
+    treeamp check runs; it must name the same argvs in the same order."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses reads its module
+    spec.loader.exec_module(workloads)
+    assert workloads.cli_suites(0) == list(cli.SUITES.items())
 
 
 def test_unchecked_builds_stay_at_their_three_sites():

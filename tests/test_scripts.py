@@ -2,14 +2,13 @@ import hashlib
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from treeamp.cli import MAX_SIEVE
+from treeamp.cli import MAX_SIEVE, SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,39 +84,48 @@ def test_run_scaling_sweep_exits_1_on_a_failed_verdict():
     assert len(rows) == 1 and rows[0].endswith(" lambda_positive")
 
 
-@pytest.mark.parametrize("stub_exit,script_fails", [(1, True), (0, False)])
-def test_run_all_checks_runs_every_suite_and_reports_failure(tmp_path, stub_exit, script_fails):
+def run_all_checks(args: list[str], bin_dir: Path, env: dict) -> subprocess.CompletedProcess:
+    """scripts/run_all_checks.sh with bin_dir first on PATH."""
+    env = dict(env, PATH=os.pathsep.join([str(bin_dir), env.get("PATH", "")]))
+    return subprocess.run(["bash", str(ROOT / "scripts" / "run_all_checks.sh"), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("given,outdir,stub_exit", [("out", "out", 1), (None, "reports", 0),
+                                                    ("", "reports", 2)])
+def test_run_all_checks_is_one_treeamp_check_call(tmp_path, given, outdir, stub_exit):
+    # a treeamp on PATH that records its argv, one per line
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     stub = bin_dir / "treeamp"
-    stub.write_text(f"#!/bin/sh\nexit {stub_exit}\n")
+    stub.write_text(f'#!/bin/sh\nprintf "%s\\n" "$@" >> "{tmp_path}/calls"\nexit {stub_exit}\n')
     stub.chmod(0o755)
-    env = dict(os.environ, PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
-    proc = subprocess.run(["bash", str(ROOT / "scripts" / "run_all_checks.sh"),
-                           str(tmp_path / "reports")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode != 0) == script_fails, proc.stdout + proc.stderr
-    assert sum(line.startswith("==") for line in proc.stdout.splitlines()) == 8
+    proc = run_all_checks([] if given is None else [given], bin_dir, dict(os.environ))
+    assert proc.returncode == stub_exit, proc.stdout + proc.stderr
+    assert (tmp_path / "calls").read_text().splitlines() == ["check", "--out", outdir]
 
 
-def test_run_all_checks_runs_from_a_checkout_without_treeamp_on_path(tmp_path):
-    # python3 is the running interpreter; no PATH entry holds a treeamp
+@pytest.mark.parametrize("on_path", [False, True], ids=["python3-m", "treeamp"])
+def test_run_all_checks_writes_every_recorded_report(tmp_path, on_path):
+    # python3 is the running interpreter, and treeamp, when on PATH, runs it
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     (bin_dir / "python3").symlink_to(sys.executable)
-    path = [str(bin_dir)] + [d for d in os.environ.get("PATH", "").split(os.pathsep)
-                             if d and not (Path(d) / "treeamp").exists()]
+    if on_path:
+        (bin_dir / "treeamp").write_text(f'#!/bin/sh\nexec {sys.executable} -m treeamp.cli "$@"\n')
+        (bin_dir / "treeamp").chmod(0o755)
+    path = [d for d in os.environ.get("PATH", "").split(os.pathsep)
+            if d and not (Path(d) / "treeamp").exists()]
     env = dict(os.environ, PATH=os.pathsep.join(path), PYTHONPATH=str(ROOT / "src"))
-    script = ROOT / "scripts" / "run_all_checks.sh"
-    proc = subprocess.run(["bash", str(script), str(tmp_path / "reports")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    outdir = tmp_path / "reports"
+    proc = run_all_checks([str(outdir)], bin_dir, env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [line for name in SUITES for line in (
+        f"== {name}", f"   ok -> {outdir}/{name}.json")]
     recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
-    suites = [shlex.split(line)[1:] for line in script.read_text().splitlines()
-              if line.startswith("run ")]
-    assert len(suites) == 8
-    for name, *argv in suites:
-        report = (tmp_path / "reports" / f"{name}.json").read_bytes()
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(f"{name}.json" for name in SUITES)
+    for name, argv in SUITES.items():
+        report = (outdir / f"{name}.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == recorded[" ".join(argv)]["sha256"], name
 
 

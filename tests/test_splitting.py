@@ -85,6 +85,12 @@ class TestPrimality:
     def test_carmichael(self):
         assert not is_prime(561)
         assert not is_prime(25326001)
+        # below psi_2, with no factor up to 41 and a Fermat liar to both
+        # bases 2 and 3: only the strong test rejects it
+        n = 1152271
+        assert n == 43 * 127 * 211 and n < _primes._PSI_2
+        assert [pow(a, n - 1, n) for a in (2, 3)] == [1, 1]
+        assert not is_prime(n)
 
     def test_psi12_rejected(self):
         # the least strong pseudoprime to the bases 2..37; base 41 exposes it
