@@ -12,11 +12,17 @@ seed-0 configurations of perfbench's amplifier_sweep (trivial/sl2 and
 tempered/torus, Q = 400 ... 12800) under each interpreter, and compares
 every window with its recorded values through perfbench's own check.  The reports pin CPython
 behaviour, such as the draws of random.Random, so every supported
-Python must give the same bytes and the same windows.
+Python must give the same bytes and the same windows.  As denom-check's
+report holds only verdicts, it also runs that suite in process with a
+random.Random that logs every getrandbits and random result, and
+compares the count, the sha256 and the first values of those results
+with tests/denom_draws.json, which is that probe's output under the
+interpreter that recorded it.
 
 Prints one line per mismatch, then a summary line that counts each
-sweep as one report.  Exits 0 when everything matches, 1 on any
-mismatch, and 2 with one stderr line when no interpreter is given.
+sweep and the draw record as one report each.  Exits 0 when everything
+matches, 1 on any mismatch, and 2 with one stderr line when no
+interpreter is given.
 Uses the standard library and treeamp.cli only.
 """
 
@@ -37,6 +43,24 @@ SWEEP = """import sys, workloads
 op = workloads.amplifier_ops(0, workloads.load_expected())[int(sys.argv[1])]
 print(op.label, *(f"{name}: {why}" for name, why in op.check(op.call()).items()), sep="\\n")
 """
+# prints, as JSON, the generator results the denom-check suite consumes
+DRAWS = """import hashlib, json, os, random
+from treeamp import cli
+results = []
+class Logged(random.Random):
+    def getrandbits(self, k):
+        results.append(r := super().getrandbits(k))
+        return r
+    def random(self):
+        results.append(r := super().random())
+        return r
+random.Random = Logged
+argv = cli.SUITES["denom-check"]
+assert cli.main([*argv, "--out", os.devnull]) == 0
+print(json.dumps({"argv": " ".join(argv), "results": len(results), "first": results[:8],
+                  "sha256": hashlib.sha256(repr(results).encode()).hexdigest()}))
+"""
+DRAWS_RECORD = ROOT / "tests" / "denom_draws.json"
 
 
 def run(python: str, args: list[str], what: str, *path: Path):
@@ -76,6 +100,21 @@ def sweep_mismatch(python: str, index: int) -> str | None:
     return f"{python}: {name}: {'; '.join(bad)}" if bad else None
 
 
+def draws_mismatch(python: str) -> str | None:
+    """None when denom-check draws what tests/denom_draws.json records, else why not."""
+    what = "denom-check draws"
+    proc = run(python, ["-c", DRAWS], what, ROOT / "src")
+    if isinstance(proc, str):
+        return proc
+    if proc.returncode != 0:
+        return f"{python}: {what}: exit {proc.returncode}, expected 0"
+    got, want = json.loads(proc.stdout), json.loads(DRAWS_RECORD.read_text())
+    if got != want:
+        return f"{python}: {what}: differ from {DRAWS_RECORD.relative_to(ROOT)} in " + \
+            ", ".join(key for key in want if got.get(key) != want[key])
+    return None
+
+
 def main() -> int:
     pythons = sys.argv[1:]
     if not pythons or any(arg.startswith("-") for arg in pythons):
@@ -84,6 +123,7 @@ def main() -> int:
     recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
     jobs = [(mismatch, python, argv, recorded) for python in pythons for argv in SUITES.values()]
     jobs += [(sweep_mismatch, python, index) for python in pythons for index in SWEEPS]
+    jobs += [(draws_mismatch, python) for python in pythons]
     with ThreadPoolExecutor(max_workers=2) as pool:
         found = [m for m in pool.map(lambda job: job[0](*job[1:]), jobs) if m]
     for line in found:

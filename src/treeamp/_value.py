@@ -1,8 +1,9 @@
-"""Immutable value classes: a subclass names its fields in __slots__ and
-sets them in __init__, after its checks, with object.__setattr__.
-Equality and hashing compare the field tuple within one class, and
-pickle and copy go back through __init__.  exact takes a number exactly,
-and integer takes an integer.
+"""Immutable value classes: a subclass names its fields in __slots__, and
+Value.__init__ sets them in that order, raising on a wrong count.  A
+subclass with checks runs them in its own __init__ and ends in one
+super().__init__ call.  Equality and hashing compare the field tuple
+within one class, and pickle and copy go back through __init__.  exact
+takes a number exactly, and integer takes an integer.
 """
 
 from operator import attrgetter, index
@@ -10,6 +11,10 @@ from operator import attrgetter, index
 
 class Value:
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls):
         get = attrgetter(*cls.__slots__)

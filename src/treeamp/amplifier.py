@@ -74,8 +74,7 @@ class SpectrumModel(Value):
     __slots__ = ("kind", "seed")
 
     def __init__(self, kind: SpectrumKind, seed: int = 0):
-        object.__setattr__(self, "kind", SpectrumKind(kind))
-        object.__setattr__(self, "seed", integer(seed, "seed"))
+        super().__init__(SpectrumKind(kind), integer(seed, "seed"))
 
     @staticmethod
     def trivial() -> "SpectrumModel":
@@ -107,11 +106,6 @@ class LocalChoice(Value):
     whether |lam| >= PICK_THRESHOLD * sqrt(support size)."""
 
     __slots__ = ("prime", "j", "ell", "lam", "phase", "guarantee_met")
-
-    def __init__(self, prime: int, j: int, ell: int, lam: Fraction, phase: int,
-                 guarantee_met: bool):
-        for name, value in zip(self.__slots__, (prime, j, ell, lam, phase, guarantee_met)):
-            object.__setattr__(self, name, value)
 
     def support_size(self) -> int:
         return tree.sphere_size(self.prime, 2 * self.j)
@@ -207,11 +201,9 @@ class AmplifierReport(Value):
                  tau1_at_identity: int, c_tau: int, norm_inf: int, intersection_count: int,
                  ratio_intersections: float, ratio_positivity: float, verdicts: dict[str, bool],
                  lambda_scaled: float, norm_inf_scaled: float, positivity_scaled: float):
-        for name, value in zip(self.__slots__, (
-                Q, ell, tuple(primes_used), Lambda, tau1_at_identity, c_tau, norm_inf,
-                intersection_count, ratio_intersections, ratio_positivity,
-                dict(verdicts), lambda_scaled, norm_inf_scaled, positivity_scaled)):
-            object.__setattr__(self, name, value)
+        super().__init__(Q, ell, tuple(primes_used), Lambda, tau1_at_identity, c_tau, norm_inf,
+                         intersection_count, ratio_intersections, ratio_positivity,
+                         dict(verdicts), lambda_scaled, norm_inf_scaled, positivity_scaled)
 
 
 def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,

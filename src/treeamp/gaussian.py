@@ -49,10 +49,6 @@ class GaussInt(Value):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
     def __mul__(self, o: "GaussInt") -> "GaussInt":
         return GaussInt(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
 
@@ -92,8 +88,7 @@ class GaussPrime(Value):
                 and cached_is_prime(q)):
             raise ValueError(f"{generator} of residue size {residue_size} "
                              "is not a canonical prime generator")
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "residue_size", residue_size)
+        super().__init__(generator, residue_size)
 
 
 def _place(generator: GaussInt, residue_size: int) -> GaussPrime:
@@ -246,9 +241,7 @@ class GaussRat(Value):
         if d <= 0 or math.gcd(a, b, d) != 1:
             raise ValueError(f"({a} + {b}i)/{d} is not in lowest "
                              "terms over a positive denominator")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, d)
 
     @staticmethod
     def make(re, im=0) -> "GaussRat":
@@ -399,7 +392,7 @@ class Mat2(Value):
         if not (isinstance(entries, tuple) and len(entries) == 4
                 and all(isinstance(x, GaussRat) for x in entries)):
             raise ValueError(f"Mat2 needs a tuple of four GaussRat entries, got {entries!r}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @staticmethod
     def make(rows) -> "Mat2":

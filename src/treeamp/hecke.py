@@ -53,8 +53,7 @@ class LocalHeckeElement(Value):
             if r <= last or c == 0:
                 raise ValueError(f"{_NOT_CANONICAL}, got {coeffs}")
             last = r
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(prime, coeffs)
 
     @staticmethod
     def from_dict(p: int, coeffs: dict[int, int]) -> "LocalHeckeElement":
@@ -116,8 +115,7 @@ class EigenvalueSequence(Value):
 
     def __init__(self, prime: int, lambdas: tuple):
         check_prime(prime)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "lambdas", tuple(lambdas))
+        super().__init__(prime, tuple(lambdas))
 
     def value(self, j: int):
         if j < 0:
@@ -173,7 +171,7 @@ class GlobalHeckeElement(Value):
                 tree.check_even_radius(r)
                 if r == 0:
                     raise ValueError("support points must not carry radius 0 entries")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @staticmethod
     def from_dict(coeffs: dict[SupportPoint, int]) -> "GlobalHeckeElement":

@@ -50,8 +50,7 @@ class OrbitModel(Value):
     def __init__(self, kind: OrbitKind, index_multiplier: int = 1):
         if index_multiplier < 1:
             raise ValueError("index multiplier must be >= 1")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index_multiplier", index_multiplier)
+        super().__init__(kind, index_multiplier)
 
 
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:

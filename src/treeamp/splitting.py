@@ -27,7 +27,6 @@ polynomial takes one Frobenius test per prime.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from math import isqrt, lcm
 
@@ -90,7 +89,7 @@ class IntPoly(Value):
             raise ValueError("leading coefficient must be nonzero")
         if len(coeffs) < 2:
             raise ValueError("degree must be >= 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -99,7 +98,26 @@ class IntPoly(Value):
         return self.coeffs[-1] == 1
 
     def discriminant(self) -> int:
-        return _discriminant(self.coeffs)
+        """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / a_n, Res the determinant of the
+        Sylvester matrix of f and f' by Bareiss's fraction-free elimination
+        (Math. Comp. 22, 1968), whose every division is exact in integers.  No
+        library path calls it: a test oracle, kept as the benchmark's tracer wraps it."""
+        n, c = self.degree(), list(self.coeffs[::-1])  # highest degree first
+        m = [[0] * i + c + [0] * (n - 2 - i) for i in range(n - 1)]  # n - 1 rows of f
+        m += [[0] * i + [(n - k) * a for k, a in enumerate(c[:-1])] + [0] * (n - 1 - i)
+              for i in range(n)]  # and n rows of f'
+        sign, prev = (-1) ** (n * (n - 1) // 2), 1
+        for k in range(2 * n - 2):
+            if not m[k][k]:  # swap in a lower row with a nonzero pivot, else det = 0
+                i = next((i for i in range(k + 1, 2 * n - 1) if m[i][k]), None)
+                if i is None:
+                    return 0
+                m[k], m[i], sign = m[i], m[k], -sign
+            for row in m[k + 1:]:
+                row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
+                               for x, y in zip(row[k + 1:], m[k][k + 1:])]
+            prev = m[k][k]
+        return sign * m[-1][-1] // c[0]
 
     def __str__(self) -> str:
         parts = []
@@ -116,15 +134,6 @@ class IntPoly(Value):
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
-
-
-@lru_cache(maxsize=None)
-def _discriminant(coeffs: tuple[int, ...]) -> int:
-    from sympy import Poly, Symbol, discriminant  # lazy: keeps sympy off the import path
-
-    x = Symbol("x")
-    expr = sum(c * x ** i for i, c in enumerate(coeffs))
-    return int(discriminant(Poly(expr, x)))
 
 
 def parse_poly(text: str) -> IntPoly:

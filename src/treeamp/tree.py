@@ -57,8 +57,7 @@ class TreeVertex(Value):
             hi = prime if i == 0 else prime - 1
             if not 0 <= d <= hi:
                 raise ValueError(f"digit {d} at position {i} out of range [0, {hi}]")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "word", word)
+        super().__init__(prime, word)
 
     def depth(self) -> int:
         return len(self.word)

@@ -1,4 +1,7 @@
+import os
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,19 @@ def materialise():
         t1 = hecke.global_assemble({c.prime: (hecke.basic(c.prime, c.j), c.phase) for c in kept})
         return t1, subtract_identity(t1)
     return expand
+
+
+@pytest.fixture(scope="session")
+def supported_pythons() -> list[str]:
+    """This interpreter plus every pyenv CPython 3.10 or later, by its version directory."""
+    pythons = [sys.executable]
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    for exe in sorted(versions.glob("3.*/bin/python3")):
+        minor = re.match(r"3\.(\d+)", exe.parent.parent.name)
+        if (minor and int(minor[1]) >= 10
+                and exe.resolve() not in {Path(p).resolve() for p in pythons}):
+            pythons.append(str(exe))
+    return pythons
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -635,10 +635,48 @@ def run_probe(probe: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     return proc.stdout.decode().strip()
 
 
-def test_import_loads_no_sympy():
-    probe = ("import sys, treeamp.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
-    assert run_probe(probe) == "[]"
+# prints the top-level modules loaded so far that are not in the standard library
+FOREIGN = ("print('foreign:', *sorted({m.split('.')[0] for m in sys.modules}"
+           " - set(sys.stdlib_module_names)))")
+
+
+def test_runtime_loads_only_the_standard_library(tmp_path):
+    """Every treeamp module, the eight suites and IntPoly.discriminant load no module
+    outside the standard library but treeamp and what site loads in a bare interpreter."""
+    bare = run_probe("import sys; " + FOREIGN).split()
+    probe = ("import importlib, pkgutil, sys, treeamp; "
+             "[importlib.import_module(f'treeamp.{m.name}') "
+             "for m in pkgutil.iter_modules(treeamp.__path__)]; "
+             "from treeamp import cli, splitting; "
+             "assert cli.main(['check', '--out', sys.argv[1]]) == 0; "
+             "assert splitting.parse_poly('x^3-2').discriminant() == -108; " + FOREIGN)
+    loaded = run_probe(probe, str(tmp_path)).splitlines()[-1].split()
+    assert sorted(set(loaded) - set(bare)) == ["treeamp"]
+
+
+# IntPoly.discriminant with every import of sympy refused; the results go to stdout
+SYMPY_BLOCKED = """import sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, Refuse())
+from treeamp.splitting import parse_poly
+print(*(parse_poly(text).discriminant() for text in sys.argv[1:]))
+"""
+# x^2+1, x^3-2 and x^8+x+1, a non-monic cubic with a negative leading
+# coefficient, and (x-1)^2 (x+2), which has a repeated root
+RECORDED_DISCRIMINANTS = {"x^2+1": -4, "x^3-2": -108, "x^8+x+1": 15953673,
+                          "-3x^3+2x^2-x+5": -5703, "x^3-3x+2": 0}
+
+
+def test_discriminant_needs_no_sympy_on_any_supported_python(supported_pythons):
+    for python in supported_pythons:
+        proc = subprocess.run([python, "-c", SYMPY_BLOCKED, *RECORDED_DISCRIMINANTS],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 0, (python, proc.stderr)
+        assert proc.stdout.split() == [str(d) for d in RECORDED_DISCRIMINANTS.values()], python
 
 
 LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'treeamp'))"

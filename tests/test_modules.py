@@ -1,6 +1,10 @@
 import ast
 import importlib.util
+import inspect
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,3 +119,73 @@ def test_unchecked_builds_stay_at_their_three_sites():
     for path in sorted((ROOT / "src").rglob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert sites == ["gaussian._place", "gaussian._reduced", "tree.iter_sphere"]
+
+
+# Run in a fresh interpreter, so every import, class creation and lru_cache miss
+# happens under the profiler: `treeamp check`, both scripts' main and the
+# split_density library calls (at 10^5; reach does not depend on the limit).
+REACH_PROBE = """
+import contextlib, io, json, runpy, sys, tempfile, threading
+scripts, entered = sys.argv[1], set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(profile)
+threading.setprofile(profile)
+try:
+    from treeamp import cli, splitting
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--out", out]) == 0
+        for script in ("run_scaling_sweep.py", "scan_dichotomy.py"):
+            sys.argv = [script]
+            assert runpy.run_path(f"{scripts}/{script}")["main"]() == 0
+        for text in ("x^2+1", "x^3-2"):
+            splitting.empirical_density(splitting.parse_poly(text), 10 ** 5)
+finally:
+    sys.setprofile(None)
+    threading.setprofile(None)
+print(json.dumps([[c.co_filename, c.co_firstlineno, c.co_name] for c in entered]))
+"""
+REACH_REASONS = {"api", "large-input", "error-path", "value-protocol", "test-only"}
+
+
+def src_functions() -> dict[tuple[str, int, str], str]:
+    """(path, first line, name) -> module.qualname of every def and method in
+    src/treeamp; lambdas, comprehensions and class bodies are not functions here."""
+    found = {}
+
+    def walk(code, path, prefix):
+        for const in code.co_consts:
+            if isinstance(const, type(code)):
+                name = f"{prefix}{const.co_name}"
+                if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                    found[(path, const.co_firstlineno, const.co_name)] = name
+                walk(const, path, f"{name}.")
+
+    for path in sorted((ROOT / "src" / "treeamp").glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), str(path), f"{path.stem}.")
+    return found
+
+
+def test_every_unreached_function_is_in_the_reach_ledger():
+    """tests/unreached.txt lists, with one reason each, the functions of src/
+    that the suites, the scripts and the split_density calls never enter.  A
+    new unreached function fails, and so does a listed one that is now reached."""
+    proc = subprocess.run([sys.executable, "-c", REACH_PROBE, str(ROOT / "scripts")],
+                          capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    entered = {(str(Path(path).resolve()), line, name)
+               for path, line, name in json.loads(proc.stdout)}
+    functions = src_functions()
+    unreached = {name for key, name in functions.items() if key not in entered}
+    ledger = {}
+    for line in (ROOT / "tests" / "unreached.txt").read_text().splitlines():
+        if fields := line.partition("#")[0].split():
+            name, reason = fields
+            assert reason in REACH_REASONS, line
+            ledger[name] = reason
+    assert sorted(unreached - ledger.keys()) == []  # unreached and unlisted
+    assert sorted(ledger.keys() - unreached) == []  # listed, but now reached or gone

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,24 +128,13 @@ def test_run_all_checks_writes_every_recorded_report(tmp_path, on_path):
         assert hashlib.sha256(report).hexdigest() == recorded[" ".join(argv)]["sha256"], name
 
 
-def supported_pythons() -> list[str]:
-    """This interpreter plus every pyenv CPython 3.10 or later, by its version directory."""
-    pythons = [sys.executable]
-    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
-    for exe in sorted(versions.glob("3.*/bin/python3")):
-        minor = re.match(r"3\.(\d+)", exe.parent.parent.name)
-        if (minor and int(minor[1]) >= 10
-                and exe.resolve() not in {Path(p).resolve() for p in pythons}):
-            pythons.append(str(exe))
-    return pythons
-
-
-def test_check_pythons_matches_every_recorded_report_on_every_supported_python():
-    # eight CLI suites and two amplifier sweeps per interpreter
-    pythons = supported_pythons()
+def test_check_pythons_matches_every_recorded_report_on_every_supported_python(
+        supported_pythons):
+    # eight CLI suites, two amplifier sweeps and the denom-check draws per interpreter
+    pythons = supported_pythons
     proc = run_script("check_pythons.py", *pythons)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    n = 10 * len(pythons)
+    n = 11 * len(pythons)
     assert proc.stdout.splitlines() == [f"{n} of {n} reports match under "
                                         f"{len(pythons)} interpreter(s)"]
 
@@ -158,17 +146,17 @@ def test_check_pythons_reports_each_mismatch(tmp_path):
     proc = run_script("check_pythons.py", str(fake))
     assert proc.returncode == 1
     *lines, summary = proc.stdout.splitlines()
-    assert len(lines) == 10 and all(line.startswith(f"{fake}: ") for line in lines)
+    assert len(lines) == 11 and all(line.startswith(f"{fake}: ") for line in lines)
     assert all(line.endswith(", recorded 0") for line in lines[:8])
     assert lines[8:] == [f"{fake}: amplifier_sweep configuration {i}: exit 3, expected 0"
-                         for i in (0, 1)]
-    assert summary == "0 of 10 reports match under 1 interpreter(s)"
+                         for i in (0, 1)] + [f"{fake}: denom-check draws: exit 3, expected 0"]
+    assert summary == "0 of 11 reports match under 1 interpreter(s)"
 
 
 def test_check_pythons_catches_a_drifted_generator(tmp_path):
     # an interpreter whose Mersenne Twister gives other bits: the tempered
-    # suite and the tempered sweep differ, and the rest still match, as
-    # denom-check reports only its verdicts
+    # suite, the tempered sweep and denom-check's draws differ; denom-check's
+    # report, which holds only verdicts, and the rest still match
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text(
@@ -186,9 +174,11 @@ def test_check_pythons_catches_a_drifted_generator(tmp_path):
     assert [line.split(": ")[1] for line in lines] == [
         "amplifier --Q 50,100,200,400 --spectrum tempered --seed 42 --orbit torus",
         "amplifier tempered seed=42 torus",
+        "denom-check draws",
     ]
     assert "amplifier tempered seed=42 torus Q=400: differs from the record in " in lines[1]
-    assert summary == "8 of 10 reports match under 1 interpreter(s)"
+    assert lines[2].endswith(": differ from tests/denom_draws.json in results, first, sha256")
+    assert summary == "8 of 11 reports match under 1 interpreter(s)"
 
 
 def test_check_pythons_needs_an_interpreter():

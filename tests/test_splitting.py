@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,44 @@ class TestParse:
         for text, deg in [("x^9+1", "9"), ("x^1000000000+1", "1000000000")]:
             with pytest.raises(ValueError, match=f"degree {deg} .* cap {MAX_DEGREE}"):
                 parse_poly(text)
+
+
+def sympy_discriminant(coeffs) -> int:
+    """disc of the polynomial with these coefficients, from the constant term up, by sympy."""
+    return int(sympy.discriminant(sympy.Poly(coeffs[::-1], sympy.Symbol("x"))))
+
+
+def times(u: list[int], v: list[int]) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+COEFF = st.integers(-20, 20)
+LEADING = COEFF.filter(bool)
+# degree 1 to 8 with any nonzero leading coefficient; and g h^2, which has a
+# repeated root, for deg g <= 4 and 1 <= deg h <= 2
+ANY_DEGREE = st.builds(lambda low, lead: [*low, lead], st.lists(COEFF, min_size=1, max_size=8),
+                       LEADING)
+SQUARE_FACTOR = st.builds(lambda g, h: times(g, times(h, h)),
+                          st.builds(lambda low, lead: [*low, lead],
+                                    st.lists(COEFF, max_size=4), LEADING),
+                          st.builds(lambda low, lead: [*low, lead],
+                                    st.lists(COEFF, min_size=1, max_size=2), LEADING))
+
+
+class TestDiscriminant:
+    @given(ANY_DEGREE)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy(self, coeffs):
+        assert IntPoly(coeffs).discriminant() == sympy_discriminant(coeffs)
+
+    @given(SQUARE_FACTOR)
+    @settings(max_examples=80, deadline=None)
+    def test_a_square_factor_gives_zero(self, coeffs):
+        assert IntPoly(coeffs).discriminant() == 0 == sympy_discriminant(coeffs)
 
 
 WITNESSES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -68,6 +68,9 @@ TAMPERED = {
     "GlobalHeckeElement": (GlobalHeckeElement, (((((5, 0),), 1),),)),
     "OrbitModel": (OrbitModel, (OrbitKind.SL2, 0)),
     "SpectrumModel": (SpectrumModel, ("explicit", 0)),
+    # the classes without checks of their own refuse only a wrong field count
+    "GaussInt": (GaussInt, (1,)),
+    "LocalChoice": (LocalChoice, (5, 2, 4, Fraction(-30), -1, True, None)),
 }
 
 
@@ -159,6 +162,13 @@ def test_tampered_state_is_rejected(name):
     cls, args = TAMPERED[name]
     with pytest.raises(ValueError):
         pickle.loads(pickle.dumps(Tampered(cls, args)))
+
+
+@pytest.mark.parametrize("fields", [(), (1,), (1, 2, 3)])
+def test_a_wrong_field_count_raises(fields):
+    # Value.__init__ zips the values with __slots__ strictly
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer)"):
+        GaussInt(*fields)
 
 
 def test_cross_class_equality():
