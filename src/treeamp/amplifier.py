@@ -1,13 +1,14 @@
 """Amplifier assembly and its quantitative checks.
 
-Per prime the dichotomy picker chooses the radius-2 or radius-4
-operator so the eigenvalue is large against the square root of the
-support size.  Across a dyadic window of split primes the chosen
-operators are combined into tau1 = (sum zeta_p h_p) * (...)^* and the
-identity value is subtracted; the report collects the eigenvalue
-Lambda, the sup norm, the spectral defect, and orbit intersection
-counts together with the normalized ratios used for trend checks.
-Each report value is a closed form in the squares h_p * h_p, read off
+Per prime the dichotomy chooses the radius-2 or radius-4 operator so the
+eigenvalue is large against the square root of the support size
+(pick_local, at one checked prime).  build_amplifier, the one window,
+combines the choices over the split primes of [Q, 2Q] into
+tau1 = (sum zeta_p h_p) * (...)^* less its identity value, and returns
+the kept picks as integer tuples with the report: the eigenvalue Lambda,
+the sup norm, the spectral defect, the orbit intersection count and the
+ratios used for trend checks.  scaling_sweep runs it once per Q.  Each
+report value is a closed form in the squares h_p * h_p, read off
 tree.convolution_count; hecke.convolve and the expanded tau
 (hecke.global_assemble) are the test oracles.
 """
@@ -23,12 +24,12 @@ from numbers import Rational
 
 from . import orbits, splitting, tree
 from ._value import Value, exact, integer
+from ._primes import check_prime
 
 __all__ = [
     "PICK_THRESHOLD",
     "SpectrumKind",
     "SpectrumModel",
-    "LocalChoice",
     "AmplifierReport",
     "AmplifierError",
     "pick_local",
@@ -66,9 +67,9 @@ class SpectrumModel(Value):
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
     draws random.Random(f"{seed}:{p}").randint(-3000, 3000) * p / 1000, a
     value of (seed, p) alone, on one generator per thread reseeded per draw.
-    seeds(primes) draws a batch as unreduced integer pairs, lambda_p(p) one
-    as a Fraction.  The seed is taken by operator.index, so tempered(True)
-    is tempered(1), and tempered(1.0) is refused.
+    seeds(primes) draws a batch as unreduced integer pairs.  The seed is
+    taken by operator.index, so tempered(True) is tempered(1), and
+    tempered(1.0) is refused.
     """
 
     __slots__ = ("kind", "seed")
@@ -95,20 +96,6 @@ class SpectrumModel(Value):
                 pass
             out.append(((r - 3000) * p, 1000))  # the step p/1000 keeps the arithmetic exact
         return out
-
-    def lambda_p(self, p: int) -> Fraction:
-        return Fraction(*self.seeds((p,))[0])
-
-
-class LocalChoice(Value):
-    """The operator picked at one prime: j = 1 or 2, support exponent ell = 2j,
-    eigenvalue lam, phase the sign making phase * lam >= 0, and guarantee_met
-    whether |lam| >= PICK_THRESHOLD * sqrt(support size)."""
-
-    __slots__ = ("prime", "j", "ell", "lam", "phase", "guarantee_met")
-
-    def support_size(self) -> int:
-        return tree.sphere_size(self.prime, 2 * self.j)
 
 
 # PICK_THRESHOLD = t_num / t_den, squared once for the integer comparison
@@ -167,22 +154,19 @@ def _pick(p: int, n: int, d: int) -> tuple[int, int, int, bool]:
     return 2, num, d2, _at_least_threshold(num, d2, s1 * p * p)
 
 
-def pick_local(p: int, lambda_p) -> LocalChoice:
-    """Choose between the radius-2 and radius-4 operators, by _pick.
+def pick_local(p: int, lambda_p) -> tuple[int, int, int, bool]:
+    """The dichotomy at a prime p on the seed lambda_p: _pick's (j, num, den, met).
 
-    The seed is taken exactly, a float by its binary value.  A j=1 choice
-    keeps it, and only a j=2 eigenvalue is built as a new Fraction.  The
-    j=2 guarantee is recorded rather than asserted: there is a narrow band
-    of seed eigenvalues just under the j=1 cutoff where neither normalized
-    eigenvalue reaches 1/2.  The per-prime minimax constant
-    c_p = dichotomy_constant(p) clears 1/2 only for p in {2, 3}; it
-    decreases to sqrt(2) - 1, the sharp uniform constant.
+    The seed is taken exactly, a float by its binary value, and p is checked
+    prime; build_amplifier calls _pick on primes the sieve has proved.  The
+    j=2 guarantee is recorded rather than asserted: in a narrow band of seeds
+    just under the j=1 cutoff neither normalized eigenvalue reaches 1/2.  The
+    per-prime minimax constant c_p = dichotomy_constant(p) clears 1/2 only
+    for p in {2, 3}; it decreases to sqrt(2) - 1, the sharp uniform constant.
     """
-    seed = lambda_p if isinstance(lambda_p, Fraction) else exact(lambda_p)
-    tree.sphere_size(p, 2)  # rejects a non-prime p
-    j, num, den, met = _pick(p, seed.numerator, seed.denominator)
-    return LocalChoice(p, j, 2 * j, seed if j == 1 else Fraction(num, den),
-                       -1 if num < 0 else 1, met)
+    seed = exact(lambda_p)
+    check_prime(p)
+    return _pick(p, seed.numerator, seed.denominator)
 
 
 def _local_square(p: int, ell: int) -> list[int]:
@@ -206,23 +190,34 @@ class AmplifierReport(Value):
                          dict(verdicts), lambda_scaled, norm_inf_scaled, positivity_scaled)
 
 
-def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
-            orbit: orbits.OrbitModel) -> tuple[list[tuple], AmplifierReport]:
-    """The picks (p, j, num, den, met) kept in [Q, 2Q], and the report on them:
-    one _pick per split prime on its integer seed, and only Lambda a Fraction.
+def build_amplifier(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
+                    orbit: orbits.OrbitModel) -> tuple[list[tuple], AmplifierReport]:
+    """The kept picks (p, j, num, den, met) of _pick over the split primes in
+    [Q, 2Q], and the report on them.
 
-    norm_inf is the largest off-origin value of the squares h_p * h_p.  The
-    cross points, where tau is 2 zeta_p zeta_q of absolute value 2, never
-    win: every kept p >= Q >= 11, so the squares reach
-    (p - 1) p^(ell - 2) >= 10 > 2.
+    Each split prime costs one integer seed from spectrum.seeds and one
+    _pick.  tau is never expanded: same-prime terms put s_p = h_p * h_p on
+    one-prime points and cross terms put 2 zeta_p zeta_q on one point per
+    pair, so each report value is a closed form in the s_p.  Lambda =
+    (sum |lambda_p|)^2 - tau1(1) is summed as integers over the lcm of the
+    eigenvalue denominators, and only Lambda is a Fraction.  norm_inf is
+    the largest off-origin value of the s_p: the cross points, of absolute
+    value 2, never win, as every kept p >= Q >= 11 gives (p - 1) p^(ell - 2) >= 10.
 
-    The torus meets each of the ell nonzero positive radii of each square
-    twice and each of the n(n-1)/2 pair points 2 * 2 times, which gives
-    2 m n (n + ell - 1) points for index multiplier m.  intersection_bound
-    checks the count against that, which is at most 2 ell m n^2 as
-    (ell - 1)(n - 1) >= 0.  The bound 4 m n^2 holds only when
-    n >= ell - 1 (n = 2 and ell = 4 give 20 m against 16 m), and wherever
-    it holds, 2 m n (n + ell - 1) is no looser.
+    The torus meets each of the ell nonzero positive radii of each s_p twice
+    and each of the n(n-1)/2 pair points 2 * 2 times: 2 m n (n + ell - 1)
+    points for index multiplier m, the bound intersection_bound checks, at
+    most 2 ell m n^2.  4 m n^2 holds only when n >= ell - 1 (n = 2 and
+    ell = 4 give 20 m against 16 m), and wherever it holds it is no tighter.
+
+    lambda_scaled = Lambda log^2 Q / Q^(2+ell) assumes the tempered size
+    |lambda_p| ~ sqrt(|support|).  A spectrum with |lambda_p| ~ |support|,
+    such as the trivial one, gives Lambda ~ Q^(2+2 ell) / log^2 Q, so its
+    lambda_scaled grows with Q.  positivity_scaled =
+    (c_tau/Lambda) Q^(1+ell/2) / log Q is not flat: with n ~ Q/(2 log Q)
+    primes kept, c_tau ~ n Q^ell, so c_tau/Lambda ~ 1/n on a tempered
+    spectrum and the value grows like Q^(ell/2); on the trivial one it
+    falls like 1/Q.  The flat normaliser is Q/log Q.
     """
     if Q < 11:
         raise AmplifierError("Q must be >= 11")
@@ -245,7 +240,7 @@ def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
     Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
     n = len(kept)
     ninf = max(max(s[1:]) for s in squares)
-    intersections = orbits.count_amplifier_intersections(orbit, squares)
+    intersections = orbits.count_global_intersections(orbit, squares)
     lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
     ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
     ratio_positivity = c_tau / Lambda_f if lambda_positive else math.inf
@@ -268,38 +263,9 @@ def _window(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
         ratio_positivity * Q ** (1 + ell / 2) / logq)  # positivity_scaled
 
 
-def build_amplifier(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
-                    orbit: orbits.OrbitModel) -> tuple[list[LocalChoice], AmplifierReport]:
-    """Pick the amplifier over split primes in [Q, 2Q] and report on it.
-
-    tau is never expanded: same-prime terms put s_p = h_p * h_p on
-    one-prime points and cross terms put 2 zeta_p zeta_q on one point per
-    pair, so each report value is a closed form in the s_p.  It returns one
-    LocalChoice per kept prime, from which hecke.global_assemble expands
-    tau.  Each split prime costs one integer seed from spectrum.seeds and
-    one pick, the dichotomy of pick_local, and no Hecke element is built.
-    Lambda = (sum |lambda_p|)^2 - tau1(1) is summed as integers over the
-    lcm of the eigenvalue denominators, and only Lambda is a Fraction.
-
-    lambda_scaled = Lambda log^2 Q / Q^(2+ell) assumes the tempered size
-    |lambda_p| ~ sqrt(|support|).  A spectrum with |lambda_p| ~ |support|,
-    such as the trivial one, gives Lambda ~ Q^(2+2 ell) / log^2 Q, so its
-    lambda_scaled grows with Q.
-
-    positivity_scaled = (c_tau/Lambda) Q^(1+ell/2) / log Q is not flat.
-    With n ~ Q/(2 log Q) primes kept, c_tau ~ n Q^ell, so c_tau/Lambda
-    ~ 1/n on a tempered spectrum and the value grows like Q^(ell/2); on
-    the trivial one it falls like 1/Q.  The flat normaliser is Q/log Q.
-    """
-    kept, report = _window(Q, f, spectrum, orbit)
-    return [LocalChoice(p, j, 2 * j, Fraction(num, den), -1 if num < 0 else 1, met)
-            for p, j, num, den, met in kept], report
-
-
 def scaling_sweep(Qs: list[int], f: splitting.IntPoly, spectrum: SpectrumModel,
                   orbit: orbits.OrbitModel) -> list[AmplifierReport]:
-    """One amplifier report per Q, for strictly ascending Qs: the reports of
-    build_amplifier, computed without its LocalChoices."""
+    """One amplifier report per Q, for strictly ascending Qs: build_amplifier's."""
     if any(a >= b for a, b in zip(Qs, Qs[1:])):
         raise AmplifierError(f"Q values must be strictly ascending, got {list(Qs)}")
-    return [_window(Q, f, spectrum, orbit)[1] for Q in Qs]
+    return [build_amplifier(Q, f, spectrum, orbit)[1] for Q in Qs]

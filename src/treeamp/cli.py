@@ -380,8 +380,8 @@ def read_flags(flags: dict, tokens: list[str], usage: str, about: str) -> Simple
                   *(f"  {row:<14} {'required' if default is ... else default}"
                     for row, (_, default) in flags.items()), sep="\n")
             sys.exit(0)
-        text = text if eq else next(tokens, "-")
-        if not eq and text.startswith("-") and not text[1:].isdigit():  # a flag, not a number
+        text = text if eq else next(tokens, "--")
+        if not eq and (text.startswith("--") or text == "-h"):  # a flag, not a value
             raise ValueError(f"argument {flag}: expected a value")
         try:
             values[flag] = flags[flag][0](text)

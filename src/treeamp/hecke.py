@@ -5,8 +5,10 @@ double-coset indicators.  Convolution is computed from the tree path
 counts, so every identity here is exact integer arithmetic.  Global
 (multi-prime) elements are indexed by support points: finitely
 supported maps prime -> even radius, the empty map being the identity
-coset.  Only the tests build global elements, to expand the amplifier;
-its spectral evaluation lives in tests/oracles.py.
+coset.  The amplifier never builds one: its report is a closed form in
+the local squares.  Only the tests build global elements, expanding
+build_amplifier's picks with global_assemble; the spectral evaluation
+and orbit count of the expansion live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class LocalHeckeElement(Value):
     @staticmethod
     def from_dict(p: int, coeffs: dict[int, int]) -> "LocalHeckeElement":
         return LocalHeckeElement(p, tuple(sorted((r, c) for r, c in coeffs.items() if c != 0)))
-
-    def __getitem__(self, r: int) -> int:
-        return dict(self.coeffs).get(r, 0)
 
     def max_radius(self) -> int:
         return self.coeffs[-1][0] if self.coeffs else 0

@@ -11,6 +11,8 @@ vertices, once per coset translate.
 brute_force_intersect checks these closed forms by walking the orbit
 through the radius-2j ball and testing each point against the support's
 definition, right coordinate at the root and left coordinate at depth 2j.
+count_global_intersections counts the amplifier's support from its local
+squares; counting over the expanded tau is its test oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import enum
 import math
 
 from . import tree
-from ._value import Value
+from ._value import Value, integer
 from ._primes import check_prime
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "orbit_intersect_one_sided",
     "brute_force_intersect",
     "count_global_intersections",
-    "count_amplifier_intersections",
 ]
 
 
@@ -48,6 +49,7 @@ class OrbitModel(Value):
     __slots__ = ("kind", "index_multiplier")
 
     def __init__(self, kind: OrbitKind, index_multiplier: int = 1):
+        index_multiplier = integer(index_multiplier, "index multiplier")
         if index_multiplier < 1:
             raise ValueError("index multiplier must be >= 1")
         super().__init__(kind, index_multiplier)
@@ -107,34 +109,13 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
     return base * model.index_multiplier
 
 
-def count_global_intersections(model: OrbitModel, tau: "hecke.GlobalHeckeElement") -> int:
-    """Orbit points inside the support of a globally assembled element.
-
-    Each support point is a product of spheres across its primes; the
-    orbit meets it in the product of the per-prime sphere counts, and
-    the finite-index multiplier scales each support point once.
-    """
-    total = 0
-    for point, _ in tau.coeffs:
-        if not point:
-            continue  # identity coset carries no off-origin support
-        if model.kind is OrbitKind.SL2:
-            continue
-        prod = 1
-        for _p, r in point:
-            if r < 2:
-                raise ValueError("support points must have positive even radii")
-            prod *= 2  # apartment meets each positive-radius sphere twice
-        total += model.index_multiplier * prod
-    return total
-
-
-def count_amplifier_intersections(model: OrbitModel, squares: list[list[int]]) -> int:
-    """count_global_intersections of the amplifier tau, from its local squares.
+def count_global_intersections(model: OrbitModel, squares: list[list[int]]) -> int:
+    """Orbit points inside the support of the amplifier tau, from its local squares.
 
     Each h_p * h_p is its list of coefficients at index r/2.  Off the
     identity, tau lives on their nonzero positive radii and on one point
-    per pair of primes; the torus orbit meets these twice and 2 * 2 times.
+    per pair of primes; the torus orbit meets these twice and 2 * 2 times,
+    and the finite-index multiplier scales each support point once.
     """
     if model.kind is OrbitKind.SL2:
         return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from ._value import Value
+from ._value import Value, integer
 from ._primes import check_prime
 
 __all__ = [
@@ -72,6 +72,7 @@ def root(p: int) -> TreeVertex:
 
 def sphere_size(p: int, r: int) -> int:
     check_prime(p)
+    r = integer(r, "radius")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:

@@ -12,14 +12,16 @@ from oracles import subtract_identity
 
 @pytest.fixture
 def materialise():
-    """Expand the amplifier of build_amplifier's kept choices over its support.
+    """Expand the amplifier of build_amplifier's kept picks (p, j, num, den, met)
+    over its support, each h_p the radius-2j indicator with the sign of num.
 
     Returns (tau1, tau), tau1 = (sum zeta_p h_p)(...)^* and
     tau = tau1 - tau1(1) delta: the oracle the closed-form report is
     checked against.
     """
-    def expand(kept):
-        t1 = hecke.global_assemble({c.prime: (hecke.basic(c.prime, c.j), c.phase) for c in kept})
+    def expand(picks):
+        t1 = hecke.global_assemble({p: (hecke.basic(p, j), -1 if num < 0 else 1)
+                                    for p, j, num, den, met in picks})
         return t1, subtract_identity(t1)
     return expand
 

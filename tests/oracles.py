@@ -1,21 +1,22 @@
 """Test-only oracles over the expanded Hecke objects of treeamp.hecke.
 
 The amplifier report is computed from per-prime closed forms; these
-evaluate the expanded tau it is checked against.  FixedSpectrum stands
+evaluate the expanded tau it is checked against, its spectral value
+and the orbit points in its support.  FixedSpectrum stands
 in for a SpectrumModel where a test needs chosen seed eigenvalues.
 """
 
 import random
 from fractions import Fraction
 
-from treeamp import hecke
+from treeamp import hecke, orbits
 
 
 class FixedSpectrum:
     """Seed eigenvalues from a {prime: value} map.  Like a SpectrumModel,
     seeds(primes) gives them as integer pairs (numerator, denominator > 0),
-    which is what build_amplifier reads, and lambda_p(p) as one Fraction; a
-    prime outside the map raises KeyError."""
+    which is what build_amplifier reads; lambda_p(p) gives one as a
+    Fraction.  A prime outside the map raises KeyError."""
 
     def __init__(self, values: dict[int, Fraction]):
         self.lambda_p = {p: Fraction(v) for p, v in values.items()}.__getitem__
@@ -64,6 +65,28 @@ def spectral_value(f, spectra: dict[int, hecke.EigenvalueSequence]):
                 raise KeyError(f"no eigenvalue sequence for prime {p}")
             term = term * spectra[p].value(r // 2)
         total += term
+    return total
+
+
+def count_expanded_intersections(model: orbits.OrbitModel, tau: hecke.GlobalHeckeElement) -> int:
+    """Orbit points inside the support of an expanded element, one support point at a time.
+
+    Each support point is a product of spheres across its primes; the
+    orbit meets it in the product of the per-prime sphere counts, and
+    the finite-index multiplier scales each support point once.
+    """
+    total = 0
+    for point, _ in tau.coeffs:
+        if not point:
+            continue  # identity coset carries no off-origin support
+        if model.kind is orbits.OrbitKind.SL2:
+            continue
+        prod = 1
+        for _p, r in point:
+            if r < 2:
+                raise ValueError("support points must have positive even radii")
+            prod *= 2  # apartment meets each positive-radius sphere twice
+        total += model.index_multiplier * prod
     return total
 
 

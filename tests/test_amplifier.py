@@ -9,12 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treeamp import amplifier, hecke, orbits, tree
+from treeamp import amplifier, hecke, tree
 from treeamp.amplifier import (
     PICK_THRESHOLD,
     AmplifierError,
     AmplifierReport,
-    LocalChoice,
     SpectrumModel,
     build_amplifier,
     dichotomy_constant,
@@ -28,6 +27,7 @@ from treeamp.splitting import is_prime, parse_poly, primes_in, split_primes_in
 
 from oracles import (
     FixedSpectrum,
+    count_expanded_intersections,
     identity_value,
     spectral_value,
     subtract_identity,
@@ -45,6 +45,11 @@ def oracle_draw(seed, p):
     return Fraction(random.Random(f"{seed}:{p}").randint(-3000, 3000) * p, 1000)
 
 
+def one_seed(spectrum, p):
+    """The seed eigenvalue of one prime, drawn alone, as a Fraction."""
+    return Fraction(*spectrum.seeds([p])[0])
+
+
 class TestTemperedDraw:
     @given(st.integers(-2 ** 80, 2 ** 80), st.sampled_from(primes_in(2, 10 ** 6)))
     @settings(max_examples=300, deadline=None)
@@ -56,7 +61,7 @@ class TestTemperedDraw:
     @example(2 ** 64 + 1, 3)
     @example(0, 999983)
     def test_equals_a_fresh_generator(self, seed, p):
-        assert SpectrumModel.tempered(seed).lambda_p(p) == oracle_draw(seed, p)
+        assert one_seed(SpectrumModel.tempered(seed), p) == oracle_draw(seed, p)
 
     @given(st.integers(-2 ** 80, 2 ** 80),
            st.lists(st.sampled_from(primes_in(2, 10 ** 6)), max_size=20))
@@ -66,13 +71,13 @@ class TestTemperedDraw:
         spectrum = SpectrumModel.tempered(seed)
         pairs = spectrum.seeds(primes)
         assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
-        assert [Fraction(n, d) for n, d in pairs] == [spectrum.lambda_p(p) for p in primes] \
+        assert [Fraction(n, d) for n, d in pairs] == [one_seed(spectrum, p) for p in primes] \
             == [oracle_draw(seed, p) for p in primes]
 
     def test_trivial_seeds(self):
         spectrum, primes = SpectrumModel.trivial(), primes_in(2, 100)
         assert spectrum.seeds(primes) == [(p * (p + 1), 1) for p in primes]
-        assert [spectrum.lambda_p(p) for p in primes] == [Fraction(p * (p + 1)) for p in primes]
+        assert [one_seed(spectrum, p) for p in primes] == [Fraction(p * (p + 1)) for p in primes]
 
     def test_concurrent_threads_draw_the_serial_values(self):
         primes = primes_in(2, 20000)
@@ -83,7 +88,7 @@ class TestTemperedDraw:
 
         def draw(name):
             start.wait(timeout=60)
-            got[name] = [spectrum.lambda_p(p) for p in primes]
+            got[name] = [one_seed(spectrum, p) for p in primes]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -140,36 +145,37 @@ class TestNonFiniteSeedRefused:
 
 class TestPickLocal:
     def test_zero_seed_picks_radius4(self):
-        choice = pick_local(5, Fraction(0))
-        assert choice.j == 2 and choice.ell == 4
-        assert choice.lam == -30
-        assert choice.phase == -1
+        j, num, den, met = pick_local(5, Fraction(0))
+        assert j == 2
+        assert Fraction(num, den) == -30
+        assert num < 0  # the phase is -1
         assert 30 >= 0.5 * math.sqrt(750)
-        assert choice.guarantee_met
+        assert met
 
     def test_trivial_spectrum_picks_radius2(self):
         for p in (2, 5, 11):
-            choice = pick_local(p, Fraction(p * (p + 1)))
-            assert choice.j == 1 and choice.ell == 2
-            assert choice.phase == 1
-            assert choice.guarantee_met
+            j, num, den, met = pick_local(p, Fraction(p * (p + 1)))
+            assert j == 1
+            assert num > 0  # the phase is +1
+            assert met
 
     def test_support_size(self):
-        assert pick_local(5, Fraction(0)).support_size() == 750
-        assert pick_local(5, Fraction(150)).support_size() == 30
+        assert tree.sphere_size(5, 2 * pick_local(5, Fraction(0))[0]) == 750
+        assert tree.sphere_size(5, 2 * pick_local(5, Fraction(150))[0]) == 30
 
     @given(st.sampled_from(primes_in(2, 2000)), st.integers(-499, 499))
     @settings(max_examples=200, deadline=None)
     def test_radius4_eigenvalue_matches_recursion(self, p, k):
         # a tempered draw k p / 1000 with |k| < 500 is below sqrt(p(p+1)) / 2
         lam = Fraction(k * p, 1000)
-        choice = pick_local(p, lam)
-        assert choice.j == 2
-        assert choice.lam == hecke.eigenvalue_sequence(p, lam, 2).value(2)
+        j, num, den, _ = pick_local(p, lam)
+        assert j == 2
+        assert Fraction(num, den) == hecke.eigenvalue_sequence(p, lam, 2).value(2)
 
 
 def fraction_pick_local(p, lambda_p):
-    """pick_local as every eigenvalue and comparison a Fraction: the oracle."""
+    """pick_local as every eigenvalue and comparison a Fraction, giving
+    (j, eigenvalue, guarantee met): the oracle."""
     def at_least_threshold(lam, bound):
         return lam * lam >= PICK_THRESHOLD ** 2 * bound
 
@@ -179,7 +185,15 @@ def fraction_pick_local(p, lambda_p):
     else:
         lam = lambda_p * lambda_p - (p - 1) * lambda_p - p * (p + 1)
         j, met = 2, at_least_threshold(lam, tree.sphere_size(p, 4))
-    return LocalChoice(p, j, 2 * j, lam, -1 if lam < 0 else 1, met)
+    return j, lam, met
+
+
+def as_fraction_pick(pick):
+    """A (j, num, den, met) pick in fraction_pick_local's terms, once its
+    numerator and denominator are checked to be integers, the latter > 0."""
+    j, num, den, met = pick
+    assert type(num) is int and type(den) is int and den > 0
+    return j, Fraction(num, den), met
 
 
 SMALL_PRIMES = primes_in(2, 2000)
@@ -200,8 +214,7 @@ class TestPickLocalAgainstFractionOracle:
     @example(1999, 501)
     def test_tempered_draws(self, p, k):
         got = pick_local(p, Fraction(k * p, 1000))
-        assert got == fraction_pick_local(p, Fraction(k * p, 1000))
-        assert type(got.lam) is Fraction
+        assert as_fraction_pick(got) == fraction_pick_local(p, Fraction(k * p, 1000))
 
     @given(st.sampled_from(SMALL_PRIMES), seeds)
     @settings(max_examples=200, deadline=None)
@@ -209,8 +222,7 @@ class TestPickLocalAgainstFractionOracle:
     @example(5, -2.5)
     def test_arbitrary_seeds(self, p, seed):
         got = pick_local(p, seed)
-        assert got == fraction_pick_local(p, seed)
-        assert type(got.lam) is Fraction
+        assert as_fraction_pick(got) == fraction_pick_local(p, seed)
 
     @given(st.sampled_from(SMALL_PRIMES), st.fractions(), st.integers(1, 10 ** 6))
     @settings(max_examples=200, deadline=None)
@@ -219,15 +231,12 @@ class TestPickLocalAgainstFractionOracle:
     @example(2, Fraction(613 * 2, 1000), 2)
     @example(1999, Fraction(500 * 1999, 1000), 2)
     def test_pick_on_unreduced_seeds(self, p, seed, k):
-        want = fraction_pick_local(p, seed)
-        j, num, den, met = amplifier._pick(p, k * seed.numerator, k * seed.denominator)
-        assert den > 0
-        assert (j, Fraction(num, den), -1 if num < 0 else 1, met) == \
-            (want.j, want.lam, want.phase, want.guarantee_met)
+        got = amplifier._pick(p, k * seed.numerator, k * seed.denominator)
+        assert as_fraction_pick(got) == fraction_pick_local(p, seed)
 
     def test_j1_choice_keeps_the_seed(self):
-        seed = Fraction(7 * 8)
-        assert pick_local(7, seed).lam is seed
+        seed = Fraction(113, 2)
+        assert pick_local(7, seed) == (1, seed.numerator, seed.denominator, True)
 
     @given(st.integers(-50, 2000).filter(lambda n: not is_prime(n)), seeds)
     @settings(max_examples=50, deadline=None)
@@ -282,7 +291,7 @@ class TestDichotomyConstant:
 
 class TestBuildAmplifier:
     def test_trivial_spectrum_q50(self, materialise):
-        kept, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
+        picks, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
         assert report.primes_used == (53, 61, 73, 89, 97)
         s = sum(p * (p + 1) for p in report.primes_used)
         assert report.tau1_at_identity == s
@@ -293,7 +302,7 @@ class TestBuildAmplifier:
         assert report.ratio_intersections == 0
         assert report.norm_inf == max(2, max(p - 1 for p in report.primes_used))
         assert all(report.verdicts.values())
-        _, tau = materialise(kept)
+        _, tau = materialise(picks)
         assert identity_value(tau) == 0
 
     def test_single_prime_expansion(self):
@@ -323,8 +332,7 @@ class TestBuildAmplifier:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count _pick, hecke.convolve, hecke.basic and every LocalHeckeElement
-        and LocalChoice built."""
+        """Count _pick, hecke.convolve, hecke.basic and every LocalHeckeElement built."""
         calls = Counter()
 
         def counting(name, fn):
@@ -336,19 +344,19 @@ class TestBuildAmplifier:
         monkeypatch.setattr(amplifier, "_pick", counting("_pick", amplifier._pick))
         for name in ("convolve", "basic"):
             monkeypatch.setattr(hecke, name, counting(name, getattr(hecke, name)))
-        for cls in (hecke.LocalHeckeElement, LocalChoice):
-            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+        monkeypatch.setattr(hecke.LocalHeckeElement, "__init__",
+                            counting("LocalHeckeElement", hecke.LocalHeckeElement.__init__))
         return calls
 
     @pytest.mark.parametrize("spectrum", ["trivial", "tempered42", "explicit-half"])
     def test_one_pick_per_split_prime_and_no_hecke_element(self, spectrum, calls):
         Q = 800
-        kept, _ = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
-        assert calls == {"_pick": len(split_primes_in(GAUSS, Q, 2 * Q)), "LocalChoice": len(kept)}
+        picks, _ = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), TORUS)
+        assert calls == {"_pick": len(split_primes_in(GAUSS, Q, 2 * Q))}
+        assert all(type(k) is int for pick in picks for k in pick[:4])
 
     @pytest.mark.parametrize("spectrum", ["trivial", "tempered42"])
     def test_sweep_builds_no_hecke_element(self, spectrum, calls):
-        # nor a LocalChoice: the sweep keeps each pick as integers
         Qs = [400 * 2 ** k for k in range(6)]
         scaling_sweep(Qs, GAUSS, ORACLE_SPECTRA[spectrum](Qs[0]), TORUS)
         assert calls == {"_pick": sum(len(split_primes_in(GAUSS, Q, 2 * Q)) for Q in Qs)}
@@ -398,8 +406,8 @@ class TestBuildAmplifier:
 class TestSpectralFloor:
     @pytest.fixture
     def build(self, materialise):
-        kept, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
-        _, tau = materialise(kept)
+        picks, report = build_amplifier(50, GAUSS, SpectrumModel.trivial(), SL2)
+        _, tau = materialise(picks)
         return tau, report
 
     def test_floor_holds_on_random_systems(self, build):
@@ -438,16 +446,16 @@ ORACLE_ORBITS = {
 }
 
 
-def materialised_report(kept, Q, orbit, materialise):
+def materialised_report(picks, Q, orbit, materialise):
     """The report as the expanded tau gives it, one support point at a time."""
-    t1, tau = materialise(kept)
+    t1, tau = materialise(picks)
     tau1_at_identity = identity_value(t1)
-    lam_sum = sum(abs(c.lam) for c in kept)
+    lam_sum = sum(abs(Fraction(num, den)) for _, _, num, den, _ in picks)
     Lambda = lam_sum * lam_sum - tau1_at_identity
     ninf = hecke.norm_inf(tau)
-    intersections = orbits.count_global_intersections(orbit, tau)
-    n, ell, logq = len(kept), kept[0].ell, math.log(Q)
-    squares = [hecke.convolve(h, h) for h in (hecke.basic(c.prime, c.j) for c in kept)]
+    intersections = count_expanded_intersections(orbit, tau)
+    n, ell, logq = len(picks), 2 * picks[0][1], math.log(Q)
+    squares = [hecke.convolve(h, h) for h in (hecke.basic(p, j) for p, j, *_ in picks)]
     per_prime_ninf = max(2 if n >= 2 else 0,
                          max(abs(coeff) for s in squares for r, coeff in s.coeffs if r > 0))
     if Lambda > 0:
@@ -457,7 +465,7 @@ def materialised_report(kept, Q, orbit, materialise):
     return AmplifierReport(
         Q=Q,
         ell=ell,
-        primes_used=[c.prime for c in kept],
+        primes_used=[p for p, *_ in picks],
         Lambda=Lambda,
         tau1_at_identity=tau1_at_identity,
         c_tau=tau1_at_identity,
@@ -483,8 +491,8 @@ class TestClosedFormAgainstMaterialised:
     @pytest.mark.parametrize("Q", [50, 200, 800])
     def test_report_matches_expanded_tau(self, Q, spectrum, orbit, materialise):
         model = ORACLE_ORBITS[orbit]
-        kept, report = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), model)
-        assert report == materialised_report(kept, Q, model, materialise)
+        picks, report = build_amplifier(Q, GAUSS, ORACLE_SPECTRA[spectrum](Q), model)
+        assert report == materialised_report(picks, Q, model, materialise)
 
     @pytest.mark.parametrize("orbit", ORACLE_ORBITS)
     def test_one_prime_window(self, orbit, materialise):
@@ -493,18 +501,28 @@ class TestClosedFormAgainstMaterialised:
         # cross terms
         spectrum = FixedSpectrum({13: Fraction(13 * 14), 17: Fraction(0)})
         model = ORACLE_ORBITS[orbit]
-        kept, report = build_amplifier(11, GAUSS, spectrum, model)
+        picks, report = build_amplifier(11, GAUSS, spectrum, model)
         assert report.primes_used == (13,)
-        assert report == materialised_report(kept, 11, model, materialise)
+        assert report == materialised_report(picks, 11, model, materialise)
 
     def test_two_radius_4_primes_meet_the_torus_within_the_bound(self, materialise):
         # 29 keeps its seed at j = 1 and 37, 41 drop to j = 2, so n = 2 at
         # ell = 4: the torus meets 2 n (n + ell - 1) = 20 points, above 4 n^2
         spectrum = FixedSpectrum({29: 870, 37: 0, 41: 0})
-        kept, report = build_amplifier(25, GAUSS, spectrum, TORUS)
+        picks, report = build_amplifier(25, GAUSS, spectrum, TORUS)
         assert (report.primes_used, report.ell, report.intersection_count) == ((37, 41), 4, 20)
         assert report.verdicts["intersection_bound"]
-        assert report == materialised_report(kept, 25, TORUS, materialise)
+        assert report == materialised_report(picks, 25, TORUS, materialise)
+
+    def test_lambda_exactly_0_is_not_positive(self, materialise):
+        # x splits everywhere; 23 and 37 drop to j = 2, and the kept
+        # 29, 31, 41, 43 have tau1(1) = 5476 = 74^2 = (15 + 16 + 21 + 22)^2
+        spectrum = FixedSpectrum({23: 0, 29: 15, 31: 16, 37: 0, 41: 21, 43: 22})
+        picks, report = build_amplifier(22, parse_poly("x"), spectrum, TORUS)
+        assert (report.primes_used, report.tau1_at_identity) == ((29, 31, 41, 43), 74 ** 2)
+        assert report.Lambda == 0 and not report.verdicts["lambda_positive"]
+        assert report.ratio_intersections == report.ratio_positivity == math.inf
+        assert report == materialised_report(picks, 22, TORUS, materialise)
 
     def test_sweep_never_expands_tau(self, monkeypatch, tmp_path):
         def expanded(*args):
@@ -512,7 +530,6 @@ class TestClosedFormAgainstMaterialised:
         for name in ("global_assemble", "norm_inf"):
             monkeypatch.setattr(hecke, name, expanded)
         monkeypatch.setattr(hecke.GlobalHeckeElement, "__init__", expanded)
-        monkeypatch.setattr(orbits, "count_global_intersections", expanded)
         Qs = [400 * 2 ** k for k in range(6)]
         for spectrum, orbit in ((SpectrumModel.trivial(), SL2),
                                 (SpectrumModel.tempered(42), TORUS)):
@@ -531,7 +548,8 @@ def test_local_square_matches_convolve(ell):
         h = hecke.basic(p, ell // 2)
         square = hecke.convolve(h, h)
         assert square.max_radius() == 2 * ell
-        assert amplifier._local_square(p, ell) == [square[r] for r in range(0, 2 * ell + 1, 2)]
+        coeffs = dict(square.coeffs)
+        assert amplifier._local_square(p, ell) == [coeffs.get(r, 0) for r in range(0, 2 * ell + 1, 2)]
 
 
 class TestScalingSweep:

@@ -436,6 +436,8 @@ BAD_INPUT = {
     "unknown-flag": ["verify-hecke", "--bogus", "2"],
     "ambiguous-prefix": ["amplifier", "--s", "1"],  # --seed or --spectrum
     "flag-without-value": ["verify-hecke", "--max-radius", "4", "--primes"],
+    "flag-as-value": ["split-density", "--poly", "--limit", "100"],
+    "help-as-value": ["split-density", "--poly", "-h"],
     "split-density-without-poly": ["split-density", "--limit", "100"],
     "stray-positional": ["verify-hecke", "2,3"],
     "no-subcommand": [],
@@ -501,6 +503,8 @@ class TestBadInput:
         ("unknown-flag", ["--bogus"]),
         ("ambiguous-prefix", ["--s", "--seed", "--spectrum"]),
         ("flag-without-value", ["--primes"]),
+        ("flag-as-value", ["--poly", "expected a value"]),
+        ("help-as-value", ["--poly", "expected a value"]),
         ("split-density-without-poly", ["--poly"]),
         ("stray-positional", ["'2,3'"]),
         ("no-subcommand", ["verify-hecke", "amplifier"]),
@@ -520,6 +524,20 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("treeamp: error:")
         assert "'cone'" in lines[0]
         assert all(repr(kind.value) in lines[0] for kind in OrbitKind)
+
+
+def test_a_value_may_start_with_a_minus(tmp_path):
+    # only a --flag or -h after a flag reads as a missing value
+    reports = []
+    for poly in ("-2+x^3", "x^3-2"):
+        out = tmp_path / f"{len(reports)}.json"
+        assert main(["split-density", "--poly", poly, "--limit", "1000", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    out = tmp_path / "expected.json"
+    assert main(["split-density", "--poly", "x^3-2", "--limit", "1000",
+                 "--expected", "-1/2", "--out", str(out)]) == 1  # the density is not -1/2
+    assert b'"expected": "-1/2"' in out.read_bytes()
 
 
 # Every subcommand's flags and the default text its help shows; --out

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from treeamp import amplifier, cli, hecke, splitting
+from treeamp import amplifier, cli, hecke, orbits, splitting
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree"]
@@ -20,7 +20,8 @@ MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree
 DELETED = ["_round_div", "gauss_gcd", "canonical_associate", "UNITS", r"GaussPrime\.make",
            "ord_at", "ord_rat", "MAX_PRIME", "adjugate", "_PROVEN_PRIMES",
            "spectral_value", "global_identity", "subtract_identity", "canonical_vertex",
-           "identity_value", "ball_radius", "as_dict"]
+           "identity_value", "ball_radius", "as_dict", "support_size", "LocalChoice",
+           "_window", "count_amplifier_intersections"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -62,14 +63,11 @@ def test_deleted_helpers_stay_deleted():
     assert hits == []
 
 
-def test_support_size_left_hecke():
-    # a name search would match LocalChoice.support_size in amplifier.py
-    assert not hasattr(hecke, "support_size")
-
-
 def test_local_hecke_element_has_no_test_only_methods():
     # the tests read coeffs; a name search would match GaussRat.is_zero
-    assert [m for m in ("as_dict", "is_zero") if hasattr(hecke.LocalHeckeElement, m)] == []
+    assert [m for m in ("as_dict", "is_zero", "__getitem__")
+            if hasattr(hecke.LocalHeckeElement, m)] == []
+    assert not hasattr(amplifier.SpectrumModel, "lambda_p")  # the tests read seeds
 
 
 def test_benchmark_tracer_finds_and_restores_every_name():
@@ -86,6 +84,28 @@ def test_benchmark_tracer_finds_and_restores_every_name():
     finally:
         tracer.uninstall()
     assert [attr for owner, attr, orig in wrapped if getattr(owner, attr) is not orig] == []
+
+
+def test_benchmark_tracer_sees_the_amplifier():
+    """scaling_sweep runs build_amplifier once per Q, which counts orbit points
+    by count_global_intersections, so the traced benchmark reads both."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    gauss, spectrum = splitting.parse_poly("x^2+1"), amplifier.SpectrumModel.tempered(42)
+    torus = orbits.OrbitModel(orbits.OrbitKind.MULTIPLICATIVE)
+    tracer.install()
+    try:
+        with tracer.root("sweep"):
+            reports = amplifier.scaling_sweep([400, 800], gauss, spectrum, torus)
+    finally:
+        tracer.uninstall()
+    [summary] = module.summarize(tracer.record())
+    assert summary["calls"]["amplifier.build_amplifier"] == 2
+    assert summary["calls"]["orbits.count_global_intersections"] == 2
+    assert summary["counters"]["amplifier.primes_kept"] == sum(len(r.primes_used) for r in reports)
+    assert summary["seconds"]["amplifier.self"] > 0
 
 
 def test_benchmark_suite_table_is_cli_suites(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -8,12 +9,11 @@ from treeamp.orbits import (
     OrbitKind,
     OrbitModel,
     brute_force_intersect,
-    count_amplifier_intersections,
     count_global_intersections,
     orbit_intersect_one_sided,
 )
 
-from oracles import subtract_identity
+from oracles import count_expanded_intersections, subtract_identity
 
 SL2 = OrbitModel(OrbitKind.SL2)
 TORUS = OrbitModel(OrbitKind.MULTIPLICATIVE)
@@ -31,6 +31,18 @@ class TestClosedForm:
     def test_linearity_in_translates(self):
         model = OrbitModel(OrbitKind.MULTIPLICATIVE, 3)
         assert orbit_intersect_one_sided(model, 2, 1) == 6
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, "2", None], ids=repr)
+    def test_non_integer_index_refused(self, index):
+        # a float multiplier would make every torus count a float
+        with pytest.raises(ValueError,
+                           match=f"^index multiplier must be an integer, got {re.escape(repr(index))}$"):
+            OrbitModel(OrbitKind.SL2, index)
+
+    @pytest.mark.parametrize("index", [0, -1, False])
+    def test_index_below_1_refused(self, index):
+        with pytest.raises(ValueError, match="^index multiplier must be >= 1$"):
+            OrbitModel(OrbitKind.MULTIPLICATIVE, index)
 
     @pytest.mark.parametrize("count", [
         orbit_intersect_one_sided, brute_force_intersect,
@@ -98,19 +110,19 @@ class TestGlobalCounts:
         return subtract_identity(hecke.global_assemble(parts))
 
     def test_sl2_always_zero(self):
-        assert count_global_intersections(SL2, self.two_prime_tau()) == 0
+        assert count_expanded_intersections(SL2, self.two_prime_tau()) == 0
 
     def test_empty_element(self):
-        assert count_global_intersections(TORUS, hecke.GlobalHeckeElement.from_dict({})) == 0
+        assert count_expanded_intersections(TORUS, hecke.GlobalHeckeElement.from_dict({})) == 0
 
     def test_two_prime_expansion(self):
         # per prime the square contributes radii 2 and 4 (2 hits each);
         # the single cross point contributes 2 * 2
-        assert count_global_intersections(TORUS, self.two_prime_tau()) == 4 + 4 + 4
+        assert count_expanded_intersections(TORUS, self.two_prime_tau()) == 4 + 4 + 4
 
     def test_monotone_in_index(self):
         tau = self.two_prime_tau()
-        counts = [count_global_intersections(OrbitModel(OrbitKind.MULTIPLICATIVE, c), tau)
+        counts = [count_expanded_intersections(OrbitModel(OrbitKind.MULTIPLICATIVE, c), tau)
                   for c in (1, 2, 3)]
         assert counts == [12, 24, 36]
 
@@ -119,8 +131,8 @@ class TestGlobalCounts:
         total = 0
         for point, coeff in tau.coeffs:
             single = hecke.GlobalHeckeElement.from_dict({point: coeff})
-            total += count_global_intersections(TORUS, single)
-        assert total == count_global_intersections(TORUS, tau)
+            total += count_expanded_intersections(TORUS, single)
+        assert total == count_expanded_intersections(TORUS, tau)
 
     @pytest.mark.parametrize("kind", list(OrbitKind))
     @pytest.mark.parametrize("index", [1, 3])
@@ -131,7 +143,8 @@ class TestGlobalCounts:
         squares = []
         for h, _ in parts.values():
             square = hecke.convolve(h, h)
-            squares.append([square[r] for r in range(0, square.max_radius() + 1, 2)])
+            coeffs = dict(square.coeffs)
+            squares.append([coeffs.get(r, 0) for r in range(0, square.max_radius() + 1, 2)])
         model = OrbitModel(kind, index)
-        assert count_amplifier_intersections(model, squares) == \
-            count_global_intersections(model, tau)
+        assert count_global_intersections(model, squares) == \
+            count_expanded_intersections(model, tau)

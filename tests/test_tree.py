@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter, deque
 
 import pytest
@@ -77,6 +78,14 @@ class TestSphere:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             next(tree.iter_sphere(4, 2))
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, "2", None], ids=repr)
+    def test_sphere_size_refuses_a_non_integer_radius(self, r):
+        with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(r))}$"):
+            tree.sphere_size(5, r)
+
+    def test_sphere_size_of_a_bool_radius_is_its_integer(self):
+        assert tree.sphere_size(5, True) == tree.sphere_size(5, 1) == 6
 
     def test_strong_pseudoprime_rejected(self):
         with pytest.raises(ValueError, match="p must be prime"):

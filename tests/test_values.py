@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeamp.amplifier import (AmplifierReport, LocalChoice, SpectrumKind, SpectrumModel,
-                               scaling_sweep)
+from treeamp.amplifier import AmplifierReport, SpectrumKind, SpectrumModel, scaling_sweep
 from treeamp.gaussian import GaussInt, GaussPrime, GaussRat, Mat2
 from treeamp.hecke import EigenvalueSequence, GlobalHeckeElement, LocalHeckeElement
 from treeamp.orbits import OrbitKind, OrbitModel
@@ -50,10 +49,6 @@ FROZEN = {
                    "OrbitModel(kind=<OrbitKind.MULTIPLICATIVE: 'torus'>, index_multiplier=2)"),
     "SpectrumModel": (lambda: SpectrumModel.tempered(7), (SpectrumKind.TEMPERED_RANDOM, 7),
                       "SpectrumModel(kind=<SpectrumKind.TEMPERED_RANDOM: 'tempered'>, seed=7)"),
-    "LocalChoice": (lambda: LocalChoice(5, 2, 4, Fraction(-30), -1, True),
-                    (5, 2, 4, Fraction(-30), -1, True),
-                    "LocalChoice(prime=5, j=2, ell=4, lam=Fraction(-30, 1), phase=-1, "
-                    "guarantee_met=True)"),
 }
 
 # constructor arguments each class's checks reject
@@ -68,9 +63,8 @@ TAMPERED = {
     "GlobalHeckeElement": (GlobalHeckeElement, (((((5, 0),), 1),),)),
     "OrbitModel": (OrbitModel, (OrbitKind.SL2, 0)),
     "SpectrumModel": (SpectrumModel, ("explicit", 0)),
-    # the classes without checks of their own refuse only a wrong field count
+    # GaussInt, without checks of its own, refuses only a wrong field count
     "GaussInt": (GaussInt, (1,)),
-    "LocalChoice": (LocalChoice, (5, 2, 4, Fraction(-30), -1, True, None)),
 }
 
 
