@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the recorded CLI reports and amplifier sweeps under other Python interpreters.
+"""Check the recorded CLI reports, amplifier sweeps and split densities under other Pythons.
 
 Usage: check_pythons.py PYTHON [PYTHON ...]
 
@@ -10,9 +10,12 @@ exit code and the sha256 of each report on stdout with
 perfbench/expected.json, which it only reads.  It also runs the two
 seed-0 configurations of perfbench's amplifier_sweep (trivial/sl2 and
 tempered/torus, Q = 400 ... 12800) under each interpreter, and compares
-every window with its recorded values through perfbench's own check.  The reports pin CPython
-behaviour, such as the draws of random.Random, so every supported
-Python must give the same bytes and the same windows.  As denom-check's
+every window with its recorded values through perfbench's own check,
+and computes splitting.empirical_density at the six (polynomial, limit)
+pairs of perfbench's split_density and compares each fraction with its
+record.  The reports pin CPython behaviour, such as the draws of
+random.Random, so every supported Python must give the same bytes, the
+same windows and the same fractions.  As denom-check's
 report holds only verdicts, it also runs that suite in process with a
 random.Random that logs every getrandbits and random result, and
 compares the count, the sha256 and the first values of those results
@@ -20,9 +23,9 @@ with tests/denom_draws.json, which is that probe's output under the
 interpreter that recorded it.
 
 Prints one line per mismatch, then a summary line that counts each
-sweep and the draw record as one report each.  Exits 0 when everything
-matches, 1 on any mismatch, and 2 with one stderr line when no
-interpreter is given.
+sweep, the draw record and the six fractions as one report each.  Exits
+0 when everything matches, 1 on any mismatch, and 2 with one stderr line
+when no interpreter is given.
 Uses the standard library and treeamp.cli only.
 """
 
@@ -61,6 +64,17 @@ print(json.dumps({"argv": " ".join(argv), "results": len(results), "first": resu
                   "sha256": hashlib.sha256(repr(results).encode()).hexdigest()}))
 """
 DRAWS_RECORD = ROOT / "tests" / "denom_draws.json"
+# prints its name, then one line per (polynomial, limit) of the record in argv[1]
+# whose density differs
+DENSITY = """import json, sys
+from treeamp.splitting import empirical_density, parse_poly
+print("split_density fractions")
+for text, limits in json.loads(sys.argv[1]).items():
+    for limit, want in limits.items():
+        x = empirical_density(parse_poly(text), int(limit))
+        if f"{x.numerator}/{x.denominator}" != want:
+            print(f"{text} limit={limit}: {x.numerator}/{x.denominator}, recorded {want}")
+"""
 
 
 def run(python: str, args: list[str], what: str, *path: Path):
@@ -87,11 +101,11 @@ def mismatch(python: str, argv: list[str], recorded: dict) -> str | None:
     return None
 
 
-def sweep_mismatch(python: str, index: int) -> str | None:
-    """None when amplifier_sweep configuration `index` reproduces every recorded
-    window, else why not."""
-    what = f"amplifier_sweep configuration {index}"
-    proc = run(python, ["-c", SWEEP, str(index)], what, ROOT / "src", ROOT / "perfbench")
+def probe_mismatch(python: str, what: str, args: list[str], *path: Path) -> str | None:
+    """None when a probe that prints its name, then one line per value that
+    differs from its record (SWEEP, DENSITY), exits 0 with its name alone,
+    else why not."""
+    proc = run(python, args, what, *path)
     if isinstance(proc, str):
         return proc
     if proc.returncode != 0:
@@ -120,10 +134,16 @@ def main() -> int:
     if not pythons or any(arg.startswith("-") for arg in pythons):
         sys.stderr.write("check_pythons.py: error: usage: check_pythons.py PYTHON [PYTHON ...]\n")
         return 2
-    recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())["cli_suites"]
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    recorded = expected["cli_suites"]
     jobs = [(mismatch, python, argv, recorded) for python in pythons for argv in SUITES.values()]
-    jobs += [(sweep_mismatch, python, index) for python in pythons for index in SWEEPS]
+    jobs += [(probe_mismatch, python, f"amplifier_sweep configuration {index}",
+              ["-c", SWEEP, str(index)], ROOT / "src", ROOT / "perfbench")
+             for python in pythons for index in SWEEPS]
     jobs += [(draws_mismatch, python) for python in pythons]
+    jobs += [(probe_mismatch, python, "split_density fractions",
+              ["-c", DENSITY, json.dumps(expected["split_density"])], ROOT / "src")
+             for python in pythons]
     with ThreadPoolExecutor(max_workers=2) as pool:
         found = [m for m in pool.map(lambda job: job[0](*job[1:]), jobs) if m]
     for line in found:

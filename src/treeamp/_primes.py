@@ -2,6 +2,7 @@
 tree subcommands load it without the split filter of ``splitting``."""
 
 from functools import lru_cache
+from operator import index
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
@@ -50,8 +51,20 @@ def cached_is_prime(n: int) -> bool:
     return is_prime(n)
 
 
-@lru_cache(maxsize=None)  # a failed check raises, so only primes are cached
 def check_prime(p: int) -> None:
-    """The one prime precondition: ValueError unless p is prime."""
+    """The one prime precondition: ValueError unless p is a prime integer.
+
+    p goes through operator.index before the cache, which keys 7.0 and 7
+    alike, so a float is refused even when it equals a cached prime.
+    """
+    try:
+        n = index(p)
+    except TypeError:
+        raise ValueError(f"p must be prime, got {p!r}") from None
+    _check_prime(n)
+
+
+@lru_cache(maxsize=None)  # a failed check raises, so only primes are cached
+def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

@@ -5,23 +5,23 @@ x^p = x in Z[x]/(f, p), that is, when f divides x^p - x mod p.  Since
 x^p - x is squarefree, this already fails at every prime dividing
 disc(f), so no separate discriminant test is needed.
 
-The filter maps the sieve's byte table over [lo, hi], built in
-O(hi - lo + sqrt(hi)) steps of C, to a byte mask of the split primes.
-Quadratics and binomials x^d + c0 reduce to y^d = a: x^2 + bx + c to
-y^2 = b^2 - 4c with y = 2x + b, and x^d + c0 to y^d = -c0.  For p not
-dividing d, F_p^* is cyclic of order p - 1, so y^d = a has d distinct
-roots exactly when p does not divide a, d divides p - 1 and
-a^((p-1)/d) = 1 mod p.  A binomial with d >= 3 never splits at 2 or at
-p | d, where y^d - a is inseparable, so it reads the (hi - lo)/lcm(2, d)
-offsets p = 1 mod lcm(2, d) and makes one modular power per prime there.
-
-A quadratic takes min(4|a|, #primes) decisions, one per class of p mod
-4|a|: by quadratic reciprocity (a/p) depends only on that class for odd
-p not dividing a, and a class sharing a factor with 4a holds at most one
-prime.  A class is decided at its first prime, by the modular power or,
-at p = 2 where y = 2x + b is not a change of variable (x^2 + x splits
-there), by the Frobenius test.  a = 0 never splits.  Every other
-polynomial takes one Frobenius test per prime.
+The sieve's table over [lo, hi] holds one byte per odd number, built in
+O((hi - lo)/2 + sqrt(hi)) steps of C; the filter maps it to a byte mask
+of the odd split primes and decides p = 2 apart: degree 1 splits there,
+a binomial of degree d >= 3 does not, and any other f takes the
+Frobenius test (x^2 + x splits at 2, x^2 + 1 does not).  Quadratics and
+binomials x^d + c0 reduce to y^d = a: x^2 + bx + c to y^2 = b^2 - 4c
+with y = 2x + b, and x^d + c0 to y^d = -c0.  For p not dividing d, F_p^*
+is cyclic of order p - 1, so y^d = a has d distinct roots exactly when p
+does not divide a, d divides p - 1 and a^((p-1)/d) = 1 mod p.  So a
+binomial with d >= 3, which never splits at p | d, reads only the p = 1
+mod lcm(2, d), a stride of lcm(2, d)/2 in the table.  For a quadratic,
+by quadratic reciprocity (a/p) depends only on the class of odd p mod
+4|a|, a stride of 2|a|, when p does not divide a, and a class sharing a
+factor with a holds at most one prime; so each class is decided at its
+first prime by the modular power and, if it splits, copied into the mask
+in one slice.  a = 0 never splits.  Every other polynomial takes one
+Frobenius test per prime.
 """
 
 from __future__ import annotations
@@ -48,34 +48,32 @@ __all__ = [
 MAX_DEGREE = 8  # parse_poly refuses higher degrees before building coefficients
 
 
-def _prime_table(lo: int, hi: int) -> bytearray:
-    """Segmented sieve for 2 <= lo: byte i is 1 iff lo + i is prime.
-
-    O(hi - lo + sqrt(hi)) time and memory, so a narrow window far above
-    10^14 pays mostly for the base sieve of the primes up to isqrt(hi).
+def _prime_table(lo: int, hi: int) -> tuple[int, bytearray]:
+    """Segmented sieve over odd numbers: o, the first odd number >= max(lo, 3),
+    and a table whose byte i is 1 iff o + 2i <= hi is prime.  Each base prime
+    p, from the same sieve up to isqrt(hi), crosses off its odd multiples from
+    max(p^2, o) in one slice of stride p.  O((hi - lo)/2 + sqrt(hi)) time and
+    memory, so a narrow window far above 10^14 pays mostly for the base sieve.
     """
-    if hi < lo:
-        return bytearray()
-    base = _prime_table(2, isqrt(hi))
-    table = bytearray([1]) * (hi - lo + 1)
-    for p in compress(range(2, len(base) + 2), base):
-        start = max(p * p, -(-lo // p) * p) - lo
+    o = max(lo, 3) | 1
+    if hi < o:
+        return o, bytearray()
+    base = _prime_table(3, isqrt(hi))[1]
+    table = bytearray([1]) * ((hi - o) // 2 + 1)
+    for p in compress(range(3, 2 * len(base) + 3, 2), base):
+        start = (max(p * p, (-(-o // p) | 1) * p) - o) // 2
         table[start:: p] = bytes(len(range(start, len(table), p)))
-    return table
+    return o, table
 
 
-def _primes_of(lo: int, table: bytes) -> list[int]:
-    """Each lo + i whose byte i is set, ascending; reads 2 and odd offsets only."""
-    odd = (lo + 1) % 2
-    out = [2] if lo == 2 and table[:1] == b"\x01" else []
-    out += compress(range(lo + odd, lo + len(table), 2), table[odd::2])
-    return out
+def _primes_of(o: int, table: bytes) -> list[int]:
+    """Each o + 2i whose byte i is set, ascending."""
+    return list(compress(range(o, o + 2 * len(table), 2), table))
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi], ascending, by one segmented sieve."""
-    lo = max(lo, 2)
-    return _primes_of(lo, _prime_table(lo, hi))
+    return [2] * (lo <= 2 <= hi) + _primes_of(*_prime_table(lo, hi))
 
 
 class IntPoly(Value):
@@ -205,74 +203,75 @@ def _polmulmod(u: list[int], v: list[int], f: list[int], p: int, deg: int) -> li
 
 
 def _quadratic_class_splits(coeffs: tuple[int, ...], a: int, p: int) -> bool:
-    """Whether x^2 + bx + c, with a = b^2 - 4c != 0, splits at p and so
-    at every prime congruent to p mod 4|a|."""
+    """Whether x^2 + bx + c, with a = b^2 - 4c, splits at p: by the Frobenius
+    test at 2, and at odd p by (a/p) = 1, alike for every prime = p mod 4|a|."""
     return _frobenius_fixes_x(coeffs, p) if p == 2 else pow(a, (p - 1) // 2, p) == 1
 
 
-def _split_filter(f: IntPoly, lo: int, table: bytes) -> bytearray:
-    """Byte mask, over a prime table at lo, of the primes where f splits.
+def _split_filter(f: IntPoly, o: int, table: bytes) -> tuple[bool, bytearray]:
+    """Whether f splits at 2, and the byte mask, over a prime table of odd
+    numbers from o, of the odd primes where f splits.
 
     The only place that checks f is monic and decides splitting.  Costs
-    beyond the sieve: a quadratic, min(4|a|, #primes) decisions, with one
-    slice clearing each failed class of p mod 4|a|; a binomial of degree
-    d >= 3, (hi - lo)/lcm(2, d) candidates and one pow per p = 1 mod d;
-    any other f, one Frobenius test x^p = x mod (f, p) per prime.
+    beyond the sieve: a quadratic, one pow per class of odd p mod 4|a| that
+    holds a prime and one slice per class that splits; a binomial of
+    degree d >= 3, (hi - lo)/lcm(2, d) candidates, one pow each, and none
+    at 2; any other f, one Frobenius test x^p = x mod (f, p) per prime.
     """
     if not f.is_monic():
         raise ValueError(f"splitting test requires a monic polynomial, got {f}")
-    coeffs, d = f.coeffs, f.degree()
+    coeffs, d, n = f.coeffs, f.degree(), len(table)
     if d == 1:
-        return bytearray(table)
-    mask = bytearray(len(table))
+        return True, bytearray(table)
+    mask = bytearray(n)
     if d == 2:
         a = coeffs[1] * coeffs[1] - 4 * coeffs[0]
-        m, n = 4 * abs(a), len(table)
-        if a:
-            # todo holds the primes whose class is still undecided; i is
-            # the first prime of its class, so only later ones are cleared
-            mask, todo = bytearray(table), bytearray(table)
-            i = todo.find(1)
-            while i >= 0:
-                if not _quadratic_class_splits(coeffs, a, lo + i):
-                    mask[i::m] = bytes((n - 1 - i) // m + 1)
-                if i + m < n:
-                    todo[i + m::m] = bytes((n - 1 - i) // m)
-                i = todo.find(1, i + 1)
-        return mask
+        # class i holds the offsets i, i + m, ...: none when a = 0, and one
+        # each when m >= n, so then only the primes are read
+        m = 2 * abs(a)
+        for i in range(m) if m < n else compress(range(n), table):
+            cls = table[i::m]
+            k = cls.find(1)  # the class's first prime decides it
+            if k >= 0 and _quadratic_class_splits(coeffs, a, o + 2 * (i + k * m)):
+                mask[i::m] = cls
+        return _quadratic_class_splits(coeffs, a, 2), mask
     if not any(coeffs[1:-1]):
         a, step = -coeffs[0], lcm(2, d)
-        first = (1 - lo) % step  # the offset of the first p = 1 mod step
-        split = [p for p in compress(range(lo + first, lo + len(table), step), table[first::step])
-                 if pow(a, p // d, p) == 1]
-    else:
-        split = [p for p in _primes_of(lo, table) if _frobenius_fixes_x(coeffs, p)]
-    for p in split:
-        mask[p - lo] = 1
-    return mask
+        first = (1 - o) % step // 2  # the offset of the first p = 1 mod lcm(2, d)
+        candidates = compress(range(o + 2 * first, o + 2 * n, step), table[first::step // 2])
+        for p in [p for p in candidates if pow(a, p // d, p) == 1]:
+            mask[(p - o) // 2] = 1
+        return False, mask
+    for i in compress(range(n), table):
+        mask[i] = _frobenius_fixes_x(coeffs, o + 2 * i)
+    return _frobenius_fixes_x(coeffs, 2), mask
 
 
 def splits_completely(f: IntPoly, p: int) -> bool:
     """True iff f factors into deg(f) distinct linear factors mod p.
 
     Primes dividing disc(f) give False; non-primes raise ValueError.
-    The filter runs on a one-byte table at p, so p is never sieved.
+    An odd p is filtered on a one-byte table at p, so p is never sieved.
     """
     check_prime(p)
-    return _split_filter(f, p, b"\x01") == b"\x01"
+    if p == 2:
+        return _split_filter(f, 3, b"")[0]
+    return _split_filter(f, p, b"\x01")[1] == b"\x01"
 
 
 def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi] where f splits completely, ascending."""
     if lo > hi:
         raise ValueError("empty range")
-    lo = max(lo, 2)
-    return _primes_of(lo, _split_filter(f, lo, _prime_table(lo, hi)))
+    o, table = _prime_table(lo, hi)
+    two, mask = _split_filter(f, o, table)
+    return [2] * (two and lo <= 2 <= hi) + _primes_of(o, mask)
 
 
 def empirical_density(f: IntPoly, limit: int) -> Fraction:
     """Fraction of primes up to limit where f splits completely."""
     if limit < 100:
         raise ValueError("limit must be >= 100")
-    table = _prime_table(2, limit)
-    return Fraction(_split_filter(f, 2, table).count(1), table.count(1))
+    o, table = _prime_table(2, limit)
+    two, mask = _split_filter(f, o, table)
+    return Fraction(mask.count(1) + two, table.count(1) + 1)

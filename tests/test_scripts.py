@@ -130,11 +130,12 @@ def test_run_all_checks_writes_every_recorded_report(tmp_path, on_path):
 
 def test_check_pythons_matches_every_recorded_report_on_every_supported_python(
         supported_pythons):
-    # eight CLI suites, two amplifier sweeps and the denom-check draws per interpreter
+    # eight CLI suites, two amplifier sweeps, the denom-check draws and the
+    # six split_density fractions per interpreter
     pythons = supported_pythons
     proc = run_script("check_pythons.py", *pythons)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    n = 11 * len(pythons)
+    n = 12 * len(pythons)
     assert proc.stdout.splitlines() == [f"{n} of {n} reports match under "
                                         f"{len(pythons)} interpreter(s)"]
 
@@ -146,11 +147,12 @@ def test_check_pythons_reports_each_mismatch(tmp_path):
     proc = run_script("check_pythons.py", str(fake))
     assert proc.returncode == 1
     *lines, summary = proc.stdout.splitlines()
-    assert len(lines) == 11 and all(line.startswith(f"{fake}: ") for line in lines)
+    assert len(lines) == 12 and all(line.startswith(f"{fake}: ") for line in lines)
     assert all(line.endswith(", recorded 0") for line in lines[:8])
     assert lines[8:] == [f"{fake}: amplifier_sweep configuration {i}: exit 3, expected 0"
-                         for i in (0, 1)] + [f"{fake}: denom-check draws: exit 3, expected 0"]
-    assert summary == "0 of 11 reports match under 1 interpreter(s)"
+                         for i in (0, 1)] + [f"{fake}: denom-check draws: exit 3, expected 0",
+                                             f"{fake}: split_density fractions: exit 3, expected 0"]
+    assert summary == "0 of 12 reports match under 1 interpreter(s)"
 
 
 def test_check_pythons_catches_a_drifted_generator(tmp_path):
@@ -178,7 +180,34 @@ def test_check_pythons_catches_a_drifted_generator(tmp_path):
     ]
     assert "amplifier tempered seed=42 torus Q=400: differs from the record in " in lines[1]
     assert lines[2].endswith(": differ from tests/denom_draws.json in results, first, sha256")
-    assert summary == "8 of 11 reports match under 1 interpreter(s)"
+    assert summary == "9 of 12 reports match under 1 interpreter(s)"
+
+
+def test_check_pythons_catches_a_drifted_density(tmp_path):
+    # an interpreter whose densities have a numerator one too small:
+    # the two split-density suites and the six fractions differ, the rest match
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "from fractions import Fraction\n"
+        "from treeamp import splitting\n"
+        "density = splitting.empirical_density\n"
+        "def drifted(f, limit):\n"
+        "    x = density(f, limit)\n"
+        "    return Fraction(x.numerator - 1, x.denominator)\n"
+        "splitting.empirical_density = drifted\n")
+    fake = tmp_path / "python"
+    fake.write_text(f'#!/bin/sh\nPYTHONPATH="{site}:$PYTHONPATH" exec {sys.executable} "$@"\n')
+    fake.chmod(0o755)
+    proc = run_script("check_pythons.py", str(fake))
+    assert proc.returncode == 1
+    *lines, summary = proc.stdout.splitlines()
+    assert [line.split(": ")[1] for line in lines] == [
+        " ".join(SUITES["split-density-quad"]), " ".join(SUITES["split-density-cube"]),
+        "split_density fractions"]
+    assert lines[2].count(", recorded ") == 6
+    assert "x^3-2 limit=1000000: 723/4361, recorded 724/4361" in lines[2]
+    assert summary == "9 of 12 reports match under 1 interpreter(s)"
 
 
 def test_check_pythons_needs_an_interpreter():

@@ -1,12 +1,15 @@
+import json
+import tracemalloc
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeamp import _primes, splitting, tree
+from treeamp import _primes, amplifier, hecke, orbits, splitting, tree
 from treeamp.splitting import (
     MAX_DEGREE,
     IntPoly,
@@ -18,6 +21,8 @@ from treeamp.splitting import (
     splits_completely,
 )
 from treeamp.splitting import _frobenius_fixes_x
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # x^3-3x+2 = (x-1)^2 (x+2) has discriminant 0 and never splits;
 # x^2+x splits at 2, where y = 2x + 1 is not a change of variable;
@@ -176,6 +181,33 @@ class TestPrimality:
     def test_primes_in_matches_sieve(self):
         assert primes_in(90, 110) == [97, 101, 103, 107, 109]
 
+    def test_check_prime_refuses_a_float_equal_to_a_prime(self):
+        # the prime checks' cache keys 10007.0 and 10007 alike, so each
+        # entry point takes the float before and after the integer is cached
+        entry_points = [
+            _primes.check_prime,
+            tree.root,
+            lambda p: tree.TreeVertex(p, ()),
+            lambda p: tree.sphere_size(p, 2),
+            lambda p: next(tree.iter_sphere(p, 0)),
+            lambda p: amplifier.pick_local(p, 0),
+            lambda p: hecke.LocalHeckeElement(p, ((0, 1),)),
+            lambda p: hecke.EigenvalueSequence(p, ()),
+            lambda p: hecke.GlobalHeckeElement(((((p, 2),), 1),)),
+            lambda p: orbits.orbit_intersect_one_sided(orbits.OrbitModel(orbits.OrbitKind.SL2),
+                                                       p, 1),
+            lambda p: splits_completely(parse_poly("x^2+1"), p),
+        ]
+        _primes._check_prime.cache_clear()
+        for cached in (0, 1):
+            assert _primes._check_prime.cache_info().currsize == cached
+            for call in entry_points:
+                with pytest.raises(ValueError, match=r"p must be prime, got 10007\.0"):
+                    call(10007.0)
+            for call in entry_points:
+                call(10007)
+        assert tree.sphere_size(10007, 2) == 10008 * 10007
+
 
 def next_prime(n: int) -> int:
     return next(m for m in count(n) if is_prime(m))
@@ -190,6 +222,26 @@ WINDOW_LO = st.one_of(
               st.integers(0, 1000)),
     st.integers(10 ** 7, 10 ** 10),
 )
+
+
+# [lo, hi] with lo in [-5, 10^6] and hi - lo in [0, 2500]; the examples
+# hold 2 alone, 1 to 3, the first odd prime, an even number, odd squares
+# (where a base prime's crossing off starts) and an even lo
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-5, 10 ** 6).flatmap(lambda lo: st.tuples(st.just(lo),
+                                                             st.integers(lo, lo + 2500))))
+@example((2, 2))
+@example((1, 3))
+@example((3, 3))
+@example((4, 4))
+@example((9, 9))
+@example((25, 25))
+@example((961, 961))
+@example((1000, 1100))
+@example((-5, -5))
+def test_odd_table_matches_miller_rabin(window):
+    lo, hi = window
+    assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,7 +347,8 @@ def test_quadratic_decided_once_per_class(monkeypatch):
 @pytest.mark.parametrize("text", ["x^2+1", "x^2+7", "x^2+1000003"])
 def test_quadratic_decides_each_class_at_its_first_prime(monkeypatch, text):
     # one decision per class of p mod 4|a| that holds a prime, at that
-    # prime: 4|a| = 16, 112, 4000012 against the 1229 primes below 10^4
+    # prime, in any order: 4|a| = 16, 112, 4000012 against the 1229 primes
+    # below 10^4; the class of 2 is decided by the Frobenius test
     f = parse_poly(text)
     a = f.coeffs[1] ** 2 - 4 * f.coeffs[0]
     m = 4 * abs(a)
@@ -311,7 +364,7 @@ def test_quadratic_decides_each_class_at_its_first_prime(monkeypatch, text):
 
     monkeypatch.setattr(splitting, "_quadratic_class_splits", counted)
     empirical_density(f, 10 ** 4)
-    assert calls == sorted(first.values())
+    assert sorted(calls) == sorted(first.values())
 
 
 @st.composite
@@ -356,9 +409,11 @@ def test_window_matches_frobenius(case):
             split_primes_in(f, lo, hi)
     else:
         assert split_primes_in(f, lo, hi) == expected
-    table = splitting._prime_table(max(lo, 2), hi)
-    assert table.count(1) == len(primes)
-    assert splitting._split_filter(f, max(lo, 2), table).count(1) == len(expected)
+    # the table holds the odd numbers, and the filter reports 2 apart
+    o, table = splitting._prime_table(lo, hi)
+    assert table.count(1) == len([p for p in primes if p > 2])
+    two, mask = splitting._split_filter(f, o, table)
+    assert mask.count(1) + (two and 2 in primes) == len(expected)
 
 
 def refuse(*args):
@@ -403,6 +458,28 @@ def test_splits_completely_never_sieves(monkeypatch):
     for text in ("x^2+1", "x^3-2"):
         f = parse_poly(text)
         assert splits_completely(f, p) == _frobenius_fixes_x(f.coeffs, p)
+
+
+# p = 2 is decided apart from the odd table: degree 1 splits, a quadratic
+# takes the Frobenius test, a binomial of degree >= 3 never splits and
+# makes no Frobenius call, and any other polynomial takes the test
+@pytest.mark.parametrize("text,splits,frobenius_at", [
+    ("x-1", True, set()), ("x^2+x", True, {2}), ("x^2+1", False, {2}),
+    ("x^3-2", False, set()), ("x^3+x+1", False, {2})])
+def test_splits_at_two(monkeypatch, text, splits, frobenius_at):
+    f = parse_poly(text)
+    assert (f.discriminant() % 2 != 0 and root_count(f, 2) == f.degree()) == splits
+    fixes = splitting._frobenius_fixes_x
+    calls = set()
+
+    def counted(coeffs, p):
+        calls.add(p)
+        return fixes(coeffs, p)
+
+    monkeypatch.setattr(splitting, "_frobenius_fixes_x", counted)
+    assert splits_completely(f, 2) == splits
+    assert split_primes_in(f, 2, 2) == [2] * splits
+    assert calls == frobenius_at
 
 
 class TestSplitPrimesIn:
@@ -450,6 +527,29 @@ class TestEmpiricalDensity:
     def test_limit_floor(self):
         with pytest.raises(ValueError):
             empirical_density(parse_poly("x^2+1"), 50)
+
+    def test_matches_the_benchmark_record(self):
+        # every (polynomial, limit) pair that perfbench's split_density checks
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        pairs = [(text, limit, want) for text, by_limit in recorded["split_density"].items()
+                 for limit, want in by_limit.items()]
+        assert len(pairs) == 6
+        for text, limit, want in pairs:
+            assert empirical_density(parse_poly(text), int(limit)) == Fraction(want), (text, limit)
+
+    @pytest.mark.parametrize("text", ["x^2+1", "x^3-2"])
+    def test_memory_peak_at_a_million(self, text):
+        # the odd table and its mask take 250 kB each at 10^6, and the 13,032
+        # split primes of x^3-2 about 0.5 MB as a list; a byte per integer,
+        # 1 MB a copy, would not fit
+        f = parse_poly(text)
+        tracemalloc.start()
+        try:
+            empirical_density(f, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10 ** 6
 
     @pytest.mark.slow
     @pytest.mark.parametrize("text,expected", [
