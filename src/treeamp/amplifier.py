@@ -8,9 +8,10 @@ tau1 = (sum zeta_p h_p) * (...)^* less its identity value, and returns
 the kept picks as integer tuples with the report: the eigenvalue Lambda,
 the sup norm, the spectral defect, the orbit intersection count and the
 ratios used for trend checks.  scaling_sweep runs it once per Q.  Each
-report value is a closed form in the squares h_p * h_p, read off
-tree.convolution_count; hecke.convolve and the expanded tau
-(hecke.global_assemble) are the test oracles.
+report value is a closed form in the squares h_p * h_p; hecke.convolve and
+the expanded tau (hecke.global_assemble) are the test oracles.  The public
+functions check their inputs once; the window reads the unchecked kernels
+_pick and tree._convolution_count on primes the sieve has proved.
 """
 
 from __future__ import annotations
@@ -89,10 +90,11 @@ class SpectrumModel(Value):
         """Each prime's seed eigenvalue as an unreduced (numerator, denominator > 0)."""
         if self.kind is SpectrumKind.TRIVIAL:
             return [(p * (p + 1), 1) for p in primes]
-        rng, seed, out = _generator.rng, self.seed, []
+        rng, prefix, out = _generator.rng, f"{self.seed}:", []
+        reseed, bits = rng.seed, rng.getrandbits
         for p in primes:
-            rng.seed(f"{seed}:{p}")
-            while (r := rng.getrandbits(13)) >= 6001:  # rng.randint(-3000, 3000), minus its calls
+            reseed(f"{prefix}{p}")
+            while (r := bits(13)) >= 6001:  # rng.randint(-3000, 3000), minus its calls
                 pass
             out.append(((r - 3000) * p, 1000))  # the step p/1000 keeps the arithmetic exact
         return out
@@ -169,11 +171,6 @@ def pick_local(p: int, lambda_p) -> tuple[int, int, int, bool]:
     return _pick(p, seed.numerator, seed.denominator)
 
 
-def _local_square(p: int, ell: int) -> list[int]:
-    """h * h for the radius-ell indicator h at p, as N(ell, ell, r) at index r/2."""
-    return [tree.convolution_count(p, ell, ell, r) for r in range(0, 2 * ell + 1, 2)]
-
-
 class AmplifierReport(Value):
     """One amplifier window, unhashable as verdicts is a dict; the CLI reports all but verdicts."""
 
@@ -196,9 +193,11 @@ def build_amplifier(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
     [Q, 2Q], and the report on them.
 
     Each split prime costs one integer seed from spectrum.seeds and one
-    _pick.  tau is never expanded: same-prime terms put s_p = h_p * h_p on
-    one-prime points and cross terms put 2 zeta_p zeta_q on one point per
-    pair, so each report value is a closed form in the s_p.  Lambda =
+    _pick, and each kept prime ell + 1 kernel reads for its square
+    s_p = h_p * h_p, N(ell, ell, r) at index r/2, held by radius.  tau is
+    never expanded: same-prime terms put s_p on one-prime points and cross
+    terms put 2 zeta_p zeta_q on one point per pair, so each report value
+    is a closed form in the s_p.  Lambda =
     (sum |lambda_p|)^2 - tau1(1) is summed as integers over the lcm of the
     eigenvalue denominators, and only Lambda is a Fraction.  norm_inf is
     the largest off-origin value of the s_p: the cross points, of absolute
@@ -232,26 +231,28 @@ def build_amplifier(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
     j = 1 if len(by_j[1]) >= len(by_j[2]) else 2
     ell, kept = 2 * j, by_j[j]  # nonempty: at least two primes were picked
     kept_primes = [k[0] for k in kept]
-    squares = [_local_square(p, ell) for p in kept_primes]
-    tau1_at_identity = sum(s[0] for s in squares)
+    count = tree._convolution_count  # column k holds every s_p at radius 2k
+    columns = [[count(p, ell, ell, r) for p in kept_primes] for r in range(0, 2 * ell + 1, 2)]
+    tau1_at_identity = sum(columns[0])
     c_tau = tau1_at_identity  # tau1 is self-adjoint
     den = math.lcm(*{k[3] for k in kept})
-    lam_sum = sum(abs(num) * (den // d) for _, _, num, d, _ in kept)
+    lam_sum = sum([abs(num) * (den // d) for _, _, num, d, _ in kept])
     Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
     n = len(kept)
-    ninf = max(max(s[1:]) for s in squares)
-    intersections = orbits.count_global_intersections(orbit, squares)
+    ninf = max(map(max, columns[1:]))
+    intersections = orbits.count_global_intersections(orbit, list(zip(*columns)))
     lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
     ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
     ratio_positivity = c_tau / Lambda_f if lambda_positive else math.inf
 
     # Each verdict checks a report value against an independent formula:
-    # h_p * h_p at the origin is the sphere size, and its largest
-    # off-origin value, at radius 2, is (p - 1) p^(2j - 2).
+    # h_p * h_p at the origin is the sphere size (p + 1) p^(ell - 1), and
+    # its largest off-origin value, at radius 2, is (p - 1) p^(ell - 2).
     verdicts = {
         "lambda_positive": lambda_positive,
-        "identity_removed": tau1_at_identity == sum(tree.sphere_size(p, ell) for p in kept_primes),
-        "norm_inf_decomposition": ninf == max((p - 1) * p ** (ell - 2) for p in kept_primes),
+        "identity_removed":
+            tau1_at_identity == sum([(p + 1) * p ** (ell - 1) for p in kept_primes]),
+        "norm_inf_decomposition": ninf == max([(p - 1) * p ** (ell - 2) for p in kept_primes]),
         "intersection_bound": intersections <= 2 * orbit.index_multiplier * n * (n + ell - 1),
     }
     logq = math.log(Q)

@@ -99,11 +99,11 @@ def convolve(f: LocalHeckeElement, g: LocalHeckeElement) -> LocalHeckeElement:
     if max(top) > MAX_RADIUS:
         raise ValueError(f"input radius {max(top)} exceeds the cap {MAX_RADIUS}")
     out = [0] * (sum(top) // 2 + 1)
-    for a, ca in f.coeffs:
+    for a, ca in f.coeffs:  # both elements were checked when built: read the kernel
         for b, cb in g.coeffs:
             w = ca * cb
             for r in range(abs(a - b), a + b + 1, 2):
-                out[r // 2] += w * tree.convolution_count(p, a, b, r)
+                out[r // 2] += w * tree._convolution_count(p, a, b, r)
     return LocalHeckeElement(p, tuple((2 * k, c) for k, c in enumerate(out) if c))
 
 

@@ -58,7 +58,7 @@ class OrbitModel(Value):
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     """Closed-form count of orbit points inside a one-sided support."""
     check_prime(p)
-    if j < 1:
+    if integer(j, "j") < 1:
         raise ValueError("j must be >= 1")
     if model.kind is OrbitKind.SL2:
         return 0
@@ -84,40 +84,27 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
     tested against the definition of the radius-2j one-sided support,
     sphere x {root}.  At j = 0 that is the identity coset {(root, root)}.
     """
+    j = integer(j, "j")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-
-    def in_support(left: tree.TreeVertex, right: tree.TreeVertex) -> bool:
-        return right.is_root() and left.depth() == 2 * j
-
-    if model.kind is OrbitKind.SL2:
-        # diagonal orbit: all (v, v) within the ball
-        base = sum(
-            1
-            for r in range(2 * j + 1)
-            for v in tree.iter_sphere(p, r)
-            if in_support(v, v)
-        )
+    if model.kind is OrbitKind.SL2:  # the diagonal orbit: all (v, v) within the ball
+        orbit = ((v, v) for r in range(2 * j + 1) for v in tree.iter_sphere(p, r))
     else:
         apartment = _apartment_points(p, 2 * j)
-        base = sum(
-            1
-            for left in apartment
-            for right in apartment
-            if in_support(left, right)
-        )
-    return base * model.index_multiplier
+        orbit = ((left, right) for left in apartment for right in apartment)
+    hits = sum(1 for left, right in orbit if right.is_root() and left.depth() == 2 * j)
+    return hits * model.index_multiplier
 
 
-def count_global_intersections(model: OrbitModel, squares: list[list[int]]) -> int:
+def count_global_intersections(model: OrbitModel, squares: list[tuple[int, ...]]) -> int:
     """Orbit points inside the support of the amplifier tau, from its local squares.
 
-    Each h_p * h_p is its list of coefficients at index r/2.  Off the
+    Each h_p * h_p is its sequence of coefficients at index r/2.  Off the
     identity, tau lives on their nonzero positive radii and on one point
     per pair of primes; the torus orbit meets these twice and 2 * 2 times,
     and the finite-index multiplier scales each support point once.
     """
     if model.kind is OrbitKind.SL2:
         return 0
-    one_prime = sum(1 for s in squares for c in s[1:] if c)
+    one_prime = sum([len(s) - 1 - s[1:].count(0) for s in squares])
     return model.index_multiplier * (2 * one_prime + 4 * math.comb(len(squares), 2))

@@ -7,14 +7,15 @@ adjacent exactly when one word extends the other by a single digit.
 This is the vertex set of the Bruhat-Tits tree of SL2(Qp) with the
 root playing the role of the standard maximal compact subgroup.
 Spheres are streamed by iter_sphere and never held as sets; callers
-bound their size with sphere_size.
+bound their size with sphere_size.  Each public function checks its input.
 
 The structure constants of the spherical Hecke algebra are path counts
 in closed form: the vertices z on the sphere of radius a around the
 root o that lie at distance b from a fixed vertex y on the sphere of
 radius r all leave the geodesic from o to y at the same branch point,
 at distance m = (a + r - b)/2 from o, and are counted by the
-directions out of it (convolution_count).
+directions out of it: the cached kernel _convolution_count, which
+callers with checked inputs read, behind the checked convolution_count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ __all__ = [
 
 
 def check_even_radius(r: int) -> None:
-    """The one even-radius precondition of the Hecke algebra."""
+    """The one even-radius precondition of the Hecke algebra; r is taken by operator.index."""
+    r = integer(r, "radius")
     if r < 0 or r % 2 != 0:
         raise ValueError(f"radius must be even and nonnegative, got {r}")
 
@@ -84,6 +86,7 @@ def iter_sphere(p: int, r: int):
     """Stream all vertices at distance exactly r from the root, built without
     TreeVertex's digit check: each word is a no-backtrack string by construction."""
     check_prime(p)
+    r = integer(r, "radius")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:
@@ -109,8 +112,19 @@ def distance(v: TreeVertex, w: TreeVertex) -> int:
     return len(v.word) + len(w.word) - 2 * lcp
 
 
-@lru_cache(maxsize=None)
 def convolution_count(p: int, a: int, b: int, r: int) -> int:
+    """The checked entry of _convolution_count: p prime and a, b, r even integers with
+    r <= a + b, checked before its cache, which cache_info() reports, is read."""
+    check_prime(p)
+    for radius in (a, b, r):
+        check_even_radius(radius)
+    if r > a + b:
+        raise ValueError(f"r={r} exceeds a+b={a + b}")
+    return _convolution_count(p, a, b, r)
+
+
+@lru_cache(maxsize=None)
+def _convolution_count(p: int, a: int, b: int, r: int) -> int:
     """Count vertices z with d(o, z) = a and d(z, y) = b for y = 0^r.
 
     By vertex-transitivity the count does not depend on which vertex at
@@ -123,14 +137,12 @@ def convolution_count(p: int, a: int, b: int, r: int) -> int:
     the one on to y (when m < r), and then takes any of p directions at
     each of its a - m - 1 further steps.
     """
-    check_prime(p)
-    for radius in (a, b, r):
-        check_even_radius(radius)
-    if r > a + b:
-        raise ValueError(f"r={r} exceeds a+b={a + b}")
     m = (a + r - b) // 2
     if not 0 <= m <= r:
         return 0
     if m == a:
         return 1
     return (p + 1 - (m > 0) - (m < r)) * p ** (a - m - 1)
+
+
+convolution_count.cache_info = _convolution_count.cache_info

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treeamp import amplifier, hecke, tree
+from treeamp import _primes, amplifier, hecke, tree
 from treeamp.amplifier import (
     PICK_THRESHOLD,
     AmplifierError,
@@ -377,6 +377,19 @@ class TestBuildAmplifier:
         assert reports == expected
         assert made == {Fraction: len(Qs)}
 
+    def test_sweep_checks_no_prime_and_reads_each_square_once(self):
+        # the sieve proved every prime, so a window re-checks none, and each
+        # kept prime's square is ell + 1 kernel lookups, nothing more
+        def lookups():
+            return [info.hits + info.misses for info in (
+                _primes._check_prime.cache_info(), tree.convolution_count.cache_info())]
+
+        before = lookups()
+        reports = scaling_sweep([400, 800, 1600], GAUSS, SpectrumModel.tempered(42), TORUS)
+        after = lookups()
+        assert after[0] - before[0] == 0
+        assert after[1] - before[1] == sum((r.ell + 1) * len(r.primes_used) for r in reports)
+
     def test_fixed_spectrum_refuses_a_missing_prime(self):
         spectrum = FixedSpectrum({13: Fraction(1, 2)})
         assert spectrum.seeds([13]) == [(1, 2)] and spectrum.lambda_p(13) == Fraction(1, 2)
@@ -544,12 +557,15 @@ class TestClosedFormAgainstMaterialised:
 
 @pytest.mark.parametrize("ell", [2, 4])
 def test_local_square_matches_convolve(ell):
+    """The square build_amplifier reads off the kernel, N(ell, ell, r) at index r/2, is h * h."""
+    radii = range(0, 2 * ell + 1, 2)
     for p in primes_in(2, 100):
         h = hecke.basic(p, ell // 2)
         square = hecke.convolve(h, h)
         assert square.max_radius() == 2 * ell
         coeffs = dict(square.coeffs)
-        assert amplifier._local_square(p, ell) == [coeffs.get(r, 0) for r in range(0, 2 * ell + 1, 2)]
+        read = [tree._convolution_count(p, ell, ell, r) for r in radii]
+        assert read == [coeffs.get(r, 0) for r in radii]
 
 
 class TestScalingSweep:

@@ -56,6 +56,7 @@ class TestBasics:
         pytest.param(lambda: hecke.identity(1), id="identity-at-1"),
         pytest.param(lambda: hecke.LocalHeckeElement(2, ((3, 1),)), id="odd-radius"),
         pytest.param(lambda: hecke.LocalHeckeElement(2, ((-2, 1),)), id="negative-radius"),
+        pytest.param(lambda: hecke.LocalHeckeElement(7, ((2.0, 1),)), id="float-radius"),
         pytest.param(lambda: hecke.LocalHeckeElement.from_dict(3, {1: 1}), id="from-dict"),
     ])
     def test_bad_prime_or_radius_rejected(self, build):

@@ -51,6 +51,14 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="p must be prime, got 4"):
             count(TORUS, 4, 1)
 
+    @pytest.mark.parametrize("count", [
+        orbit_intersect_one_sided, brute_force_intersect,
+    ], ids=["closed-form", "brute-force"])
+    @pytest.mark.parametrize("j", [1.5, 1.0, "2", None], ids=repr)
+    def test_non_integer_j_refused(self, count, j):
+        with pytest.raises(ValueError, match=f"^j must be an integer, got {re.escape(repr(j))}$"):
+            count(TORUS, 5, j)
+
 
 class TestBruteForce:
     @pytest.mark.parametrize("kind", [OrbitKind.SL2, OrbitKind.MULTIPLICATIVE])

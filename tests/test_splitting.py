@@ -189,6 +189,7 @@ class TestPrimality:
             tree.root,
             lambda p: tree.TreeVertex(p, ()),
             lambda p: tree.sphere_size(p, 2),
+            lambda p: tree.convolution_count(p, 2, 2, 2),
             lambda p: next(tree.iter_sphere(p, 0)),
             lambda p: amplifier.pick_local(p, 0),
             lambda p: hecke.LocalHeckeElement(p, ((0, 1),)),

@@ -84,6 +84,11 @@ class TestSphere:
         with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(r))}$"):
             tree.sphere_size(5, r)
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, "2", None], ids=repr)
+    def test_iter_sphere_refuses_a_non_integer_radius(self, r):
+        with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(r))}$"):
+            next(tree.iter_sphere(5, r))
+
     def test_sphere_size_of_a_bool_radius_is_its_integer(self):
         assert tree.sphere_size(5, True) == tree.sphere_size(5, 1) == 6
 
@@ -199,6 +204,18 @@ class TestConvolutionCount:
             tree.convolution_count(2, 1, 2, 2)
         with pytest.raises(ValueError):
             tree.convolution_count(2, 2, 2, 3)
+
+    @pytest.mark.parametrize("r", [4.0, 2.5, "4", None], ids=repr)
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_integer_radius_refused_before_the_cache(self, r, at):
+        # a float equal to a cached radius must neither be served from the
+        # cache nor, on a cold cache, leave a float count behind
+        radii = [4, 2, 2]
+        radii[at] = r
+        with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(r))}$"):
+            tree.convolution_count(7, *radii)
+        assert tree.convolution_count(7, 4, 2, 2) == 49
+        assert type(tree.convolution_count(7, 4, 2, 2)) is int
 
     def test_r_beyond_sum_rejected(self):
         with pytest.raises(ValueError):
