@@ -10,8 +10,9 @@ the sup norm, the spectral defect, the orbit intersection count and the
 ratios used for trend checks.  scaling_sweep runs it once per Q.  Each
 report value is a closed form in the squares h_p * h_p; hecke.convolve and
 the expanded tau (hecke.global_assemble) are the test oracles.  The public
-functions check their inputs once; the window reads the unchecked kernels
-_pick and tree._convolution_count on primes the sieve has proved.
+functions check their inputs once, Q an integer and p a prime; the window
+maps the unchecked kernels _pick and tree._convolution_count over the primes
+the sieve has proved.
 """
 
 from __future__ import annotations
@@ -100,14 +101,9 @@ class SpectrumModel(Value):
         return out
 
 
-# PICK_THRESHOLD = t_num / t_den, squared once for the integer comparison
+# PICK_THRESHOLD = t_num / t_den, squared once for _pick's integer comparisons
 _T_NUM2 = PICK_THRESHOLD.numerator ** 2
 _T_DEN2 = PICK_THRESHOLD.denominator ** 2
-
-
-def _at_least_threshold(num: int, den: int, bound: int) -> bool:
-    """|num / den| >= PICK_THRESHOLD * sqrt(bound), by one integer comparison."""
-    return _T_DEN2 * num * num >= _T_NUM2 * bound * den * den
 
 
 def dichotomy_constant(p: int) -> float:
@@ -139,21 +135,22 @@ def dichotomy_constant_at_least(p: int, t: Rational) -> bool:
     return (2 * p - 1) ** 2 * t * t <= s1 * (1 - t * t) ** 2
 
 
-def _pick(p: int, n: int, d: int) -> tuple[int, int, int, bool]:
-    """The dichotomy at a prime p on the seed n/d, d > 0: (j, num, den, met).
+def _pick(p: int, seed: tuple[int, int]) -> tuple[int, int, int, int, bool]:
+    """The dichotomy at a prime p on the seed (n, d), n/d with d > 0: (p, j, num, den, met).
 
     j=1 when |n/d| >= PICK_THRESHOLD * sqrt(p(p+1)), decided as
     4 n^2 >= p(p+1) d^2, keeping the seed as the eigenvalue num/den.  Else
     j=2 with the radius-4 eigenvalue (n^2 - (p-1) n d - p(p+1) d^2) / d^2,
     read off T_2 * T_2 = T_4 + (p-1) T_2 + p(p+1) T_0 (hecke.eigenvalue_sequence
-    is its test oracle), and its guarantee met by the same integer comparison.
+    is its test oracle), and its guarantee met when 4 num^2 >= p^3(p+1) den^2.
     """
+    n, d = seed
     s1 = p * (p + 1)  # sphere_size(p, 2)
-    if _at_least_threshold(n, d, s1):
-        return 1, n, d, True
+    if _T_DEN2 * n * n >= _T_NUM2 * s1 * d * d:
+        return p, 1, n, d, True
     d2 = d * d
     num = n * n - (p - 1) * n * d - s1 * d2
-    return 2, num, d2, _at_least_threshold(num, d2, s1 * p * p)
+    return p, 2, num, d2, _T_DEN2 * num * num >= _T_NUM2 * s1 * p * p * d2 * d2
 
 
 def pick_local(p: int, lambda_p) -> tuple[int, int, int, bool]:
@@ -168,7 +165,7 @@ def pick_local(p: int, lambda_p) -> tuple[int, int, int, bool]:
     """
     seed = exact(lambda_p)
     check_prime(p)
-    return _pick(p, seed.numerator, seed.denominator)
+    return _pick(p, (seed.numerator, seed.denominator))[1:]
 
 
 class AmplifierReport(Value):
@@ -218,29 +215,28 @@ def build_amplifier(Q: int, f: splitting.IntPoly, spectrum: SpectrumModel,
     spectrum and the value grows like Q^(ell/2); on the trivial one it
     falls like 1/Q.  The flat normaliser is Q/log Q.
     """
+    Q = integer(Q, "Q")
     if Q < 11:
         raise AmplifierError("Q must be >= 11")
     primes = splitting.split_primes_in(f, Q, 2 * Q)
     if len(primes) < 2:
         raise AmplifierError(f"need at least 2 split primes in [{Q}, {2 * Q}], found {len(primes)}")
-    by_j = {1: [], 2: []}
-    for p, (n, d) in zip(primes, spectrum.seeds(primes)):
-        j, num, den, met = _pick(p, n, d)
-        by_j[j].append((p, j, num, den, met))
-    # keep the majority class; on a tie the smaller support wins
-    j = 1 if len(by_j[1]) >= len(by_j[2]) else 2
-    ell, kept = 2 * j, by_j[j]  # nonempty: at least two primes were picked
-    kept_primes = [k[0] for k in kept]
-    count = tree._convolution_count  # column k holds every s_p at radius 2k
-    columns = [[count(p, ell, ell, r) for p in kept_primes] for r in range(0, 2 * ell + 1, 2)]
+    picks = list(map(_pick, primes, spectrum.seeds(primes)))
+    ones = [k for k in picks if k[1] == 1]
+    # keep the majority class, nonempty of two picks; on a tie the smaller support wins
+    kept = ones if 2 * len(ones) >= len(picks) else [k for k in picks if k[1] == 2]
+    n, ell = len(kept), 2 * kept[0][1]
+    kept_primes, ells = [k[0] for k in kept], [ell] * n
+    # column k holds every s_p at radius 2k
+    columns = [list(map(tree._convolution_count, kept_primes, ells, ells, [r] * n))
+               for r in range(0, 2 * ell + 1, 2)]
     tau1_at_identity = sum(columns[0])
     c_tau = tau1_at_identity  # tau1 is self-adjoint
     den = math.lcm(*{k[3] for k in kept})
     lam_sum = sum([abs(num) * (den // d) for _, _, num, d, _ in kept])
     Lambda = Fraction(lam_sum * lam_sum - tau1_at_identity * den * den, den * den)
-    n = len(kept)
     ninf = max(map(max, columns[1:]))
-    intersections = orbits.count_global_intersections(orbit, list(zip(*columns)))
+    intersections = orbits.count_global_intersections(orbit, columns)
     lambda_positive, Lambda_f = Lambda > 0, float(Lambda)
     ratio_intersections = float(ninf) * intersections / Lambda_f if lambda_positive else math.inf
     ratio_positivity = c_tau / Lambda_f if lambda_positive else math.inf

@@ -14,7 +14,7 @@ and orbit count of the expansion live in tests/oracles.py.
 from __future__ import annotations
 
 from . import tree
-from ._value import Value, exact
+from ._value import Value, exact, integer
 from ._primes import check_prime
 
 __all__ = [
@@ -72,7 +72,7 @@ def identity(p: int) -> LocalHeckeElement:
 
 def basic(p: int, j: int) -> LocalHeckeElement:
     """The radius-2j double-coset indicator."""
-    if j < 1:
+    if (j := integer(j, "j")) < 1:
         raise ValueError("j must be >= 1; use identity() for j = 0")
     if 2 * j > MAX_RADIUS:
         raise ValueError(f"radius 2j={2 * j} exceeds the cap {MAX_RADIUS}")
@@ -132,7 +132,7 @@ def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
     constant is 1, so each new term is solved triangularly, exactly: a
     float seed is read by its binary value.
     """
-    if max_j < 2:
+    if (max_j := integer(max_j, "max_j")) < 2:
         raise ValueError("max_j must be >= 2")
     lam = [exact(1), exact(lambda_p)]
     for j in range(1, max_j):

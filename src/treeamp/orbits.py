@@ -65,46 +65,45 @@ def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     return 2 * model.index_multiplier
 
 
-def _apartment_points(p: int, max_depth: int) -> list[tree.TreeVertex]:
-    """The canonical geodesic through the root, truncated to a ball.
+def _apartment_words(max_depth: int) -> list[tuple[int, ...]]:
+    """The canonical geodesic through the root, truncated to a ball, as words.
 
     One ray is 0, 00, 000, ...; the other is 1, 10, 100, ...
     """
-    points = [tree.root(p)]
-    for k in range(1, max_depth + 1):
-        points.append(tree.TreeVertex(p, (0,) * k))
-        points.append(tree.TreeVertex(p, (1,) + (0,) * (k - 1)))
-    return points
+    rays = ((0,) * k for k in range(1, max_depth + 1))
+    return [()] + [w for ray in rays for w in (ray, (1,) + ray[1:])]
 
 
 def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
     """Enumerate the orbit inside the radius-2j ball and count one-sided support hits.
 
-    Independent of the closed form: each orbit point (left, right) is
-    tested against the definition of the radius-2j one-sided support,
-    sphere x {root}.  At j = 0 that is the identity coset {(root, root)}.
+    Independent of the closed form: p and j are checked here, and each orbit
+    point (left, right), a pair of words, is tested against the definition of
+    the radius-2j one-sided support, sphere x {root}.  At j = 0 that is the
+    identity coset {(root, root)}.  The diagonal streams tree._sphere_words.
     """
+    check_prime(p)
     j = integer(j, "j")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    if model.kind is OrbitKind.SL2:  # the diagonal orbit: all (v, v) within the ball
-        orbit = ((v, v) for r in range(2 * j + 1) for v in tree.iter_sphere(p, r))
+    if model.kind is OrbitKind.SL2:  # the diagonal orbit: all (w, w) within the ball
+        orbit = ((w, w) for r in range(2 * j + 1) for w in tree._sphere_words(p, r))
     else:
-        apartment = _apartment_points(p, 2 * j)
+        apartment = _apartment_words(2 * j)
         orbit = ((left, right) for left in apartment for right in apartment)
-    hits = sum(1 for left, right in orbit if right.is_root() and left.depth() == 2 * j)
+    hits = sum(1 for left, right in orbit if right == () and len(left) == 2 * j)
     return hits * model.index_multiplier
 
 
-def count_global_intersections(model: OrbitModel, squares: list[tuple[int, ...]]) -> int:
+def count_global_intersections(model: OrbitModel, columns: list[list[int]]) -> int:
     """Orbit points inside the support of the amplifier tau, from its local squares.
 
-    Each h_p * h_p is its sequence of coefficients at index r/2.  Off the
-    identity, tau lives on their nonzero positive radii and on one point
+    columns[k] holds each prime's h_p * h_p at radius 2k, 0 where it has none.
+    Off the identity, tau lives on their nonzero positive radii and on one point
     per pair of primes; the torus orbit meets these twice and 2 * 2 times,
     and the finite-index multiplier scales each support point once.
     """
     if model.kind is OrbitKind.SL2:
         return 0
-    one_prime = sum([len(s) - 1 - s[1:].count(0) for s in squares])
-    return model.index_multiplier * (2 * one_prime + 4 * math.comb(len(squares), 2))
+    one_prime = sum([len(c) - c.count(0) for c in columns[1:]])
+    return model.index_multiplier * (2 * one_prime + 4 * math.comb(len(columns[0]), 2))

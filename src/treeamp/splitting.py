@@ -31,7 +31,7 @@ from itertools import compress
 from math import isqrt, lcm
 
 from ._primes import check_prime, is_prime  # re-exported: splitting's API
-from ._value import Value
+from ._value import Value, integer
 
 __all__ = [
     "MAX_DEGREE",
@@ -73,6 +73,7 @@ def _primes_of(o: int, table: bytes) -> list[int]:
 
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi], ascending, by one segmented sieve."""
+    lo, hi = integer(lo, "lo"), integer(hi, "hi")
     return [2] * (lo <= 2 <= hi) + _primes_of(*_prime_table(lo, hi))
 
 
@@ -261,6 +262,7 @@ def splits_completely(f: IntPoly, p: int) -> bool:
 
 def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi] where f splits completely, ascending."""
+    lo, hi = integer(lo, "lo"), integer(hi, "hi")
     if lo > hi:
         raise ValueError("empty range")
     o, table = _prime_table(lo, hi)
@@ -270,7 +272,7 @@ def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
 
 def empirical_density(f: IntPoly, limit: int) -> Fraction:
     """Fraction of primes up to limit where f splits completely."""
-    if limit < 100:
+    if (limit := integer(limit, "limit")) < 100:
         raise ValueError("limit must be >= 100")
     o, table = _prime_table(2, limit)
     two, mask = _split_filter(f, o, table)

@@ -6,8 +6,10 @@ Word length is graph distance to the root, and two vertices are
 adjacent exactly when one word extends the other by a single digit.
 This is the vertex set of the Bruhat-Tits tree of SL2(Qp) with the
 root playing the role of the standard maximal compact subgroup.
-Spheres are streamed by iter_sphere and never held as sets; callers
-bound their size with sphere_size.  Each public function checks its input.
+Spheres are streamed and never held as sets; callers bound their size
+with sphere_size.  Each public function checks its input: iter_sphere
+checks p and r and builds a vertex from each word of the unchecked
+kernel _sphere_words, which callers with a checked p read directly.
 
 The structure constants of the spherical Hecke algebra are path counts
 in closed form: the vertices z on the sphere of radius a around the
@@ -83,21 +85,24 @@ def sphere_size(p: int, r: int) -> int:
 
 
 def iter_sphere(p: int, r: int):
-    """Stream all vertices at distance exactly r from the root, built without
-    TreeVertex's digit check: each word is a no-backtrack string by construction."""
+    """Stream all vertices at distance exactly r from the root: the checked entry
+    of _sphere_words, whose words are no-backtrack strings by construction, so
+    each vertex is built without TreeVertex's digit check."""
     check_prime(p)
     r = integer(r, "radius")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if r == 0:
-        yield root(p)
-        return
     set_prime, set_word = TreeVertex.prime.__set__, TreeVertex.word.__set__
-    for word in itertools.product(range(p + 1), *[range(p)] * (r - 1)):
+    for word in _sphere_words(p, r):
         v = object.__new__(TreeVertex)
         set_prime(v, p)
         set_word(v, word)
         yield v
+
+
+def _sphere_words(p: int, r: int):
+    """The words at radius r in lexicographic order, unchecked: p prime, r >= 0."""
+    return itertools.product(range(p + 1), *[range(p)] * (r - 1)) if r else iter([()])
 
 
 def distance(v: TreeVertex, w: TreeVertex) -> int:

@@ -189,9 +189,10 @@ def fraction_pick_local(p, lambda_p):
 
 
 def as_fraction_pick(pick):
-    """A (j, num, den, met) pick in fraction_pick_local's terms, once its
-    numerator and denominator are checked to be integers, the latter > 0."""
-    j, num, den, met = pick
+    """A (j, num, den, met) pick, or _pick's (p, j, num, den, met), in
+    fraction_pick_local's terms, once its numerator and denominator are
+    checked to be integers, the latter > 0."""
+    j, num, den, met = pick[-4:]
     assert type(num) is int and type(den) is int and den > 0
     return j, Fraction(num, den), met
 
@@ -231,8 +232,8 @@ class TestPickLocalAgainstFractionOracle:
     @example(2, Fraction(613 * 2, 1000), 2)
     @example(1999, Fraction(500 * 1999, 1000), 2)
     def test_pick_on_unreduced_seeds(self, p, seed, k):
-        got = amplifier._pick(p, k * seed.numerator, k * seed.denominator)
-        assert as_fraction_pick(got) == fraction_pick_local(p, seed)
+        got = amplifier._pick(p, (k * seed.numerator, k * seed.denominator))
+        assert got[0] == p and as_fraction_pick(got) == fraction_pick_local(p, seed)
 
     def test_j1_choice_keeps_the_seed(self):
         seed = Fraction(113, 2)
@@ -320,6 +321,15 @@ class TestBuildAmplifier:
         assert lam_sum_sq >= 0
         # exact because tempered draws are rational
         assert isinstance(report.Lambda, Fraction)
+
+    @pytest.mark.parametrize("Q", [400.0, 50.5, "400", None], ids=repr)
+    def test_non_integer_q_refused(self, Q):
+        spectrum = SpectrumModel.trivial()
+        message = f"^Q must be an integer, got {re.escape(repr(Q))}$"
+        with pytest.raises(ValueError, match=message):
+            build_amplifier(Q, GAUSS, spectrum, SL2)
+        with pytest.raises(ValueError, match=message):  # each window's Q, through build_amplifier
+            scaling_sweep([Q], GAUSS, spectrum, SL2)
 
     def test_q_floor(self):
         with pytest.raises(AmplifierError):

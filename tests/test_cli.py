@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from treeamp import _primes, cli, gaussian
+from treeamp import _primes, cli, gaussian, hecke
 from treeamp.cli import main
 from treeamp.gaussian import GaussRat, Mat2
 from treeamp.orbits import OrbitKind
@@ -47,6 +47,38 @@ class TestVerifyHecke:
     def test_radius_cap(self):
         with pytest.raises(SystemExit):
             main(["verify-hecke", "--primes", "2", "--max-radius", "10"])
+
+    def test_convolves_each_ordered_pair_once(self, tmp_path, monkeypatch):
+        # per prime: the two degree identities, then each ordered pair of the five
+        # basics once for commutativity and mass; associativity adds 4 at p = 2, 3
+        calls = []
+        convolve = hecke.convolve
+        monkeypatch.setattr(hecke, "convolve", lambda f, g: calls.append(1) or convolve(f, g))
+        code, _ = run(tmp_path, "vh.json",
+                      ["verify-hecke", "--primes", "2,3,5,7,11", "--max-radius", "8"])
+        assert code == 0
+        assert len(calls) == 5 * (2 + 5 * 5) + 2 * 4
+
+    @pytest.mark.parametrize("broken,intact", [("commutativity", "mass_multiplicativity"),
+                                               ("mass_multiplicativity", "commutativity")])
+    def test_a_wrong_product_fails_its_verdict(self, broken, intact, tmp_path, monkeypatch):
+        # T2 * T4 becomes its own mass at the origin, unlike T4 * T2 but of the
+        # same mass; T2 * T2 gains 1 at the origin, still symmetric but heavier
+        convolve, t1, t2 = hecke.convolve, hecke.basic(2, 1), hecke.basic(2, 2)
+
+        def wrong(f, g):
+            fg = convolve(f, g)
+            if broken == "commutativity" and (f, g) == (t1, t2):
+                return hecke.LocalHeckeElement(2, ((0, hecke.total_mass(fg)),))
+            if broken == "mass_multiplicativity" and (f, g) == (t1, t1):
+                return hecke.LocalHeckeElement(2, ((0, fg.coeffs[0][1] + 1),) + fg.coeffs[1:])
+            return fg
+
+        monkeypatch.setattr(hecke, "convolve", wrong)
+        code, raw = run(tmp_path, "vh.json", ["verify-hecke", "--primes", "2", "--max-radius", "4"])
+        verdicts = json.loads(raw)["verdicts"]
+        assert code == 1
+        assert not verdicts[f"p2_{broken}"] and verdicts[f"p2_{intact}"]
 
 
 class TestSplitDensity:

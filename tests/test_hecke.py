@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,12 @@ class TestBasics:
         assert hecke.total_mass(hecke.basic(2, 1)) == 6
         assert dict(hecke.basic(5, 2).coeffs) == {4: 1}
         assert hecke.total_mass(hecke.basic(5, 2)) == 750
+
+    @pytest.mark.parametrize("j", [1.5, 2.0, "1", None], ids=repr)
+    def test_non_integer_j_refused(self, j):
+        # named as j, not as the doubled radius 2j
+        with pytest.raises(ValueError, match=f"^j must be an integer, got {re.escape(repr(j))}$"):
+            hecke.basic(5, j)
 
     def test_j_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -178,6 +185,12 @@ class TestEigenvalues:
             assert seq.value(j) == pytest.approx(float(exact.value(j)), rel=1e-9)
         assert all(isinstance(v, Fraction) for v in seq.lambdas)
         assert seq.lambdas == exact.lambdas
+
+    @pytest.mark.parametrize("max_j", [3.0, 2.5, "3", None], ids=repr)
+    def test_non_integer_max_j_refused(self, max_j):
+        message = f"^max_j must be an integer, got {re.escape(repr(max_j))}$"
+        with pytest.raises(ValueError, match=message):
+            hecke.eigenvalue_sequence(5, 1, max_j)
 
     def test_max_j_too_small(self):
         with pytest.raises(ValueError):

@@ -95,16 +95,29 @@ class TestBruteForce:
     def test_sl2_walks_every_sphere_of_the_ball(self, p, j, monkeypatch):
         # the sl2 verdicts compare 0 with 0 whatever the walk yields, so count the walk
         walked = Counter()
-        stream = tree.iter_sphere
+        stream = tree._sphere_words
 
         def counting_stream(q, r):
-            for v in stream(q, r):
+            for w in stream(q, r):
                 walked[r] += 1
-                yield v
+                yield w
 
-        monkeypatch.setattr(tree, "iter_sphere", counting_stream)
+        monkeypatch.setattr(tree, "_sphere_words", counting_stream)
         assert brute_force_intersect(SL2, p, j) == 0
         assert walked == {r: tree.sphere_size(p, r) for r in range(2 * j + 1)}
+
+    @pytest.mark.parametrize("model", [SL2, TORUS], ids=["sl2", "torus"])
+    def test_checks_its_entry_and_walks_words_not_vertices(self, model, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("brute_force_intersect built a vertex")
+
+        for name in ("iter_sphere", "root", "TreeVertex"):
+            monkeypatch.setattr(tree, name, refuse)
+        assert brute_force_intersect(model, 5, 2) == orbit_intersect_one_sided(model, 5, 2)
+        with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+            brute_force_intersect(model, 4, 1)
+        with pytest.raises(ValueError, match="^j must be an integer, got 1.5$"):
+            brute_force_intersect(model, 5, 1.5)
 
     @pytest.mark.parametrize("model", [SL2, TORUS], ids=["sl2", "torus"])
     def test_negative_j_rejected(self, model):
@@ -148,11 +161,10 @@ class TestGlobalCounts:
     def test_amplifier_closed_form_matches_expansion(self, kind, index, js):
         parts = {p: (hecke.basic(p, j), 1) for p, j in js.items()}
         tau = subtract_identity(hecke.global_assemble(parts))
-        squares = []
-        for h, _ in parts.values():
-            square = hecke.convolve(h, h)
-            coeffs = dict(square.coeffs)
-            squares.append([coeffs.get(r, 0) for r in range(0, square.max_radius() + 1, 2)])
+        # column k holds each square at radius 2k, 0 past a smaller prime's top radius
+        squares = [dict(hecke.convolve(h, h).coeffs) for h, _ in parts.values()]
+        top = max(max(square) for square in squares)
+        columns = [[square.get(r, 0) for square in squares] for r in range(0, top + 1, 2)]
         model = OrbitModel(kind, index)
-        assert count_global_intersections(model, squares) == \
+        assert count_global_intersections(model, columns) == \
             count_expanded_intersections(model, tau)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import count
@@ -481,6 +482,21 @@ def test_splits_at_two(monkeypatch, text, splits, frobenius_at):
     assert splits_completely(f, 2) == splits
     assert split_primes_in(f, 2, 2) == [2] * splits
     assert calls == frobenius_at
+
+
+@pytest.mark.parametrize("name,call", [
+    ("lo", lambda x: primes_in(x, 30)),
+    ("hi", lambda x: primes_in(2, x)),
+    ("lo", lambda x: split_primes_in(parse_poly("x^2+1"), x, 30)),
+    ("hi", lambda x: split_primes_in(parse_poly("x^2+1"), 2, x)),
+    ("limit", lambda x: empirical_density(parse_poly("x^2+1"), x)),
+], ids=["primes_in-lo", "primes_in-hi", "split_primes_in-lo", "split_primes_in-hi",
+        "empirical_density-limit"])
+@pytest.mark.parametrize("x", [2.0, 3.0, 10.5, 1000.0, "30", None], ids=repr)
+def test_window_bounds_are_integers(name, call, x):
+    # primes_in(2.0, 30) used to return a list and primes_in(3.0, 30) to raise TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(x))}$"):
+        call(x)
 
 
 class TestSplitPrimesIn:

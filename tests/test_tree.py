@@ -75,6 +75,11 @@ class TestSphere:
                 checked = tree.TreeVertex(p, v.word)
                 assert v == checked and hash(v) == hash(checked)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_word_stream_is_the_streamed_vertices(self, p):
+        for r in range(5):
+            assert list(tree._sphere_words(p, r)) == [v.word for v in tree.iter_sphere(p, r)]
+
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             next(tree.iter_sphere(4, 2))
