@@ -3,7 +3,9 @@ Value.__init__ sets them in that order, raising on a wrong count.  A
 subclass with checks runs them in its own __init__ and ends in one
 super().__init__ call.  Equality and hashing compare the field tuple
 within one class, and pickle and copy go back through __init__.  exact
-takes a number exactly, and integer takes an integer.
+takes a number exactly, integer takes an integer, at least a bound when
+one is given, and member takes a kind by its name: each is the one check
+of its kind of parameter.
 """
 
 from operator import attrgetter, index
@@ -51,9 +53,22 @@ def exact(x):
         raise ValueError(f"expected a finite rational, got {x!r}") from None
 
 
-def integer(x, name: str) -> int:
-    """x as an int by operator.index, so True is 1; ValueError names the x that has none."""
+def integer(x, name: str, low: int | None = None) -> int:
+    """x as an int by operator.index, so True is 1; ValueError names the x that has
+    none, or that falls below low."""
     try:
-        return index(x)
+        n = index(x)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
+    return n
+
+
+def member(kinds: type, x, noun: str):
+    """The member of the enum kinds that is x or has the value x; ValueError lists the names."""
+    try:
+        return kinds(x)
+    except ValueError:
+        known = ", ".join(repr(kind.value) for kind in kinds)
+        raise ValueError(f"unknown {noun} {x!r} (choose from {known})") from None

@@ -25,7 +25,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import orbits, splitting, tree
-from ._value import Value, exact, integer
+from ._value import Value, exact, integer, member
 from ._primes import check_prime
 
 __all__ = [
@@ -69,15 +69,15 @@ class SpectrumModel(Value):
     TRIVIAL uses the constant-eigenfunction value p(p+1).  TEMPERED_RANDOM
     draws random.Random(f"{seed}:{p}").randint(-3000, 3000) * p / 1000, a
     value of (seed, p) alone, on one generator per thread reseeded per draw.
-    seeds(primes) draws a batch as unreduced integer pairs.  The seed is
-    taken by operator.index, so tempered(True) is tempered(1), and
-    tempered(1.0) is refused.
+    seeds(primes) draws a batch as unreduced integer pairs.  The kind is a
+    SpectrumKind or its name, and the seed is taken by operator.index, so
+    tempered(True) is tempered(1), and tempered(1.0) is refused.
     """
 
     __slots__ = ("kind", "seed")
 
-    def __init__(self, kind: SpectrumKind, seed: int = 0):
-        super().__init__(SpectrumKind(kind), integer(seed, "seed"))
+    def __init__(self, kind: SpectrumKind | str, seed: int = 0):
+        super().__init__(member(SpectrumKind, kind, "spectrum"), integer(seed, "seed"))
 
     @staticmethod
     def trivial() -> "SpectrumModel":

@@ -146,15 +146,6 @@ def _fraction_text(text: str) -> str:
 # Each subcommand returns (config, results, verdicts) for main's envelope.
 
 
-def _kind(kinds: type, noun: str, name: str):
-    """The member of the enum kinds whose value is name; ValueError lists the valid names."""
-    try:
-        return kinds(name)
-    except ValueError:
-        known = ", ".join(repr(kind.value) for kind in kinds)
-        raise ValueError(f"unknown {noun} {name!r} (choose from {known})") from None
-
-
 def cmd_verify_hecke(args):
     from . import hecke
     primes = args.primes
@@ -268,7 +259,7 @@ def cmd_denom_check(args):
 
 def cmd_orbit_check(args):
     from . import orbits, tree
-    model = orbits.OrbitModel(_kind(orbits.OrbitKind, "orbit", args.orbit), args.index)
+    model = orbits.OrbitModel(args.orbit, args.index)
     primes = args.primes
     # sphere_size(p, r) >= 2^r, so every radius from MAX_SPHERE.bit_length() on
     # is over the cap; clamping there keeps a huge --max-j from building the power
@@ -292,13 +283,12 @@ def cmd_orbit_check(args):
 
 def cmd_amplifier(args):
     from . import amplifier, orbits, splitting
-    spectrum = amplifier.SpectrumModel(
-        _kind(amplifier.SpectrumKind, "spectrum", args.spectrum), args.seed)
+    spectrum = amplifier.SpectrumModel(args.spectrum, args.seed)
     Qs = args.Q
     if over := [Q for Q in Qs if 2 * Q > MAX_SIEVE]:
         raise ValueError(f"Q={over[0]} sieves up to 2Q = {2 * over[0]}, above the cap {MAX_SIEVE}")
     poly = splitting.parse_poly(args.poly)
-    orbit = orbits.OrbitModel(_kind(orbits.OrbitKind, "orbit", args.orbit), args.index)
+    orbit = orbits.OrbitModel(args.orbit, args.index)
     reports = amplifier.scaling_sweep(Qs, poly, spectrum, orbit)
     results = [{k: getattr(rep, k) for k in rep.__slots__ if k != "verdicts"} for rep in reports]
     verdicts = {f"Q{rep.Q}_{name}": ok for rep in reports for name, ok in rep.verdicts.items()}

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._primes import cached_is_prime
-from ._value import Value, exact
+from ._value import Value, exact, integer
 
 __all__ = [
     "GaussInt",
@@ -228,7 +228,8 @@ def gaussian_factor(z: GaussInt) -> tuple[GaussInt, dict[GaussPrime, int]]:
 
 
 class GaussRat(Value):
-    """An element (a + bi)/d of Q(i) in lowest terms: d > 0, gcd(a, b, d) = 1.
+    """An element (a + bi)/d of Q(i) in lowest terms: integers with d >= 1 and
+    gcd(a, b, d) = 1.
 
     The form is canonical, so equality and hashing compare values.  make
     builds one from rationals; a directly built triple in any other form
@@ -238,9 +239,9 @@ class GaussRat(Value):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int, b: int, d: int = 1):
-        if d <= 0 or math.gcd(a, b, d) != 1:
-            raise ValueError(f"({a} + {b}i)/{d} is not in lowest "
-                             "terms over a positive denominator")
+        a, b, d = integer(a, "a"), integer(b, "b"), integer(d, "d", 1)
+        if math.gcd(a, b, d) != 1:
+            raise ValueError(f"({a} + {b}i)/{d} is not in lowest terms")
         super().__init__(a, b, d)
 
     @staticmethod

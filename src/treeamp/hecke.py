@@ -21,7 +21,6 @@ __all__ = [
     "MAX_RADIUS",
     "LocalHeckeElement",
     "GlobalHeckeElement",
-    "EigenvalueSequence",
     "identity",
     "basic",
     "convolve",
@@ -48,10 +47,9 @@ class LocalHeckeElement(Value):
 
     def __init__(self, prime: int, coeffs: tuple[tuple[int, int], ...]):
         check_prime(prime)
-        coeffs = tuple((r, c) for r, c in coeffs)
+        coeffs = tuple((tree.check_even_radius(r), integer(c, "coefficient")) for r, c in coeffs)
         last = -1
         for r, c in coeffs:
-            tree.check_even_radius(r)
             if r <= last or c == 0:
                 raise ValueError(f"{_NOT_CANONICAL}, got {coeffs}")
             last = r
@@ -72,9 +70,7 @@ def identity(p: int) -> LocalHeckeElement:
 
 def basic(p: int, j: int) -> LocalHeckeElement:
     """The radius-2j double-coset indicator."""
-    if (j := integer(j, "j")) < 1:
-        raise ValueError("j must be >= 1; use identity() for j = 0")
-    if 2 * j > MAX_RADIUS:
+    if 2 * (j := integer(j, "j", 1)) > MAX_RADIUS:
         raise ValueError(f"radius 2j={2 * j} exceeds the cap {MAX_RADIUS}")
     return LocalHeckeElement(p, ((2 * j, 1),))
 
@@ -107,33 +103,16 @@ def convolve(f: LocalHeckeElement, g: LocalHeckeElement) -> LocalHeckeElement:
     return LocalHeckeElement(p, tuple((2 * k, c) for k, c in enumerate(out) if c))
 
 
-class EigenvalueSequence(Value):
-    """Eigenvalues of the radius-2j operators, lambda[0] = 1."""
-
-    __slots__ = ("prime", "lambdas")
-
-    def __init__(self, prime: int, lambdas: tuple):
-        check_prime(prime)
-        super().__init__(prime, tuple(lambdas))
-
-    def value(self, j: int):
-        if j < 0:
-            raise ValueError(f"j must be >= 0, got {j}")
-        if j >= len(self.lambdas):
-            raise ValueError(f"sequence at p={self.prime} too short for j={j}")
-        return self.lambdas[j]
-
-
-def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
-    """Extend a seed eigenvalue of the radius-2 operator up to j = max_j.
+def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> tuple:
+    """The eigenvalues (1, lambda_1, ..., lambda_max_j) of the radius-2j operators,
+    as Fractions, extending a seed eigenvalue lambda_1 of the radius-2 operator.
 
     Multiplicativity forces lambda(radius 2) * lambda(radius 2j) to
     equal the eigenvalue of their convolution; the top structure
     constant is 1, so each new term is solved triangularly, exactly: a
     float seed is read by its binary value.
     """
-    if (max_j := integer(max_j, "max_j")) < 2:
-        raise ValueError("max_j must be >= 2")
+    max_j = integer(max_j, "max_j", 2)
     lam = [exact(1), exact(lambda_p)]
     for j in range(1, max_j):
         # lambda_p * lam[j] = sum_k N(2, 2j, 2k) lam[k], top term k = j+1 has N = 1
@@ -143,7 +122,7 @@ def eigenvalue_sequence(p: int, lambda_p, max_j: int) -> EigenvalueSequence:
             if n:
                 acc -= n * lam[k]
         lam.append(acc)
-    return EigenvalueSequence(p, tuple(lam))
+    return tuple(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +135,8 @@ class GlobalHeckeElement(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[tuple[SupportPoint, int], ...]):
-        coeffs = tuple((tuple((p, r) for p, r in point), c) for point, c in coeffs)
+        coeffs = tuple((tuple((p, r) for p, r in point), integer(c, "coefficient"))
+                       for point, c in coeffs)
         last = None
         for point, c in coeffs:
             if (last is not None and point <= last) or c == 0:
@@ -195,7 +175,7 @@ def global_assemble(parts: dict[int, tuple[LocalHeckeElement, int]]) -> GlobalHe
         h, zeta = parts[p]
         if h.prime != p:
             raise ValueError(f"element at key {p} has prime {h.prime}")
-        if zeta not in (1, -1):
+        if integer(zeta, "phase") not in (1, -1):
             raise ValueError(f"phase must be +1 or -1, got {zeta}")
         if len(h.coeffs) != 1 or h.coeffs[0][1] != 1 or h.coeffs[0][0] == 0:
             raise ValueError(f"element at prime {p} is not a basic operator")

@@ -21,7 +21,7 @@ import enum
 import math
 
 from . import tree
-from ._value import Value, integer
+from ._value import Value, integer, member
 from ._primes import check_prime
 
 __all__ = [
@@ -41,25 +41,23 @@ class OrbitKind(enum.Enum):
 class OrbitModel(Value):
     """An orbit shape together with its finite-index multiplier.
 
-    The multiplier counts coset translates of the base orbit; root-
-    stabilizer translation leaves intersection cardinalities unchanged,
-    so translates only scale counts.
+    The kind is an OrbitKind or its name, so OrbitModel("sl2") is
+    OrbitModel(OrbitKind.SL2).  The multiplier counts coset translates of
+    the base orbit; root-stabilizer translation leaves intersection
+    cardinalities unchanged, so translates only scale counts.
     """
 
     __slots__ = ("kind", "index_multiplier")
 
-    def __init__(self, kind: OrbitKind, index_multiplier: int = 1):
-        index_multiplier = integer(index_multiplier, "index multiplier")
-        if index_multiplier < 1:
-            raise ValueError("index multiplier must be >= 1")
-        super().__init__(kind, index_multiplier)
+    def __init__(self, kind: OrbitKind | str, index_multiplier: int = 1):
+        super().__init__(member(OrbitKind, kind, "orbit"),
+                         integer(index_multiplier, "index multiplier", 1))
 
 
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     """Closed-form count of orbit points inside a one-sided support."""
     check_prime(p)
-    if integer(j, "j") < 1:
-        raise ValueError("j must be >= 1")
+    integer(j, "j", 1)
     if model.kind is OrbitKind.SL2:
         return 0
     return 2 * model.index_multiplier
@@ -83,9 +81,7 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
     identity coset {(root, root)}.  The diagonal streams tree._sphere_words.
     """
     check_prime(p)
-    j = integer(j, "j")
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
+    j = integer(j, "j", 0)
     if model.kind is OrbitKind.SL2:  # the diagonal orbit: all (w, w) within the ball
         orbit = ((w, w) for r in range(2 * j + 1) for w in tree._sphere_words(p, r))
     else:

@@ -83,7 +83,7 @@ class IntPoly(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        coeffs = tuple(coeffs)
+        coeffs = tuple(integer(c, "coefficient") for c in coeffs)
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
         if len(coeffs) < 2:
@@ -272,8 +272,6 @@ def split_primes_in(f: IntPoly, lo: int, hi: int) -> list[int]:
 
 def empirical_density(f: IntPoly, limit: int) -> Fraction:
     """Fraction of primes up to limit where f splits completely."""
-    if (limit := integer(limit, "limit")) < 100:
-        raise ValueError("limit must be >= 100")
-    o, table = _prime_table(2, limit)
+    o, table = _prime_table(2, integer(limit, "limit", 100))
     two, mask = _split_filter(f, o, table)
     return Fraction(mask.count(1) + two, table.count(1) + 1)

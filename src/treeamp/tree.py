@@ -39,11 +39,12 @@ __all__ = [
 ]
 
 
-def check_even_radius(r: int) -> None:
-    """The one even-radius precondition of the Hecke algebra; r is taken by operator.index."""
-    r = integer(r, "radius")
-    if r < 0 or r % 2 != 0:
-        raise ValueError(f"radius must be even and nonnegative, got {r}")
+def check_even_radius(r: int) -> int:
+    """The one even-radius precondition of the Hecke algebra: r as an int, taken by
+    operator.index."""
+    if (r := integer(r, "radius", 0)) % 2:
+        raise ValueError(f"radius must be even, got {r}")
+    return r
 
 
 class TreeVertex(Value):
@@ -56,7 +57,7 @@ class TreeVertex(Value):
 
     def __init__(self, prime: int, word: tuple[int, ...]):
         check_prime(prime)
-        word = tuple(word)
+        word = tuple(integer(d, "digit") for d in word)
         for i, d in enumerate(word):
             hi = prime if i == 0 else prime - 1
             if not 0 <= d <= hi:
@@ -76,9 +77,7 @@ def root(p: int) -> TreeVertex:
 
 def sphere_size(p: int, r: int) -> int:
     check_prime(p)
-    r = integer(r, "radius")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    r = integer(r, "radius", 0)
     if r == 0:
         return 1
     return (p + 1) * p ** (r - 1)
@@ -89,9 +88,7 @@ def iter_sphere(p: int, r: int):
     of _sphere_words, whose words are no-backtrack strings by construction, so
     each vertex is built without TreeVertex's digit check."""
     check_prime(p)
-    r = integer(r, "radius")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    r = integer(r, "radius", 0)
     set_prime, set_word = TreeVertex.prime.__set__, TreeVertex.word.__set__
     for word in _sphere_words(p, r):
         v = object.__new__(TreeVertex)

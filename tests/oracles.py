@@ -46,8 +46,9 @@ def subtract_identity(t1: hecke.GlobalHeckeElement) -> hecke.GlobalHeckeElement:
     return hecke.GlobalHeckeElement.from_dict(out)
 
 
-def spectral_value(f, spectra: dict[int, hecke.EigenvalueSequence]):
-    """Evaluate an element against per-prime eigenvalue sequences.
+def spectral_value(f, spectra: dict[int, tuple]):
+    """Evaluate an element against per-prime eigenvalue sequences, each the
+    tuple (1, lambda_1, ...) of hecke.eigenvalue_sequence.
 
     Linear in the element; across distinct primes the eigenvalue of a
     product support point is the product of the local eigenvalues.
@@ -56,14 +57,14 @@ def spectral_value(f, spectra: dict[int, hecke.EigenvalueSequence]):
         if f.prime not in spectra:
             raise KeyError(f"no eigenvalue sequence for prime {f.prime}")
         seq = spectra[f.prime]
-        return sum(c * seq.value(r // 2) for r, c in f.coeffs)
+        return sum(c * seq[r // 2] for r, c in f.coeffs)
     total = 0
     for point, c in f.coeffs:
         term = c
         for p, r in point:
             if p not in spectra:
                 raise KeyError(f"no eigenvalue sequence for prime {p}")
-            term = term * spectra[p].value(r // 2)
+            term = term * spectra[p][r // 2]
         total += term
     return total
 

@@ -92,7 +92,7 @@ def grid_minimum(p: int) -> float:
 
 
 def test_criterion_03_dichotomy_constant():
-    lam2 = hecke.eigenvalue_sequence(5, Fraction(0), 2).value(2)
+    lam2 = hecke.eigenvalue_sequence(5, Fraction(0), 2)[2]
     spot_ok = lam2 == -30 and abs(30 / math.sqrt(750) - 1.095) < 5e-4
     # 2/5 sits below the sharp uniform constant sqrt(2) - 1 (c_p >= it iff 1 <= 8p)
     primes = primes_in(2, 97)

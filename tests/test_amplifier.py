@@ -170,7 +170,7 @@ class TestPickLocal:
         lam = Fraction(k * p, 1000)
         j, num, den, _ = pick_local(p, lam)
         assert j == 2
-        assert Fraction(num, den) == hecke.eigenvalue_sequence(p, lam, 2).value(2)
+        assert Fraction(num, den) == hecke.eigenvalue_sequence(p, lam, 2)[2]
 
 
 def fraction_pick_local(p, lambda_p):

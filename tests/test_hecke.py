@@ -155,16 +155,16 @@ class TestEigenvalues:
     def test_trivial_eigenvalue_is_mass(self):
         for p in (2, 5):
             seq = hecke.eigenvalue_sequence(p, Fraction(p * (p + 1)), 4)
-            assert seq.value(2) == p ** 3 * (p + 1)
-            assert seq.value(2) == tree.sphere_size(p, 4)
+            assert seq[2] == p ** 3 * (p + 1)
+            assert seq[2] == tree.sphere_size(p, 4)
 
     def test_lambda_zero_seed(self):
         seq = hecke.eigenvalue_sequence(5, Fraction(0), 2)
-        assert seq.value(2) == -30
+        assert seq[2] == -30
 
     def test_p2_seed_one(self):
         seq = hecke.eigenvalue_sequence(2, Fraction(1), 4)
-        assert seq.value(2) == 1 - 1 - 6
+        assert seq[2] == 1 - 1 - 6
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_degree4_identity_under_spectrum(self, p):
@@ -176,15 +176,16 @@ class TestEigenvalues:
             spectra = {p: seq}
             lhs = spectral_value(
                 hecke.convolve(hecke.basic(p, 2), hecke.basic(p, 2)), spectra)
-            assert lhs == seq.value(2) ** 2
+            assert lhs == seq[2] ** 2
 
     def test_float_seed_tolerance(self):
         seq = hecke.eigenvalue_sequence(3, 1.25, 4)
         exact = hecke.eigenvalue_sequence(3, Fraction(5, 4), 4)
+        assert len(seq) == 5
         for j in range(5):
-            assert seq.value(j) == pytest.approx(float(exact.value(j)), rel=1e-9)
-        assert all(isinstance(v, Fraction) for v in seq.lambdas)
-        assert seq.lambdas == exact.lambdas
+            assert seq[j] == pytest.approx(float(exact[j]), rel=1e-9)
+        assert all(isinstance(v, Fraction) for v in seq)
+        assert seq == exact
 
     @pytest.mark.parametrize("max_j", [3.0, 2.5, "3", None], ids=repr)
     def test_non_integer_max_j_refused(self, max_j):
@@ -196,12 +197,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             hecke.eigenvalue_sequence(2, Fraction(1), 1)
 
-    def test_value_index_in_range(self):
-        seq = hecke.eigenvalue_sequence(2, 1, 2)
-        assert seq.value(2) == -6
-        for j in (-1, 3):
-            with pytest.raises(ValueError):
-                seq.value(j)
+    def test_a_tuple_from_one_to_max_j(self):
+        assert hecke.eigenvalue_sequence(2, 1, 2) == (1, 1, -6)
+        assert len(hecke.eigenvalue_sequence(3, Fraction(1, 3), 7)) == 8
+
+    def test_checks_its_prime(self):
+        with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+            hecke.eigenvalue_sequence(4, 0, 2)
 
 
 class TestSpectralValue:
@@ -269,6 +271,14 @@ class TestGlobal:
         t1 = hecke.global_assemble(parts)
         assert identity_value(t1) == sum(
             hecke.total_mass(h) for h, _ in parts.values())
+
+    @pytest.mark.parametrize("zeta", [1.0, -1.0, "1", None], ids=repr)
+    def test_non_integer_phase_refused(self, zeta):
+        # a float phase once built float cross coefficients
+        parts = {2: (hecke.basic(2, 1), zeta), 3: (hecke.basic(3, 1), 1)}
+        message = f"^phase must be an integer, got {re.escape(repr(zeta))}$"
+        with pytest.raises(ValueError, match=message):
+            hecke.global_assemble(parts)
 
     def test_duplicate_prime_rejected(self):
         with pytest.raises(ValueError):

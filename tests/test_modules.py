@@ -201,11 +201,37 @@ def test_every_unreached_function_is_in_the_reach_ledger():
                for path, line, name in json.loads(proc.stdout)}
     functions = src_functions()
     unreached = {name for key, name in functions.items() if key not in entered}
+    ledger = reach_ledger()
+    assert sorted(unreached - ledger.keys()) == []  # unreached and unlisted
+    assert sorted(ledger.keys() - unreached) == []  # listed, but now reached or gone
+
+
+def reach_ledger() -> dict[str, str]:
+    """tests/unreached.txt as {module.qualname: reason}, each reason checked."""
     ledger = {}
     for line in (ROOT / "tests" / "unreached.txt").read_text().splitlines():
         if fields := line.partition("#")[0].split():
             name, reason = fields
             assert reason in REACH_REASONS, line
             ledger[name] = reason
-    assert sorted(unreached - ledger.keys()) == []  # unreached and unlisted
-    assert sorted(ledger.keys() - unreached) == []  # listed, but now reached or gone
+    return ledger
+
+
+# The test-only code still in src/, waiting to move to tests/oracles.py: the
+# ledger's test-only class may lose names, and may gain none.
+TEST_ONLY = {
+    "amplifier.pick_local",
+    "gaussian.Mat2.__add__",
+    "hecke.GlobalHeckeElement.__init__",
+    "hecke.GlobalHeckeElement.from_dict",
+    "hecke.eigenvalue_sequence",
+    "hecke.global_assemble",
+    "hecke.norm_inf",
+    "splitting.IntPoly.discriminant",
+}
+
+
+def test_the_test_only_class_only_shrinks():
+    ledger = reach_ledger()
+    assert sorted({name for name, reason in ledger.items() if reason == "test-only"}
+                  - TEST_ONLY) == []

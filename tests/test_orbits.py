@@ -41,8 +41,15 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("index", [0, -1, False])
     def test_index_below_1_refused(self, index):
-        with pytest.raises(ValueError, match="^index multiplier must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^index multiplier must be >= 1, got {int(index)}$"):
             OrbitModel(OrbitKind.MULTIPLICATIVE, index)
+
+    def test_a_kind_by_its_name(self):
+        # a str kind once built, and both counts took it for the torus
+        assert OrbitModel("sl2") == SL2
+        assert OrbitModel("torus", 3) == OrbitModel(OrbitKind.MULTIPLICATIVE, 3)
+        for count in (orbit_intersect_one_sided, brute_force_intersect):
+            assert count(OrbitModel("sl2"), 3, 2) == count(SL2, 3, 2) == 0
 
     @pytest.mark.parametrize("count", [
         orbit_intersect_one_sided, brute_force_intersect,

@@ -194,7 +194,7 @@ class TestPrimality:
             lambda p: next(tree.iter_sphere(p, 0)),
             lambda p: amplifier.pick_local(p, 0),
             lambda p: hecke.LocalHeckeElement(p, ((0, 1),)),
-            lambda p: hecke.EigenvalueSequence(p, ()),
+            lambda p: hecke.eigenvalue_sequence(p, 0, 2),
             lambda p: hecke.GlobalHeckeElement(((((p, 2),), 1),)),
             lambda p: orbits.orbit_intersect_one_sided(orbits.OrbitModel(orbits.OrbitKind.SL2),
                                                        p, 1),

@@ -16,7 +16,7 @@ import pytest
 
 from treeamp.amplifier import AmplifierReport, SpectrumKind, SpectrumModel, scaling_sweep
 from treeamp.gaussian import GaussInt, GaussPrime, GaussRat, Mat2
-from treeamp.hecke import EigenvalueSequence, GlobalHeckeElement, LocalHeckeElement
+from treeamp.hecke import GlobalHeckeElement, LocalHeckeElement
 from treeamp.orbits import OrbitKind, OrbitModel
 from treeamp.splitting import IntPoly, parse_poly
 from treeamp.tree import TreeVertex
@@ -38,9 +38,6 @@ FROZEN = {
              "GaussRat(a=-1, b=0, d=1), GaussRat(a=0, b=1, d=2)))"),
     "LocalHeckeElement": (lambda: LocalHeckeElement(2, ((0, 6), (2, 1))), (2, ((0, 6), (2, 1))),
                           "LocalHeckeElement(prime=2, coeffs=((0, 6), (2, 1)))"),
-    "EigenvalueSequence": (lambda: EigenvalueSequence(2, (Fraction(1), Fraction(6))),
-                           (2, (Fraction(1), Fraction(6))),
-                           "EigenvalueSequence(prime=2, lambdas=(Fraction(1, 1), Fraction(6, 1)))"),
     "GlobalHeckeElement": (
         lambda: GlobalHeckeElement((((), 4), (((5, 2),), 2), (((5, 2), (13, 2)), -2))),
         ((((), 4), (((5, 2),), 2), (((5, 2), (13, 2)), -2)),),
@@ -59,7 +56,6 @@ TAMPERED = {
     "GaussRat": (GaussRat, (2, 4, 6)),
     "Mat2": (Mat2, ((R, R, R),)),
     "LocalHeckeElement": (LocalHeckeElement, (2, ((2, 1), (0, 6)))),
-    "EigenvalueSequence": (EigenvalueSequence, (4, ())),
     "GlobalHeckeElement": (GlobalHeckeElement, (((((5, 0),), 1),),)),
     "OrbitModel": (OrbitModel, (OrbitKind.SL2, 0)),
     "SpectrumModel": (SpectrumModel, ("explicit", 0)),
@@ -209,7 +205,6 @@ class TestSequenceFieldsAreTuples:
             GlobalHeckeElement([([(5, 2)], 1), ((), 1)])
 
     def test_other_sequence_fields(self):
-        assert EigenvalueSequence(2, [1, 6]) == EigenvalueSequence(2, (1, 6))
         assert GlobalHeckeElement([((), 1)]) == GlobalHeckeElement((((), 1),))
         args = (50, 2, [53], Fraction(1), 1, 1, 2, 0, 0.0, 1.0, [("lambda_positive", True)],
                 1.0, 1.0, 1.0)
@@ -218,9 +213,30 @@ class TestSequenceFieldsAreTuples:
         assert rep == AmplifierReport(*args[:-4], {"lambda_positive": True}, *args[-3:])
         assert rep != AmplifierReport(*args[:-1], 2.0)
 
-    def test_eigenvalue_sequence_checks_its_prime(self):
-        with pytest.raises(ValueError, match="p must be prime, got 4"):
-            EigenvalueSequence(4, ())
+
+# one build per value class with integer fields, taking x in one of them
+INTEGER_FIELDS = {
+    "IntPoly": (lambda x: IntPoly((x, 0, 1)), "coefficient"),
+    "LocalHeckeElement": (lambda x: LocalHeckeElement(5, ((2, x),)), "coefficient"),
+    "GlobalHeckeElement": (lambda x: GlobalHeckeElement(((((5, 2),), x),)), "coefficient"),
+    "GaussRat": (lambda x: GaussRat(x, 0), "a"),
+    "TreeVertex": (lambda x: TreeVertex(3, (x,)), "digit"),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+class TestIntegerFields:
+    @pytest.mark.parametrize("x", [1.0, 0.5, "1", None], ids=repr)
+    def test_a_non_integer_is_refused_when_built(self, name, x):
+        # a float once built, to fail later or to make float coefficients
+        build, field = INTEGER_FIELDS[name]
+        message = f"^{field} must be an integer, got {re.escape(repr(x))}$"
+        with pytest.raises(ValueError, match=message):
+            build(x)
+
+    def test_true_is_stored_as_1(self, name):
+        build = INTEGER_FIELDS[name][0]
+        assert repr(build(True)) == repr(build(1))
 
 
 def test_swept_report_pickles_and_copies():
