@@ -14,6 +14,7 @@ fails, and 2 on bad input, which is one line on stderr.
 import sys
 
 from treeamp import cli
+from treeamp.commands import amplifier
 
 AMPLIFIER_FLAGS = cli.COMMANDS["amplifier"][2]
 FLAGS = {"--Q": AMPLIFIER_FLAGS["--Q"], "--poly": AMPLIFIER_FLAGS["--poly"],
@@ -26,7 +27,7 @@ def main(argv=None) -> int:
         args = cli.read_flags(FLAGS, sys.argv[1:] if argv is None else argv,
                               "run_scaling_sweep.py", __doc__)
         args.index = 1
-        _, results, verdicts = cli.cmd_amplifier(args)
+        _, results, verdicts = amplifier.run(args)
     except ValueError as exc:  # includes AmplifierError
         sys.stderr.write(f"run_scaling_sweep.py: error: {exc}\n")
         return 2

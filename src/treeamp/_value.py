@@ -4,8 +4,8 @@ subclass with checks runs them in its own __init__ and ends in one
 super().__init__ call.  Equality and hashing compare the field tuple
 within one class, and pickle and copy go back through __init__.  exact
 takes a number exactly, integer takes an integer, at least a bound when
-one is given, and member takes a kind by its name: each is the one check
-of its kind of parameter.
+one is given, member takes a kind by its name, and instance takes a value
+of one class: each is the one check of its kind of parameter.
 """
 
 from operator import attrgetter, index
@@ -63,6 +63,15 @@ def integer(x, name: str, low: int | None = None) -> int:
     if low is not None and n < low:
         raise ValueError(f"{name} must be >= {low}, got {n}")
     return n
+
+
+def instance(x, cls: type, name: str):
+    """x when it is a cls, such as a polynomial or an orbit model; ValueError
+    names the x that is not."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {x!r}")
+    return x
 
 
 def member(kinds: type, x, noun: str):

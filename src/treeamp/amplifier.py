@@ -15,8 +15,6 @@ maps the unchecked kernels _pick and tree._convolution_count over the primes
 the sieve has proved.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import random

@@ -10,8 +10,11 @@ would, without the json package; wall time goes to stderr only.  --out
 replaces a regular file, or a symlink's target, whole through <file>.tmp,
 and writes to a FIFO or device in place.  Exit code is 0 when every
 verdict passes, 1 when one fails, and 2 on bad input, which is one line
-on stderr.  A subcommand imports the library modules it runs when it
-runs, so a process compiles only the code its subcommand calls.
+on stderr; a failing verdict is named on stderr, with the input that
+fails it where the subcommand gives one.  Each subcommand's body is a
+module of treeamp.commands that main imports only when it runs that
+subcommand, and that module imports the library modules it calls, so a
+process compiles only the body it runs and the code that body calls.
 
 check runs every SUITES entry through main in one process, writing
 <dir>/<name>.json for the directory --out names (default reports) and two
@@ -25,20 +28,17 @@ exit-time collections skip objects that die with the process anyway.
 main(argv) has no process-wide effect, so tests and scripts may call it.
 """
 
-from __future__ import annotations
-
 import contextlib
 import gc
 import os
 import stat
 import sys
 import time
+from importlib import import_module
 from types import SimpleNamespace
 
 from . import __version__
-
-MAX_SPHERE = 5 * 10 ** 5  # vertices orbit-check may walk per (p, j)
-MAX_SIEVE = 10 ** 6  # largest integer split-density and amplifier may sieve up to
+from .commands import MAX_SIEVE, MAX_SPHERE  # re-exported: the caps scripts read as cli.MAX_*
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
@@ -104,13 +104,20 @@ def write_report(report: dict, out_path: str | None) -> None:
         raise
 
 
-def finish(report: dict, out_path: str | None, started: float) -> int:
+def finish(report: dict, out_path: str | None, started: float,
+           witnesses: dict | None = None) -> int:
+    """Write the report; on stderr the wall time and, when a verdict fails, a FAIL:
+    line naming each failing verdict, then one line per failing verdict that
+    witnesses names an input for."""
     write_report(report, out_path)
     print(f"wall time: {time.monotonic() - started:.3f}s", file=sys.stderr)
     failing = [k for k, v in report["verdicts"].items() if v is False]
     if failing:
         config = _dump(report["config"], None)
         print(f"FAIL: {', '.join(failing)} with config {config}", file=sys.stderr)
+        for name in failing:
+            if witness := (witnesses or {}).get(name):
+                print(f"  {name}: {witness}", file=sys.stderr)
         return 1
     return 0
 
@@ -142,159 +149,13 @@ def _fraction_text(text: str) -> str:
     return text
 
 
-# ---------------------------------------------------------------------------
-# Each subcommand returns (config, results, verdicts) for main's envelope.
-
-
-def cmd_verify_hecke(args):
-    from . import hecke
-    primes = args.primes
-    max_radius = args.max_radius
-    if max_radius > hecke.MAX_RADIUS:
-        raise ValueError(f"max radius {max_radius} exceeds the cap {hecke.MAX_RADIUS}")
-    if max_radius % 2:
-        raise ValueError(f"max radius {max_radius} is odd; Hecke supports have even radii")
-    verdicts: dict[str, bool] = {}
-    results: dict[str, dict] = {}
-    for p in primes:
-        checks: dict[str, bool] = {}
-        got = hecke.convolve(hecke.basic(p, 1), hecke.basic(p, 1))
-        want = hecke.LocalHeckeElement.from_dict(
-            p, {0: p * (p + 1), 2: p - 1, 4: 1})
-        checks["degree2_identity"] = got == want
-        if max_radius >= 4:
-            got = hecke.convolve(hecke.basic(p, 2), hecke.basic(p, 2))
-            want = hecke.LocalHeckeElement.from_dict(
-                p, {0: p ** 3 * (p + 1), 2: p * p * (p - 1), 4: p * (p - 1),
-                    6: p - 1, 8: 1})
-            checks["degree4_identity"] = got == want
-        basics = [hecke.identity(p)] + [
-            hecke.basic(p, j) for j in range(1, max_radius // 2 + 1)]
-        products = {(f, g): hecke.convolve(f, g) for f in basics for g in basics}
-        checks["commutativity"] = all(fg == products[g, f] for (f, g), fg in products.items())
-        checks["mass_multiplicativity"] = all(
-            hecke.total_mass(fg) == hecke.total_mass(f) * hecke.total_mass(g)
-            for (f, g), fg in products.items())
-        if p in (2, 3) and max_radius >= 4:
-            t1, t2 = hecke.basic(p, 1), hecke.basic(p, 2)
-            checks["associativity"] = hecke.convolve(hecke.convolve(t1, t1), t2) \
-                == hecke.convolve(t1, hecke.convolve(t1, t2))
-        results[str(p)] = checks
-        for name, ok in checks.items():
-            verdicts[f"p{p}_{name}"] = ok
-    return {"primes": primes, "max_radius": max_radius}, results, verdicts
-
-
-def cmd_split_density(args):
-    from fractions import Fraction
-    from . import splitting
-    if args.limit > MAX_SIEVE:
-        raise ValueError(f"limit {args.limit} exceeds the cap {MAX_SIEVE}")
-    poly = splitting.parse_poly(args.poly)
-    density = splitting.empirical_density(poly, args.limit)
-    sample = splitting.split_primes_in(poly, 2, min(args.limit, 200))
-    verdicts = {}
-    if args.expected is not None:
-        expected = Fraction(args.expected)
-        verdicts["density_within_tolerance"] = abs(density - expected) <= Fraction(1, 50)
-    config = {"poly": str(poly), "limit": args.limit, "expected": args.expected}
-    results = {
-        "density": density,
-        "density_decimal": float(density),
-        "split_primes_up_to_200": sample,
-    }
-    return config, results, verdicts
-
-
-def cmd_denom_check(args):
-    import random
-    from . import gaussian
-    rng = random.Random(args.seed)
-    n = args.samples
-    one, zero = gaussian.GaussRat(1, 0), gaussian.GaussRat(0, 0)
-
-    def randint(lo, hi, getrandbits=rng.getrandbits):  # rng.randint's draws, minus its calls
-        width = hi - lo + 1
-        while (r := getrandbits(width.bit_length())) >= width:
-            pass
-        return lo + r
-
-    def draw():  # a/b + (c/d)i, drawn in the order a, b, c, d
-        a, b = randint(-30, 30), randint(1, 12)
-        c, d = randint(-30, 30), randint(1, 12)
-        return gaussian._reduced(a * d, c * b, b * d)
-
-    submult_add = submult_mul = product_one = arch_floor = True
-    for _ in range(n):
-        x, y = draw(), draw()
-        dx, dy = gaussian.denom(x), gaussian.denom(y)
-        submult_add &= gaussian.denom(x + y) <= dx * dy
-        submult_mul &= gaussian.denom(x * y) <= dx * dy
-        if not x.is_zero():
-            product_one &= gaussian.product_formula_check(x) == 1
-            arch_floor &= dx * (x.a * x.a + x.b * x.b) >= x.d * x.d  # dx * x.norm() >= 1
-    unimodular = sl2_inverse = True
-    for _ in range(max(1, n // 10)):
-        m = gaussian.Mat2(tuple(draw() for _ in range(4)))
-        # random unimodular integral matrix: product of elementary shears
-        k = gaussian.Mat2.identity()
-        for _ in range(4):
-            s = gaussian.GaussRat(randint(-3, 3), randint(-3, 3))
-            shear = gaussian.Mat2((one, s, zero, one)) if rng.random() < 0.5 \
-                else gaussian.Mat2((one, zero, s, one))
-            k = k * shear
-        unimodular &= gaussian.denom_mat(m * k) == gaussian.denom_mat(m)
-        if not k.is_zero():
-            sl2_inverse &= gaussian.denom_mat(k.inverse()) == gaussian.denom_mat(k)
-    verdicts = {
-        "submultiplicative_sum": submult_add,
-        "submultiplicative_product": submult_mul,
-        "product_formula_exact": product_one,
-        "denominator_arch_floor": arch_floor,
-        "unimodular_right_invariance": unimodular,
-        "sl2_inverse_equality": sl2_inverse,
-    }
-    return {"samples": n, "seed": args.seed}, {}, verdicts
-
-
-def cmd_orbit_check(args):
-    from . import orbits, tree
-    model = orbits.OrbitModel(args.orbit, args.index)
-    primes = args.primes
-    # sphere_size(p, r) >= 2^r, so every radius from MAX_SPHERE.bit_length() on
-    # is over the cap; clamping there keeps a huge --max-j from building the power
-    radius = min(2 * args.max_j, MAX_SPHERE.bit_length())
-    for p in primes:
-        if tree.sphere_size(p, radius) > MAX_SPHERE:
-            raise ValueError(f"p={p}, j={args.max_j}: the radius-2j sphere has more than "
-                             f"the cap of {MAX_SPHERE} vertices")
-    results = {}
-    verdicts = {}
-    for p in primes:
-        for j in range(1, args.max_j + 1):
-            closed = orbits.orbit_intersect_one_sided(model, p, j)
-            brute = orbits.brute_force_intersect(model, p, j)
-            results[f"p{p}_j{j}"] = {"closed_form": closed, "brute_force": brute}
-            verdicts[f"p{p}_j{j}_agree"] = closed == brute
-    config = {"orbit": args.orbit, "index": args.index,
-              "primes": primes, "max_j": args.max_j}
-    return config, results, verdicts
-
-
-def cmd_amplifier(args):
-    from . import amplifier, orbits, splitting
-    spectrum = amplifier.SpectrumModel(args.spectrum, args.seed)
-    Qs = args.Q
-    if over := [Q for Q in Qs if 2 * Q > MAX_SIEVE]:
-        raise ValueError(f"Q={over[0]} sieves up to 2Q = {2 * over[0]}, above the cap {MAX_SIEVE}")
-    poly = splitting.parse_poly(args.poly)
-    orbit = orbits.OrbitModel(args.orbit, args.index)
-    reports = amplifier.scaling_sweep(Qs, poly, spectrum, orbit)
-    results = [{k: getattr(rep, k) for k in rep.__slots__ if k != "verdicts"} for rep in reports]
-    verdicts = {f"Q{rep.Q}_{name}": ok for rep in reports for name, ok in rep.verdicts.items()}
-    config = {"Q": Qs, "poly": str(poly), "spectrum": args.spectrum,
-              "seed": args.seed, "orbit": args.orbit, "index": args.index}
-    return config, results, verdicts
+def _command(module: str):
+    """The subcommand whose body is treeamp.commands.<module>, imported on its first
+    call, so a process compiles only the body it runs; its run returns (config,
+    results, verdicts) for main's envelope, and may add the failing verdicts' witnesses."""
+    def command(args):
+        return import_module(f"{__package__}.commands.{module}").run(args)
+    return command
 
 
 def cmd_check(args) -> int:
@@ -319,16 +180,16 @@ def cmd_check(args) -> int:
 # --out is every subcommand's, and an entry may give it another default
 
 COMMANDS = {
-    "verify-hecke": (cmd_verify_hecke, "convolution identity and algebra checks", {
+    "verify-hecke": (_command("verify_hecke"), "convolution identity and algebra checks", {
         "--primes": (_int_list, "2,3,5,7,11"), "--max-radius": (_int_at_least(2), "8")}),
-    "split-density": (cmd_split_density, "empirical complete-splitting density", {
+    "split-density": (_command("split_density"), "empirical complete-splitting density", {
         "--poly": (str, ...), "--limit": (int, "100000"), "--expected": (_fraction_text, None)}),
-    "denom-check": (cmd_denom_check, "denominator and product-formula sweeps", {
+    "denom-check": (_command("denom_check"), "denominator and product-formula sweeps", {
         "--samples": (_int_at_least(1), "1000"), "--seed": (int, "0")}),
-    "orbit-check": (cmd_orbit_check, "orbit intersection closed form vs enumeration", {
+    "orbit-check": (_command("orbit_check"), "orbit intersection closed form vs enumeration", {
         "--orbit": (str, "torus"), "--index": (_int_at_least(1), "1"),
         "--primes": (_int_list, "2,3,5"), "--max-j": (_int_at_least(1), "3")}),
-    "amplifier": (cmd_amplifier, "build amplifiers over a Q sweep and report ratios", {
+    "amplifier": (_command("amplifier"), "build amplifiers over a Q sweep and report ratios", {
         "--Q": (_int_list, "50,100,200,400"), "--spectrum": (str, "trivial"), "--seed": (int, "42"),
         "--poly": (str, "x^2+1"), "--orbit": (str, "sl2"), "--index": (_int_at_least(1), "1")}),
     "check": (cmd_check, "run every suite, writing --out DIR/<name>.json", {
@@ -402,10 +263,10 @@ def main(argv=None) -> int:
         if args.func is cmd_check:  # each suite writes its own report
             return cmd_check(args)
         started = time.monotonic()
-        config, results, verdicts = args.func(args)
+        config, results, verdicts, *witnesses = args.func(args)
         report = {"tool_version": __version__, "command": args.subcommand,
                   "config": config, "results": results, "verdicts": verdicts}
-        return finish(report, args.out, started)
+        return finish(report, args.out, started, *witnesses)
     except (ValueError, OSError) as exc:  # ValueError includes AmplifierError
         sys.stderr.write(f"treeamp: error: {exc}\n")
         sys.exit(2)

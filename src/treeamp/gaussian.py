@@ -16,8 +16,6 @@ Q(i) is one Gaussian integer over one positive integer, (a + bi)/d in
 lowest terms, so its arithmetic is integer arithmetic and one gcd.
 """
 
-from __future__ import annotations
-
 import enum
 import itertools
 import math
@@ -316,6 +314,8 @@ def _denominator_norm(xs) -> int:
     Zero entries add only zero minors, so they count as integral.
     """
     d = math.lcm(*(x.d for x in xs))
+    if d == 1:  # integral entries: the minors include 1
+        return 1
     ws = [(x.a * (d // x.d), x.b * (d // x.d)) for x in xs]
     minors = [d * d]
     for k, (a, b) in enumerate(ws):
@@ -404,19 +404,19 @@ class Mat2(Value):
 
     @staticmethod
     def identity() -> "Mat2":
-        one, zero = GaussRat.make(1), GaussRat.make(0)
-        return Mat2((one, zero, zero, one))
+        one, zero = _reduced(1, 0, 1), _reduced(0, 0, 1)
+        return _mat((one, zero, zero, one))
 
     def __add__(self, o: "Mat2") -> "Mat2":
-        return Mat2(tuple(a + b for a, b in zip(self.entries, o.entries)))
+        return _mat(tuple(a + b for a, b in zip(self.entries, o.entries)))
 
     def __sub__(self, o: "Mat2") -> "Mat2":
-        return Mat2(tuple(a - b for a, b in zip(self.entries, o.entries)))
+        return _mat(tuple(a - b for a, b in zip(self.entries, o.entries)))
 
     def __mul__(self, o: "Mat2") -> "Mat2":
         a, b, c, d = self.entries
         e, f, g, h = o.entries
-        return Mat2((_dot(a, e, b, g), _dot(a, f, b, h), _dot(c, e, d, g), _dot(c, f, d, h)))
+        return _mat((_dot(a, e, b, g), _dot(a, f, b, h), _dot(c, e, d, g), _dot(c, f, d, h)))
 
     def det(self) -> GaussRat:
         a, b, c, d = self.entries
@@ -427,7 +427,7 @@ class Mat2(Value):
         if det.is_zero():
             raise ZeroDivisionError("singular matrix")
         inv, (a, b, c, d) = det.inverse(), self.entries
-        return Mat2(tuple(inv * x for x in (d, -b, -c, a)))
+        return _mat(tuple(inv * x for x in (d, -b, -c, a)))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.entries)
@@ -435,6 +435,17 @@ class Mat2(Value):
     def max_arch_norm(self) -> Fraction:
         """Largest squared modulus over the entries."""
         return max(x.norm() for x in self.entries)
+
+
+_set_entries = Mat2.entries.__set__
+
+
+def _mat(entries: tuple[GaussRat, GaussRat, GaussRat, GaussRat]) -> Mat2:
+    """The Mat2 of a tuple of four GaussRat the caller built, as arithmetic
+    builds them, so it is built without Mat2's check."""
+    m = object.__new__(Mat2)
+    _set_entries(m, entries)
+    return m
 
 
 def denom_mat(m: Mat2) -> int:

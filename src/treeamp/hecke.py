@@ -11,10 +11,8 @@ build_amplifier's picks with global_assemble; the spectral evaluation
 and orbit count of the expansion live in tests/oracles.py.
 """
 
-from __future__ import annotations
-
 from . import tree
-from ._value import Value, exact, integer
+from ._value import Value, exact, instance, integer
 from ._primes import check_prime
 
 __all__ = [
@@ -77,6 +75,7 @@ def basic(p: int, j: int) -> LocalHeckeElement:
 
 def total_mass(f: LocalHeckeElement):
     """Sum of coefficient * sphere size over the support."""
+    instance(f, LocalHeckeElement, "Hecke element")
     return sum(c * tree.sphere_size(f.prime, r) for r, c in f.coeffs)
 
 
@@ -88,6 +87,8 @@ def convolve(f: LocalHeckeElement, g: LocalHeckeElement) -> LocalHeckeElement:
     the coefficients are summed into a list indexed by r/2 and read off
     in ascending order.
     """
+    instance(f, LocalHeckeElement, "Hecke element")
+    instance(g, LocalHeckeElement, "Hecke element")
     if f.prime != g.prime:
         raise ValueError(f"prime mismatch: {f.prime} vs {g.prime}")
     p = f.prime

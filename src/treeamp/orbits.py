@@ -15,13 +15,11 @@ count_global_intersections counts the amplifier's support from its local
 squares; counting over the expanded tau is its test oracle.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 
 from . import tree
-from ._value import Value, integer, member
+from ._value import Value, instance, integer, member
 from ._primes import check_prime
 
 __all__ = [
@@ -56,6 +54,7 @@ class OrbitModel(Value):
 
 def orbit_intersect_one_sided(model: OrbitModel, p: int, j: int) -> int:
     """Closed-form count of orbit points inside a one-sided support."""
+    instance(model, OrbitModel, "orbit model")
     check_prime(p)
     integer(j, "j", 1)
     if model.kind is OrbitKind.SL2:
@@ -80,6 +79,7 @@ def brute_force_intersect(model: OrbitModel, p: int, j: int) -> int:
     the radius-2j one-sided support, sphere x {root}.  At j = 0 that is the
     identity coset {(root, root)}.  The diagonal streams tree._sphere_words.
     """
+    instance(model, OrbitModel, "orbit model")
     check_prime(p)
     j = integer(j, "j", 0)
     if model.kind is OrbitKind.SL2:  # the diagonal orbit: all (w, w) within the ball
@@ -99,7 +99,7 @@ def count_global_intersections(model: OrbitModel, columns: list[list[int]]) -> i
     per pair of primes; the torus orbit meets these twice and 2 * 2 times,
     and the finite-index multiplier scales each support point once.
     """
-    if model.kind is OrbitKind.SL2:
+    if instance(model, OrbitModel, "orbit model").kind is OrbitKind.SL2:
         return 0
     one_prime = sum([len(c) - c.count(0) for c in columns[1:]])
     return model.index_multiplier * (2 * one_prime + 4 * math.comb(len(columns[0]), 2))

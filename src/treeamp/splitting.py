@@ -24,14 +24,12 @@ in one slice.  a = 0 never splits.  Every other polynomial takes one
 Frobenius test per prime.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
 
 from ._primes import check_prime, is_prime  # re-exported: splitting's API
-from ._value import Value, integer
+from ._value import Value, instance, integer
 
 __all__ = [
     "MAX_DEGREE",
@@ -213,13 +211,13 @@ def _split_filter(f: IntPoly, o: int, table: bytes) -> tuple[bool, bytearray]:
     """Whether f splits at 2, and the byte mask, over a prime table of odd
     numbers from o, of the odd primes where f splits.
 
-    The only place that checks f is monic and decides splitting.  Costs
+    The only place that checks f is a monic IntPoly and decides splitting.  Costs
     beyond the sieve: a quadratic, one pow per class of odd p mod 4|a| that
     holds a prime and one slice per class that splits; a binomial of
     degree d >= 3, (hi - lo)/lcm(2, d) candidates, one pow each, and none
     at 2; any other f, one Frobenius test x^p = x mod (f, p) per prime.
     """
-    if not f.is_monic():
+    if not instance(f, IntPoly, "polynomial").is_monic():
         raise ValueError(f"splitting test requires a monic polynomial, got {f}")
     coeffs, d, n = f.coeffs, f.degree(), len(table)
     if d == 1:

@@ -20,8 +20,6 @@ directions out of it: the cached kernel _convolution_count, which
 callers with checked inputs read, behind the checked convolution_count.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 

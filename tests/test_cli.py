@@ -155,6 +155,21 @@ class TestDenomCheck:
         assert tested == []
         assert gaussian._prime_above.cache_info().misses > 0  # the places were built
 
+    def test_a_failing_verdict_names_its_first_failing_sample_on_stderr(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        # denom is wrong on its 11th call only: sample 2's x + y, after its x and y
+        calls, denom = [], gaussian.denom
+        monkeypatch.setattr(gaussian, "denom",
+                            lambda z: calls.append(z) or (10 ** 12 if len(calls) == 11 else denom(z)))
+        code, raw = run(tmp_path, "dc.json", ["denom-check", "--samples", "20", "--seed", "0"])
+        assert code == 1
+        report = json.loads(raw)
+        assert [k for k, ok in report["verdicts"].items() if not ok] == ["submultiplicative_sum"]
+        assert b"GaussRat" not in raw  # the witness goes to stderr only
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2].startswith("FAIL: submultiplicative_sum with config ")
+        assert err[-1] == f"  submultiplicative_sum: sample 2: x = {calls[8]!r}, y = {calls[9]!r}"
+
 
 class TestOrbitCheck:
     @pytest.mark.parametrize("orbit", ["sl2", "torus"])
@@ -733,7 +748,9 @@ LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'treeamp'))
 
 
 def test_import_loads_no_library_module():
-    assert run_probe("import sys, treeamp.cli; " + LOADED) == "treeamp treeamp.cli"
+    # treeamp.commands holds the caps and no subcommand body
+    assert run_probe("import sys, treeamp.cli; " + LOADED) == \
+        "treeamp treeamp.cli treeamp.commands"
 
 
 def test_import_loads_no_argparse_or_gettext():
@@ -750,9 +767,9 @@ def test_import_loads_no_typing_or_random():
 
 
 # Tiny flags for each subcommand and the library modules it loads, besides
-# the value base _value and the primality module _primes; every other
-# treeamp module must stay unloaded.  The tree-only subcommands load no
-# split filter.
+# its own module under treeamp.commands, the value base _value and the
+# primality module _primes; every other treeamp module must stay unloaded.
+# The tree-only subcommands load no split filter.
 SUBCOMMAND_LOADS = {
     "denom-check": (["--samples", "2"], {"gaussian"}),
     "split-density": (["--poly", "x^2+1", "--limit", "100"], {"splitting"}),
@@ -762,13 +779,40 @@ SUBCOMMAND_LOADS = {
 }
 
 
+def subcommand_modules(command: str) -> set[str]:
+    """The treeamp modules a process that runs command loads, besides treeamp.cli."""
+    return {"treeamp", "treeamp.commands", f"treeamp.commands.{command.replace('-', '_')}",
+            "treeamp._value", "treeamp._primes"} | \
+        {f"treeamp.{m}" for m in SUBCOMMAND_LOADS[command][1]}
+
+
 @pytest.mark.parametrize("command", SUBCOMMAND_LOADS)
 def test_subcommand_loads_only_what_it_runs(command, tmp_path):
-    flags, modules = SUBCOMMAND_LOADS[command]
+    flags, _ = SUBCOMMAND_LOADS[command]
     probe = "import sys; from treeamp.cli import main; main(sys.argv[1:]); " + LOADED
     loaded = run_probe(probe, command, *flags, "--out", str(tmp_path / "r.json")).split()
-    assert loaded == sorted({"treeamp", "treeamp.cli", "treeamp._value", "treeamp._primes"}
-                            | {f"treeamp.{m}" for m in modules})
+    assert loaded == sorted(subcommand_modules(command) | {"treeamp.cli"})
+
+
+# Runs its arguments as `python -m treeamp.cli` does, then prints the exit
+# code, whether __future__ was loaded, and the treeamp modules loaded
+AS_MAIN = """import runpy, sys
+try:
+    runpy.run_module("treeamp.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "__future__" in sys.modules)
+""" + LOADED
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_suite_process_compiles_only_the_code_it_runs(suite, tmp_path):
+    """Each suite, run as its own process, loads exactly its subcommand's modules
+    and no __future__; treeamp.cli runs as __main__ and never loads by name, which
+    would compile cli.py a second time."""
+    argv = cli.SUITES[suite]
+    status, loaded = run_probe(AS_MAIN, *argv, "--out", str(tmp_path / "r.json")).splitlines()
+    assert status == "0 False"
+    assert loaded.split() == sorted(subcommand_modules(argv[0]))
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_LOADS)

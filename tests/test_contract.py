@@ -1,8 +1,10 @@
-"""One contract for every bounded-integer parameter and every model kind.
+"""One contract for every bounded-integer parameter, every model kind and
+every polynomial, orbit model and Hecke element parameter.
 
-Each bounded integer goes through _value.integer and each kind through
-_value.member, so each row below must refuse the same inputs with the same
-message: the first slice of a contract test over every exported name.
+Each bounded integer goes through _value.integer, each kind through
+_value.member and each value of one class through _value.instance, so each
+row below must refuse the same inputs with the same message: the first
+slice of a contract test over every exported name.
 """
 
 import re
@@ -10,11 +12,12 @@ import re
 import pytest
 
 from treeamp import gaussian, hecke, splitting, tree
-from treeamp.amplifier import SpectrumKind, SpectrumModel
+from treeamp.amplifier import SpectrumKind, SpectrumModel, build_amplifier
 from treeamp.orbits import (
     OrbitKind,
     OrbitModel,
     brute_force_intersect,
+    count_global_intersections,
     orbit_intersect_one_sided,
 )
 
@@ -90,3 +93,34 @@ class TestKinds:
         message = re.escape(f"unknown {noun} {x!r} (choose from {known})")
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(x)
+
+
+# name -> (call with the parameter, the name its message gives, the class it takes)
+INSTANCES = {
+    "empirical_density f": (lambda f: splitting.empirical_density(f, 1000), "polynomial",
+                            splitting.IntPoly),
+    "split_primes_in f": (lambda f: splitting.split_primes_in(f, 2, 100), "polynomial",
+                          splitting.IntPoly),
+    "build_amplifier f": (lambda f: build_amplifier(50, f, SpectrumModel.trivial(), TORUS),
+                          "polynomial", splitting.IntPoly),
+    "orbit_intersect_one_sided model": (lambda m: orbit_intersect_one_sided(m, 3, 1),
+                                        "orbit model", OrbitModel),
+    "brute_force_intersect model": (lambda m: brute_force_intersect(m, 3, 1), "orbit model",
+                                    OrbitModel),
+    "count_global_intersections model": (lambda m: count_global_intersections(m, [[1]]),
+                                         "orbit model", OrbitModel),
+    "convolve f": (lambda f: hecke.convolve(f, hecke.basic(2, 1)), "Hecke element",
+                   hecke.LocalHeckeElement),
+    "convolve g": (lambda g: hecke.convolve(hecke.basic(2, 1), g), "Hecke element",
+                   hecke.LocalHeckeElement),
+    "total_mass f": (hecke.total_mass, "Hecke element", hecke.LocalHeckeElement),
+}
+
+
+@pytest.mark.parametrize("row", INSTANCES)
+@pytest.mark.parametrize("x", ["x^2+1", "sl2", None], ids=repr)
+def test_a_value_of_another_class_is_refused(row, x):
+    call, name, cls = INSTANCES[row]
+    message = re.escape(f"{name} must be ") + "an? " + re.escape(f"{cls.__name__}, got {x!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(x)

@@ -13,6 +13,7 @@ import pytest
 from treeamp import amplifier, cli, hecke, orbits, splitting
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "treeamp"
 MODULES = ["amplifier", "cli", "gaussian", "hecke", "orbits", "splitting", "tree"]
 
 # Helpers that were deleted, or moved to the tests' oracles; nothing in src/ or
@@ -34,7 +35,7 @@ def test_star_import_finds_every_exported_name(name):
 
 def test_no_module_imports_dataclasses():
     pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
-    assert [path.name for path in sorted((ROOT / "src" / "treeamp").glob("*.py"))
+    assert [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
             if pattern.search(path.read_text())] == []
 
 
@@ -119,11 +120,12 @@ def test_benchmark_suite_table_is_cli_suites(monkeypatch):
     assert workloads.cli_suites(0) == list(cli.SUITES.items())
 
 
-def test_unchecked_builds_stay_at_their_three_sites():
+def test_unchecked_builds_stay_at_their_four_sites():
     """object.__new__ builds a value without its class's checks.  Only the
-    words iter_sphere streams, the lowest terms _reduced divides out and the
-    places _place builds for _prime_above over a proved prime are valid by
-    construction; any other site needs a deliberate edit here."""
+    words iter_sphere streams, the lowest terms _reduced divides out, the
+    places _place builds for _prime_above over a proved prime and the
+    matrices _mat builds from four entries of GaussRat arithmetic are valid
+    by construction; any other site needs a deliberate edit here."""
     sites = []
 
     def visit(node, scope):
@@ -138,7 +140,7 @@ def test_unchecked_builds_stay_at_their_three_sites():
 
     for path in sorted((ROOT / "src").rglob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert sites == ["gaussian._place", "gaussian._reduced", "tree.iter_sphere"]
+    assert sites == ["gaussian._place", "gaussian._reduced", "gaussian._mat", "tree.iter_sphere"]
 
 
 # Run in a fresh interpreter, so every import, class creation and lru_cache miss
@@ -173,7 +175,8 @@ REACH_REASONS = {"api", "large-input", "error-path", "value-protocol", "test-onl
 
 def src_functions() -> dict[tuple[str, int, str], str]:
     """(path, first line, name) -> module.qualname of every def and method in
-    src/treeamp; lambdas, comprehensions and class bodies are not functions here."""
+    src/treeamp and its subpackages, a module named by its dotted path below
+    treeamp; lambdas, comprehensions and class bodies are not functions here."""
     found = {}
 
     def walk(code, path, prefix):
@@ -184,8 +187,9 @@ def src_functions() -> dict[tuple[str, int, str], str]:
                     found[(path, const.co_firstlineno, const.co_name)] = name
                 walk(const, path, f"{name}.")
 
-    for path in sorted((ROOT / "src" / "treeamp").glob("*.py")):
-        walk(compile(path.read_text(), str(path), "exec"), str(path), f"{path.stem}.")
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        walk(compile(path.read_text(), str(path), "exec"), str(path), f"{module}.")
     return found
 
 
